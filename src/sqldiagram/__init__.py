@@ -1,7 +1,7 @@
 """Compile nested conjunctive SQL queries into logic-based diagrams.
 
 Pipeline: parse -> resolve_scopes -> build_logic_tree -> check_nondegenerate
--> simplify_forall -> build_diagram -> emit_dot / emit_json.  The reverse
+-> simplify_forall -> build_diagram -> emit_dot / diagram_to_json.  The reverse
 direction, recover_depths, reconstructs the unique nesting structure from a
 diagram's group graph.
 """
@@ -20,7 +20,7 @@ from .diagram import (
     reading_order,
     resolve_arrow,
 )
-from .dot import DotDocument, StyleOptions, emit_dot, emit_json
+from .dot import StyleOptions, emit_dot
 from .errors import (
     AmbiguousColumnError,
     DegenerateQueryError,
@@ -57,11 +57,11 @@ from .recovery import (
     PathFamily,
     brute_force_depths,
     classify_path_pattern,
-    decompose_depth0,
     diagram_to_graph,
     identify_depth1,
     identify_depth2,
     recover_depths,
+    split_below,
 )
 from .scopes import resolve_scopes, resolve_scopes_detailed
 
@@ -69,7 +69,7 @@ __all__ = [
     "ArrowDirection", "Diagram", "ReadingOrder", "build_diagram", "count_elements",
     "count_words", "diagram_from_json", "diagram_isomorphic", "diagram_to_json",
     "orient_inequality", "reading_order", "resolve_arrow",
-    "DotDocument", "StyleOptions", "emit_dot", "emit_json",
+    "StyleOptions", "emit_dot",
     "AmbiguousColumnError", "DegenerateQueryError", "InvalidDiagramError",
     "MalformedSubqueryError", "SqlDiagramError", "SqlSyntaxError",
     "UnknownAliasError", "UnsupportedFeatureError",
@@ -79,7 +79,7 @@ __all__ = [
     "lt_from_json", "lt_to_json", "lt_to_sql", "render_trc", "simplify_forall",
     "parse", "print_sql",
     "DepthAssignment", "DiagramGraph", "PathFamily", "brute_force_depths",
-    "classify_path_pattern", "decompose_depth0", "diagram_to_graph",
-    "identify_depth1", "identify_depth2", "recover_depths",
+    "classify_path_pattern", "diagram_to_graph", "identify_depth1",
+    "identify_depth2", "recover_depths", "split_below",
     "resolve_scopes", "resolve_scopes_detailed",
 ]

@@ -18,8 +18,14 @@ import shutil
 import subprocess
 import sys
 
-from .diagram import build_diagram, count_elements, count_words, diagram_from_json
-from .dot import StyleOptions, emit_dot, emit_json
+from .diagram import (
+    build_diagram,
+    count_elements,
+    count_words,
+    diagram_from_json,
+    diagram_to_json,
+)
+from .dot import StyleOptions, emit_dot
 from .errors import (
     AmbiguousColumnError,
     DegenerateQueryError,
@@ -127,12 +133,12 @@ def _cmd_viz(args) -> int:
     lt = _logic_tree(args, _read_input(args.input))
     diagram = _validated_diagram(args, lt)
     if args.format == "json":
-        _write_output(args, emit_json(diagram))
+        _write_output(args, diagram_to_json(diagram))
         return 0
-    document = emit_dot(diagram, StyleOptions())
-    _write_output(args, document.text)
+    dot_text = emit_dot(diagram, StyleOptions())
+    _write_output(args, dot_text)
     if args.render:
-        _render(args, document.text)
+        _render(args, dot_text)
     return 0
 
 
@@ -189,22 +195,16 @@ def _cmd_roundtrip(args) -> int:
     graph = diagram_to_graph(diagram)
     recovered = recover_depths(graph)
 
-    group_aliases = {g.id: tuple(sorted(b.alias for b in g.tables)) for g in diagram.groups}
-    expected_depth = lt.depth_by_alias()
-    node_of = lt.node_of_alias()
-    for gid, aliases in group_aliases.items():
-        if recovered.depths[gid] != expected_depth[aliases[0]]:
-            print(f"round trip failed: group {gid} recovered at depth "
-                  f"{recovered.depths[gid]}, expected {expected_depth[aliases[0]]}",
+    # Each group records its query block's depth and parent in the source.
+    for group in diagram.groups:
+        if recovered.depths[group.id] != group.depth:
+            print(f"round trip failed: group {group.id} recovered at depth "
+                  f"{recovered.depths[group.id]}, expected {group.depth}",
                   file=sys.stderr)
             return 1
+    parent_of = {group.id: group.parent for group in diagram.groups}
     for gid, parent_gid in recovered.parents.items():
-        child_alias = group_aliases[gid][0]
-        expected_parent = None
-        for _, node, parent in lt.walk():
-            if child_alias in node.aliases and parent is not None:
-                expected_parent = tuple(sorted(parent.aliases))
-        if group_aliases[parent_gid] != expected_parent:
+        if parent_of[gid] != parent_gid:
             print(f"round trip failed: group {gid} recovered under {parent_gid}",
                   file=sys.stderr)
             return 1

@@ -142,9 +142,10 @@ def build_diagram(lt: LogicTree, simplified: bool = True, *,
 
     Raises DegenerateQueryError when validation fails, unless allow_invalid.
     """
-    report = check_nondegenerate(lt, max_depth=max_depth)
-    if report.violations and not allow_invalid:
-        raise DegenerateQueryError(report)
+    if not allow_invalid:
+        report = check_nondegenerate(lt, max_depth=max_depth)
+        if report.violations:
+            raise DegenerateQueryError(report)
     if simplified:
         lt = simplify_forall(lt)
 

@@ -16,7 +16,6 @@ from .diagram import (
     AttributeRow,
     Diagram,
     TableBox,
-    diagram_to_json,
 )
 from .logic import Quantifier
 
@@ -30,11 +29,6 @@ class StyleOptions:
     selection_row_bg: str = "yellow"
     fontname: str = "Helvetica"
     rankdir: str = "LR"
-
-
-@dataclass(frozen=True)
-class DotDocument:
-    text: str
 
 
 def _escape(text: str) -> str:
@@ -67,7 +61,7 @@ def _select_label(d: Diagram, style: StyleOptions) -> str:
     return "".join(lines)
 
 
-def emit_dot(d: Diagram, style: StyleOptions = StyleOptions()) -> DotDocument:
+def emit_dot(d: Diagram, style: StyleOptions = StyleOptions()) -> str:
     out: list[str] = []
     out.append("digraph query_diagram {")
     out.append(f'  rankdir={style.rankdir};')
@@ -105,9 +99,4 @@ def emit_dot(d: Diagram, style: StyleOptions = StyleOptions()) -> DotDocument:
         dst = f"t_{alias}:p_{boxes[alias].row_index(attribute)}"
         out.append(f"  t_{SELECT_BOX_ID}:p_{i} -> {dst} [dir=none];")
     out.append("}")
-    return DotDocument(text="\n".join(out) + "\n")
-
-
-def emit_json(d: Diagram) -> str:
-    """Canonical JSON form of a diagram (round-trips losslessly)."""
-    return diagram_to_json(d)
+    return "\n".join(out) + "\n"

@@ -48,7 +48,6 @@ class Predicate:
     lhs: ColumnRef
     op: str
     rhs: ColumnRef | Constant
-    normalized: bool = False
 
     @property
     def is_selection(self) -> bool:
@@ -63,13 +62,13 @@ class Predicate:
     def normalize(self) -> "Predicate":
         """Join predicates get lexicographic operand order, operator flipped to match."""
         if self.is_selection:
-            return replace(self, normalized=True)
+            return self
         assert isinstance(self.rhs, ColumnRef)
         lhs_key = (self.lhs.alias, self.lhs.attribute)
         rhs_key = (self.rhs.alias, self.rhs.attribute)
         if lhs_key <= rhs_key:
-            return replace(self, normalized=True)
-        return Predicate(lhs=self.rhs, op=FLIPPED_OP[self.op], rhs=self.lhs, normalized=True)
+            return self
+        return Predicate(lhs=self.rhs, op=FLIPPED_OP[self.op], rhs=self.lhs)
 
     def text(self) -> str:
         return f"{self.lhs.sql()} {self.op} {self.rhs.sql()}"
@@ -112,17 +111,8 @@ class LogicTree:
             for i in reversed(range(len(node.children))):
                 stack.append((path + (i,), node.children[i], node))
 
-    def node_at(self, path: tuple[int, ...]) -> LtNode:
-        node = self.root
-        for i in path:
-            node = node.children[i]
-        return node
-
     def depth_by_alias(self) -> dict[str, int]:
         return {alias: len(path) for path, node, _ in self.walk() for alias in node.aliases}
-
-    def node_of_alias(self) -> dict[str, LtNode]:
-        return {alias: node for _, node, _ in self.walk() for alias in node.aliases}
 
 
 def make_node(tables, predicates, quantifier, children=()) -> LtNode:
@@ -462,8 +452,7 @@ def _flip(pred: Predicate) -> Predicate:
     if pred.is_selection:
         return pred
     assert isinstance(pred.rhs, ColumnRef)
-    return Predicate(lhs=pred.rhs, op=FLIPPED_OP[pred.op], rhs=pred.lhs,
-                     normalized=pred.normalized)
+    return Predicate(lhs=pred.rhs, op=FLIPPED_OP[pred.op], rhs=pred.lhs)
 
 
 def _match_children(kids_a: list[LtNode], kids_b: list[LtNode], mapping: _Relabeling) -> bool:

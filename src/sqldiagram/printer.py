@@ -8,10 +8,8 @@ uppercase keywords and document-order predicates.
 from __future__ import annotations
 
 from .sqlast import (
-    ColumnRef,
     Comparison,
     Conjunction,
-    Constant,
     Exists,
     InSubquery,
     PredicateAst,
@@ -33,8 +31,7 @@ def print_sql(ast: QueryAst) -> str:
 
 def _predicate(pred: PredicateAst) -> str:
     if isinstance(pred, Comparison):
-        rhs = pred.rhs.sql() if isinstance(pred.rhs, (ColumnRef, Constant)) else str(pred.rhs)
-        return f"{pred.lhs.sql()} {pred.op} {rhs}"
+        return f"{pred.lhs.sql()} {pred.op} {pred.rhs.sql()}"
     if isinstance(pred, Exists):
         keyword = "NOT EXISTS" if pred.negated else "EXISTS"
         return f"{keyword} ({print_sql(pred.subquery)})"

@@ -10,14 +10,14 @@ and classification deduces the unique depth labeling per family: with A and
 B present the chain is read off directly; with A but no B the depth-2 node
 is the remaining node without incoming edges; without A the depth-2 node is
 the in-neighbour of the root that points at the other one.  Branching
-graphs are cut into such paths by removing the depth-0 / depth-1 / depth-2
-node, splitting into weakly connected components and re-attaching the
-removed nodes to each component.
+graphs are cut into such paths by split_below: it removes the groups found
+so far at depths 0, 1 and 2, splits the rest into weakly connected
+components and re-attaches the removed groups to each component.
 
 brute_force_depths is the independent oracle: it enumerates every depth
-labeling and parent tree, keeping those whose edges all obey the arrow rule
-and whose nodes all satisfy the connected-subquery property.
-"""
+labeling and parent tree, keeping those that obey three rules: the arrow
+rule on every edge, the connected-subquery property on every node, and the
+scope rule, under which every edge joins a group to one of its ancestors."""
 
 from __future__ import annotations
 
@@ -28,63 +28,53 @@ from enum import Enum
 
 from .diagram import Diagram
 from .errors import InvalidDiagramError
-from .logic import Quantifier
-
-
-@dataclass(frozen=True)
-class GroupNode:
-    id: str
-    quantifier: Quantifier = Quantifier.EXISTS
-    tables: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
 class DiagramGraph:
-    nodes: tuple[GroupNode, ...]
+    """Group-level graph: group ids, directed cross-group edges and the root
+    group.  Successor and predecessor lists are built once, on construction."""
+
+    nodes: tuple[str, ...]  # sorted
     edges: frozenset[tuple[str, str]]
     root_id: str
+    _succ: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _pred: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(n.id for n in self.nodes))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
+        succ: dict[str, list[str]] = {}
+        pred: dict[str, list[str]] = {}
+        for src, dst in sorted(self.edges):
+            succ.setdefault(src, []).append(dst)
+            pred.setdefault(dst, []).append(src)
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
 
     def out_neighbors(self, node_id: str) -> list[str]:
-        return sorted(dst for src, dst in self.edges if src == node_id)
+        return list(self._succ.get(node_id, ()))
 
     def in_neighbors(self, node_id: str) -> list[str]:
-        return sorted(src for src, dst in self.edges if dst == node_id)
-
-    def subgraph(self, keep: set[str]) -> "DiagramGraph":
-        return DiagramGraph(
-            nodes=tuple(n for n in self.nodes if n.id in keep),
-            edges=frozenset((s, d) for s, d in self.edges if s in keep and d in keep),
-            root_id=self.root_id)
+        return list(self._pred.get(node_id, ()))
 
     def weakly_connected_components(self, ids: set[str]) -> list[set[str]]:
-        remaining = set(ids)
+        """Components of the subgraph induced by `ids`, ordered by least member."""
+        seen: set[str] = set()
         components = []
-        while remaining:
-            seed = min(remaining)
+        for seed in sorted(ids):
+            if seed in seen:
+                continue
             component = {seed}
             frontier = [seed]
             while frontier:
                 current = frontier.pop()
-                for s, d in self.edges:
-                    if s == current and d in remaining and d not in component:
-                        component.add(d)
-                        frontier.append(d)
-                    elif d == current and s in remaining and s not in component:
-                        component.add(s)
-                        frontier.append(s)
+                for other in (*self._succ.get(current, ()), *self._pred.get(current, ())):
+                    if other in ids and other not in component:
+                        component.add(other)
+                        frontier.append(other)
+            seen |= component
             components.append(component)
-            remaining -= component
-        return sorted(components, key=min)
-
-
-def make_graph(ids, edges, root_id: str) -> DiagramGraph:
-    """Test/CLI helper: a DiagramGraph from bare node ids and edge pairs."""
-    return DiagramGraph(nodes=tuple(GroupNode(id=i) for i in ids),
-                        edges=frozenset(tuple(e) for e in edges), root_id=root_id)
+        return components
 
 
 def diagram_to_graph(d: Diagram) -> DiagramGraph:
@@ -109,11 +99,8 @@ def diagram_to_graph(d: Diagram) -> DiagramGraph:
     roots = sorted({group_of[a] for a in select_aliases})
     if len(roots) != 1:
         raise InvalidDiagramError(f"SELECT box links into {len(roots)} groups, expected 1")
-    nodes = tuple(
-        GroupNode(id=g.id, quantifier=g.quantifier,
-                  tables=tuple((b.alias, b.table_name) for b in g.tables))
-        for g in d.groups)
-    return DiagramGraph(nodes=nodes, edges=frozenset(edges), root_id=roots[0])
+    return DiagramGraph(nodes=tuple(g.id for g in d.groups), edges=frozenset(edges),
+                        root_id=roots[0])
 
 
 class PathFamily(Enum):
@@ -178,7 +165,7 @@ def _validate_assignment(g: DiagramGraph, assignment: DepthAssignment, stage: st
 def classify_path_pattern(g: DiagramGraph) -> tuple[PathFamily, DepthAssignment]:
     """Depth labeling for a path-shaped graph of at most 4 nodes."""
     stage = "path-classification"
-    ids = list(g.node_ids)
+    ids = list(g.nodes)
     n = len(ids)
     if n > 4:
         raise InvalidDiagramError(f"path patterns have at most 4 nodes, got {n}", stage)
@@ -262,18 +249,40 @@ def classify_path_pattern(g: DiagramGraph) -> tuple[PathFamily, DepthAssignment]
     return family, assignment
 
 
-# -- decompositions ----------------------------------------------------------
+# -- decomposition ------------------------------------------------------------
 
 
-def decompose_depth0(g: DiagramGraph) -> list[DiagramGraph]:
-    """Split at the root: one subgraph (root re-attached) per root subtree."""
-    others = set(g.node_ids) - {g.root_id}
-    return [g.subgraph(component | {g.root_id})
-            for component in g.weakly_connected_components(others)]
+def split_below(g: DiagramGraph, fixed: set[str]) -> list[DiagramGraph]:
+    """Cut the graph at the `fixed` groups: one subgraph per weakly connected
+    component of the rest, with the fixed groups re-attached to each."""
+    fixed_edges = {(s, d) for s in fixed for d in fixed if (s, d) in g.edges}
+    pieces = []
+    for component in g.weakly_connected_components(set(g.nodes) - fixed):
+        keep = component | fixed
+        edges = set(fixed_edges)
+        for node in component:
+            edges.update((node, d) for d in g.out_neighbors(node) if d in keep)
+            edges.update((s, node) for s in g.in_neighbors(node) if s in keep)
+        pieces.append(DiagramGraph(nodes=tuple(keep), edges=frozenset(edges),
+                                   root_id=g.root_id))
+    return pieces
+
+
+def _peak_out_degree(g: DiagramGraph, minimum: int, message: str, stage: str) -> str:
+    """The unique non-root group with the most edges to other non-root groups;
+    raises unless that count is at least `minimum`."""
+    root = g.root_id
+    out_degrees = {node: sum(1 for t in g.out_neighbors(node) if t != root)
+                   for node in g.nodes if node != root}
+    best = max(out_degrees.values(), default=0)
+    peaked = [node for node, deg in out_degrees.items() if deg == best]
+    if best < minimum or len(peaked) != 1:
+        raise InvalidDiagramError(message, stage)
+    return peaked[0]
 
 
 def identify_depth1(g: DiagramGraph) -> str:
-    """The depth-1 group of a depth-0 decomposition output."""
+    """The depth-1 group of a piece split at the root."""
     stage = "depth-1-identification"
     root = g.root_id
     out_root = g.out_neighbors(root)
@@ -284,68 +293,34 @@ def identify_depth1(g: DiagramGraph) -> str:
     # No edge from the root: every depth-2 group must link to the root, so
     # candidates are the groups not adjacent to it.  Removing the depth-1
     # group (and the root) disconnects the depth-2 subtrees from each other.
-    adjacent = set(g.in_neighbors(root)) | set(out_root)
-    candidates = [x for x in g.node_ids if x != root and x not in adjacent]
+    adjacent = set(g.in_neighbors(root))
+    candidates = [x for x in g.nodes if x != root and x not in adjacent]
     if not candidates:
         raise InvalidDiagramError("no candidate for the depth-1 group", stage)
-    without_root = set(g.node_ids) - {root}
+    without_root = set(g.nodes) - {root}
     for candidate in candidates:
         components = g.weakly_connected_components(without_root - {candidate})
         if len(components) > 1:
             return candidate
-    # No disconnection: the depth-1 group has a single child.  Either the
-    # graph is a path, or that child branches and is the max-out-degree node.
-    trimmed = g.subgraph(without_root)
-    try:
-        _, assignment = classify_path_pattern(g)
-    except InvalidDiagramError:
-        pass
-    else:
-        for node, depth in assignment.depths.items():
-            if depth == 1:
-                return node
-    out_degrees = {node: len(trimmed.out_neighbors(node)) for node in trimmed.node_ids}
-    best = max(out_degrees.values(), default=0)
-    peaked = [node for node, deg in out_degrees.items() if deg == best]
-    if best < 2 or len(peaked) != 1:
-        raise InvalidDiagramError("cannot locate the depth-2 group", stage)
-    d2 = peaked[0]
-    direct = trimmed.in_neighbors(d2)
+    # No disconnection and not a path: the depth-1 group has a single child,
+    # which branches and is the max-out-degree node.
+    d2 = _peak_out_degree(g, 2, "cannot locate the depth-2 group", stage)
+    direct = [s for s in g.in_neighbors(d2) if s != root]
     if direct:
         return direct[0]
-    kids = trimmed.out_neighbors(d2)
-    mediated = [set(trimmed.out_neighbors(k)) for k in kids]
+    kids = [t for t in g.out_neighbors(d2) if t != root]
+    mediated = [{t for t in g.out_neighbors(k) if t != root} for k in kids]
     common = set.intersection(*mediated) if mediated else set()
     if len(common) == 1:
         return common.pop()
     raise InvalidDiagramError("no consistent depth-1 group exists", stage)
 
 
-def decompose_depth1(g: DiagramGraph, d1: str) -> list[DiagramGraph]:
-    """Split below the depth-1 group: root and depth-1 re-attached to each
-    subtree of the depth-1 group."""
-    others = set(g.node_ids) - {g.root_id, d1}
-    return [g.subgraph(component | {g.root_id, d1})
-            for component in g.weakly_connected_components(others)]
-
-
 def identify_depth2(g: DiagramGraph) -> str:
-    """The depth-2 group of a branching depth-1 decomposition output: after
-    dropping the root, the unique node with maximal out-degree."""
-    stage = "depth-2-identification"
-    trimmed = g.subgraph(set(g.node_ids) - {g.root_id})
-    out_degrees = {node: len(trimmed.out_neighbors(node)) for node in trimmed.node_ids}
-    best = max(out_degrees.values(), default=0)
-    peaked = [node for node, deg in out_degrees.items() if deg == best]
-    if best < 1 or len(peaked) != 1:
-        raise InvalidDiagramError("out-degree tie among depth-2 candidates", stage)
-    return peaked[0]
-
-
-def decompose_depth2(g: DiagramGraph, d1: str, d2: str) -> list[DiagramGraph]:
-    others = set(g.node_ids) - {g.root_id, d1, d2}
-    return [g.subgraph(component | {g.root_id, d1, d2})
-            for component in g.weakly_connected_components(others)]
+    """The depth-2 group of a branching piece split below the depth-1 group:
+    after dropping the root, the unique node with maximal out-degree."""
+    return _peak_out_degree(g, 1, "out-degree tie among depth-2 candidates",
+                            "depth-2-identification")
 
 
 # -- full recovery ------------------------------------------------------------
@@ -354,39 +329,32 @@ def decompose_depth2(g: DiagramGraph, d1: str, d2: str) -> list[DiagramGraph]:
 def recover_depths(g: DiagramGraph) -> DepthAssignment:
     """Unique depth/parent assignment for a valid diagram graph.
 
-    Decomposes at depth 0, then 1, then 2 until every piece is a classifiable
-    path, and merges the per-piece labelings.
+    Splits below the root, then below the depth-1 and depth-2 groups, until
+    every piece is a classifiable path, and merges the per-piece labelings.
     """
-    ids = set(g.node_ids)
-    if g.root_id not in ids:
+    if g.root_id not in g.nodes:
         raise InvalidDiagramError(f"root {g.root_id} missing from graph", "recovery")
-    if len(g.weakly_connected_components(ids)) != 1:
+    if len(g.weakly_connected_components(set(g.nodes))) != 1:
         raise InvalidDiagramError("graph is not weakly connected", "recovery")
-    merged = DepthAssignment(depths={g.root_id: 0}, parents={})
-    for subgraph in decompose_depth0(g):
-        _merge(merged, _recover_subtree(subgraph))
+    merged = _recover_below(g, [g.root_id])
     _validate_assignment(g, merged, "recovery")
     return merged
 
 
-def _recover_subtree(g: DiagramGraph) -> DepthAssignment:
-    try:
-        return classify_path_pattern(g)[1]
-    except InvalidDiagramError:
-        pass
-    d1 = identify_depth1(g)
-    merged = DepthAssignment(depths={g.root_id: 0, d1: 1}, parents={d1: g.root_id})
-    for part in decompose_depth1(g, d1):
+def _recover_below(g: DiagramGraph, chain: list[str]) -> DepthAssignment:
+    """Labeling of every piece below `chain`, the groups at depths 0..k: a
+    piece that is not a path is split again below its depth k+1 group."""
+    merged = DepthAssignment(depths={node: i for i, node in enumerate(chain)},
+                             parents=dict(zip(chain[1:], chain)))
+    for piece in split_below(g, set(chain)):
         try:
-            assignment = classify_path_pattern(part)[1]
+            assignment = classify_path_pattern(piece)[1]
         except InvalidDiagramError:
-            d2 = identify_depth2(part)
-            assignment = DepthAssignment(
-                depths={part.root_id: 0, d1: 1, d2: 2}, parents={d1: part.root_id, d2: d1})
-            for piece in decompose_depth2(part, d1, d2):
-                piece_assignment = classify_path_pattern(piece)[1]
-                _merge(assignment, piece_assignment)
-        if assignment.depths.get(d1) != 1:
+            if len(chain) == 3:
+                raise
+            identify = identify_depth1 if len(chain) == 1 else identify_depth2
+            assignment = _recover_below(piece, chain + [identify(piece)])
+        if len(chain) == 2 and assignment.depths.get(chain[1]) != 1:
             raise InvalidDiagramError("decomposition disagrees on the depth-1 group",
                                       "depth-1-decomposition")
         _merge(merged, assignment)
@@ -405,10 +373,24 @@ def _merge(target: DepthAssignment, part: DepthAssignment) -> None:
 # -- independent oracle --------------------------------------------------------
 
 
+def _scope_ok(g: DiagramGraph, assignment: DepthAssignment) -> bool:
+    """Scope rule: every edge joins a group to one of its ancestors, since
+    sibling blocks cannot see each other's aliases."""
+    depths, parents = assignment.depths, assignment.parents
+    for s, d in g.edges:
+        deep, shallow = (s, d) if depths[s] > depths[d] else (d, s)
+        while depths[deep] > depths[shallow]:
+            deep = parents[deep]
+        if deep != shallow:
+            return False
+    return True
+
+
 def brute_force_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignment]:
-    """Every depth labeling plus parent tree that satisfies the arrow rule
-    and the connected-subquery property.  Exponential; keep graphs small."""
-    others = sorted(set(g.node_ids) - {g.root_id})
+    """Every depth labeling plus parent tree that satisfies the arrow rule,
+    the connected-subquery property and the scope rule.  Exponential; keep
+    graphs small."""
+    others = [node for node in g.nodes if node != g.root_id]
     if len(others) > 11:
         raise ValueError("brute force is limited to 12 nodes")
     survivors: list[DepthAssignment] = []
@@ -430,6 +412,6 @@ def brute_force_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignm
         for parent_combo in itertools.product(*candidate_parents):
             assignment = DepthAssignment(depths=dict(depths),
                                          parents=dict(zip(others, parent_combo)))
-            if _connected_subqueries_ok(g, assignment):
+            if _connected_subqueries_ok(g, assignment) and _scope_ok(g, assignment):
                 survivors.append(assignment)
     return survivors

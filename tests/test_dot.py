@@ -6,8 +6,8 @@ from sqldiagram import (
     build_diagram,
     build_logic_tree,
     diagram_from_json,
+    diagram_to_json,
     emit_dot,
-    emit_json,
     parse,
     resolve_scopes,
 )
@@ -27,28 +27,28 @@ def diagram_of(sql, **kwargs):
 
 
 def test_conjunctive_golden_snapshot():
-    text = emit_dot(diagram_of(SOME_LIKED_DRINK)).text
+    text = emit_dot(diagram_of(SOME_LIKED_DRINK))
     assert text == (GOLDEN / "some_liked_drink.dot").read_text()
 
 
 def test_unique_set_golden_snapshot():
-    text = emit_dot(diagram_of(UNIQUE_BEER_SET)).text
+    text = emit_dot(diagram_of(UNIQUE_BEER_SET))
     assert text == (GOLDEN / "unique_beer_set.dot").read_text()
 
 
 def test_conjunctive_statement_counts():
-    text = emit_dot(diagram_of(SOME_LIKED_DRINK)).text
+    text = emit_dot(diagram_of(SOME_LIKED_DRINK))
     assert text.count("label=<") == 4  # SELECT, F, L, S
     assert text.count(" -> ") == 4  # three joins plus the select link
     assert "cluster" not in text
 
 
 def test_cluster_styles_map_to_quantifiers():
-    raw = emit_dot(diagram_of(ONLY_LIKED_DRINKS, simplified=False)).text
+    raw = emit_dot(diagram_of(ONLY_LIKED_DRINKS, simplified=False))
     assert raw.count("subgraph cluster_") == 2
     assert raw.count('style="rounded,dashed";') == 2
     assert "peripheries" not in raw
-    simplified = emit_dot(diagram_of(ONLY_LIKED_DRINKS)).text
+    simplified = emit_dot(diagram_of(ONLY_LIKED_DRINKS))
     assert simplified.count("subgraph cluster_") == 1
     assert simplified.count("peripheries=2;") == 1
     assert simplified.count('style="rounded,dashed";') == 0
@@ -59,7 +59,7 @@ def test_cluster_styles_map_to_quantifiers():
 def test_cluster_count_matches_boxed_groups():
     for name, sql in VALID_QUERIES.items():
         d = diagram_of(sql)
-        text = emit_dot(d).text
+        text = emit_dot(d)
         boxed = sum(1 for g in d.groups if g.quantifier in
                     (Quantifier.NOT_EXISTS, Quantifier.FOR_ALL))
         assert text.count("subgraph cluster_") == boxed, name
@@ -68,26 +68,26 @@ def test_cluster_count_matches_boxed_groups():
 def test_edge_statements_and_labels():
     for name, sql in VALID_QUERIES.items():
         d = diagram_of(sql)
-        text = emit_dot(d).text
+        text = emit_dot(d)
         assert text.count(" -> ") == len(d.edges) + len(d.select_box.links), name
         labeled = sum(1 for e in d.edges if e.label is not None)
         assert text.count("label=\"") == labeled, name
 
 
 def test_selection_rows_highlighted():
-    text = emit_dot(diagram_of("SELECT T.a FROM Tab T WHERE T.a = 'x<y>'")).text
+    text = emit_dot(diagram_of("SELECT T.a FROM Tab T WHERE T.a = 'x<y>'"))
     assert 'BGCOLOR="yellow"' in text
     assert "x&lt;y&gt;" in text  # html-escaped constant
 
 
 def test_byte_determinism():
     for sql in (SOME_LIKED_DRINK, ONLY_LIKED_DRINKS, UNIQUE_BEER_SET):
-        assert emit_dot(diagram_of(sql)).text == emit_dot(diagram_of(sql)).text
+        assert emit_dot(diagram_of(sql)) == emit_dot(diagram_of(sql))
 
 
 def test_style_options_respected():
     style = StyleOptions(header_bg="navy", selection_row_bg="orange", rankdir="TB")
-    text = emit_dot(diagram_of("SELECT T.a FROM Tab T WHERE T.a = 1"), style).text
+    text = emit_dot(diagram_of("SELECT T.a FROM Tab T WHERE T.a = 1"), style)
     assert 'BGCOLOR="navy"' in text
     assert 'BGCOLOR="orange"' in text
     assert "rankdir=TB;" in text
@@ -95,7 +95,7 @@ def test_style_options_respected():
 
 def test_dot_is_well_formed():
     for name, sql in VALID_QUERIES.items():
-        text = emit_dot(diagram_of(sql)).text
+        text = emit_dot(diagram_of(sql))
         assert text.startswith("digraph ") and text.endswith("}\n"), name
         assert text.count("{") == text.count("}"), name
         assert text.count("<TABLE") == text.count("</TABLE>"), name
@@ -107,4 +107,4 @@ def test_dot_is_well_formed():
 def test_emit_json_round_trip():
     for name, sql in VALID_QUERIES.items():
         d = diagram_of(sql)
-        assert diagram_from_json(emit_json(d)) == d, name
+        assert diagram_from_json(diagram_to_json(d)) == d, name

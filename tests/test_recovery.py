@@ -8,24 +8,26 @@ from sqldiagram import (
     brute_force_depths,
     build_diagram,
     classify_path_pattern,
-    decompose_depth0,
     diagram_to_graph,
     identify_depth1,
     identify_depth2,
     parse,
     recover_depths,
     resolve_scopes,
+    split_below,
 )
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.errors import InvalidDiagramError
 from sqldiagram.fixtures import ONLY_LIKED_DRINKS, UNIQUE_BEER_SET, VALID_QUERIES
 from sqldiagram.logic import build_logic_tree
-from sqldiagram.recovery import make_graph
+
+from graphs import make_graph
 
 
 def graph_of(sql):
     lt = build_logic_tree(resolve_scopes(parse(sql)))
-    return lt, diagram_to_graph(build_diagram(lt))
+    diagram = build_diagram(lt)
+    return lt, diagram, diagram_to_graph(diagram)
 
 
 # Edge classes on a 4-node path with nodes r, n1, n2, n3 at depths 0..3.
@@ -124,9 +126,9 @@ def _two_branch_root_graph():
 
 def test_decompose_depth0_splits_root_subtrees():
     g = _two_branch_root_graph()
-    subgraphs = decompose_depth0(g)
+    subgraphs = split_below(g, {"r"})
     assert len(subgraphs) == 2
-    assert {tuple(s.node_ids) for s in subgraphs} == {
+    assert {s.nodes for s in subgraphs} == {
         ("r", "x1", "x2", "x3"), ("r", "y1", "y2", "y3")}
     for sub in subgraphs:
         family, assignment = classify_path_pattern(sub)
@@ -136,8 +138,8 @@ def test_decompose_depth0_splits_root_subtrees():
 
 def test_decompose_depth0_path_is_single_subgraph():
     g = path_graph({"A", "B", "D"})
-    (only,) = decompose_depth0(g)
-    assert set(only.node_ids) == set(g.node_ids)
+    (only,) = split_below(g, {"r"})
+    assert only.nodes == g.nodes
     assert only.edges == g.edges
 
 
@@ -201,10 +203,10 @@ def test_identify_depth2_from_built_diagram():
            " AND NOT EXISTS (SELECT * FROM TC C WHERE C.x = B.x"
            " AND NOT EXISTS (SELECT * FROM TD D WHERE D.x = C.x AND D.y = B.y)"
            " AND NOT EXISTS (SELECT * FROM TE E WHERE E.x = C.x AND E.y = A.y)))")
-    lt, g = graph_of(sql)
+    lt, diagram, g = graph_of(sql)
     assignment = recover_depths(g)
     truth = lt.depth_by_alias()
-    alias_of = {node.id: node.tables[0][0] for node in g.nodes}
+    alias_of = {group.id: group.tables[0].alias for group in diagram.groups}
     assert {alias_of[gid]: depth for gid, depth in assignment.depths.items()} == truth
     assert truth == {"A": 0, "B": 1, "C": 2, "D": 3, "E": 3}
     survivors = brute_force_depths(g)
@@ -227,7 +229,7 @@ def test_recover_mixed_branching():
 
 
 def test_recover_unique_set_diagram():
-    lt, g = graph_of(UNIQUE_BEER_SET)
+    _, _, g = graph_of(UNIQUE_BEER_SET)
     assignment = recover_depths(g)
     assert assignment.depths == {"g0_1": 0, "g1_1": 1, "g2_1": 2, "g3_1": 3,
                                  "g2_2": 2, "g3_2": 3}
@@ -236,13 +238,13 @@ def test_recover_unique_set_diagram():
 
 
 def test_recover_nested_fixture():
-    _, g = graph_of(ONLY_LIKED_DRINKS)
+    _, _, g = graph_of(ONLY_LIKED_DRINKS)
     assignment = recover_depths(g)
     assert assignment.depths == {"g0_1": 0, "g1_1": 1, "g2_1": 2}
 
 
 def test_recover_single_group():
-    _, g = graph_of("SELECT T.a FROM Tab T")
+    _, _, g = graph_of("SELECT T.a FROM Tab T")
     assignment = recover_depths(g)
     assert assignment.depths == {"g0_1": 0}
     assert assignment.parents == {}
@@ -250,11 +252,11 @@ def test_recover_single_group():
 
 def test_fixture_round_trips_with_oracle():
     for name, sql in VALID_QUERIES.items():
-        lt, g = graph_of(sql)
+        lt, diagram, g = graph_of(sql)
         assignment = recover_depths(g)
         truth = lt.depth_by_alias()
-        for node in g.nodes:
-            assert assignment.depths[node.id] == truth[node.tables[0][0]], name
+        for group in diagram.groups:
+            assert assignment.depths[group.id] == truth[group.tables[0].alias], name
         survivors = brute_force_depths(g)
         assert len(survivors) == 1 and survivors[0] == assignment, name
 
@@ -295,3 +297,54 @@ def test_error_names_the_failing_stage():
     with pytest.raises(InvalidDiagramError) as exc:
         recover_depths(make_graph(["r", "a", "b"], [("r", "a")], "r"))
     assert exc.value.stage == "recovery"
+
+
+# -- differential test against the oracle ---------------------------------------------
+
+
+def _agrees_with_oracle(g):
+    """Recovery returns the oracle's single survivor, or raises when there is
+    none or more than one."""
+    survivors = brute_force_depths(g)
+    if len(survivors) == 1:
+        return recover_depths(g) == survivors[0]
+    try:
+        recover_depths(g)
+    except InvalidDiagramError:
+        return True
+    return False
+
+
+def _every_small_graph():
+    """Every digraph on 1-4 groups, once per choice of root."""
+    for n in range(1, 5):
+        ids = [f"n{i}" for i in range(n)]
+        pairs = list(itertools.permutations(ids, 2))
+        for bits in itertools.product((False, True), repeat=len(pairs)):
+            edges = [pair for pair, keep in zip(pairs, bits) if keep]
+            for root in ids:
+                yield make_graph(ids, edges, root)
+
+
+def test_recovery_matches_oracle_on_every_small_graph():
+    graphs = list(_every_small_graph())
+    assert len(graphs) == 16585
+    assert [g for g in graphs if not _agrees_with_oracle(g)] == []
+
+
+def test_recovery_matches_oracle_on_mutated_generated_graphs():
+    # generated diagrams of 5-8 groups, each with one edge added or removed
+    rng = random.Random(2004)
+    checked = 0
+    while checked < 200:
+        g = diagram_to_graph(build_diagram(random_logic_tree(rng, max_nodes=8)))
+        if len(g.nodes) < 5:
+            continue
+        if g.edges and rng.random() < 0.5:
+            edges = g.edges - {rng.choice(sorted(g.edges))}
+        else:
+            absent = [p for p in itertools.permutations(g.nodes, 2) if p not in g.edges]
+            edges = g.edges | {rng.choice(absent)}
+        mutated = make_graph(g.nodes, edges, g.root_id)
+        assert _agrees_with_oracle(mutated), mutated
+        checked += 1
