@@ -14,15 +14,16 @@ graphs are cut into such paths by split_below: it removes the groups found
 so far at depths 0, 1 and 2, splits the rest into weakly connected
 components and re-attaches the removed groups to each component.
 
-brute_force_depths is the independent oracle: it enumerates every depth
-labeling and parent tree, keeping those that obey three rules: the arrow
-rule on every edge, the connected-subquery property on every node, and the
-scope rule, under which every edge joins a group to one of its ancestors."""
+brute_force_depths is the independent oracle: a backtracking search over
+depth labelings and parent trees for those that obey three rules: the
+arrow rule on every edge, the connected-subquery property on every node,
+and the scope rule, under which every edge joins a group to one of its
+ancestors."""
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -57,6 +58,10 @@ class DiagramGraph:
     def in_neighbors(self, node_id: str) -> list[str]:
         return list(self._pred.get(node_id, ()))
 
+    def neighbors(self, node_id: str) -> tuple[str, ...]:
+        """Successors, then predecessors."""
+        return (*self._succ.get(node_id, ()), *self._pred.get(node_id, ()))
+
     def weakly_connected_components(self, ids: set[str]) -> list[set[str]]:
         """Components of the subgraph induced by `ids`, ordered by least member."""
         seen: set[str] = set()
@@ -68,7 +73,7 @@ class DiagramGraph:
             frontier = [seed]
             while frontier:
                 current = frontier.pop()
-                for other in (*self._succ.get(current, ()), *self._pred.get(current, ())):
+                for other in self.neighbors(current):
                     if other in ids and other not in component:
                         component.add(other)
                         frontier.append(other)
@@ -109,7 +114,7 @@ class PathFamily(Enum):
     NOT_A = "not-A"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DepthAssignment:
     depths: dict[str, int] = field(default_factory=dict)
     parents: dict[str, str] = field(default_factory=dict)
@@ -281,6 +286,45 @@ def _peak_out_degree(g: DiagramGraph, minimum: int, message: str, stage: str) ->
     return peaked[0]
 
 
+def _cut_vertices(g: DiagramGraph, ids: set[str]) -> set[str]:
+    """Groups whose removal splits their weakly connected component of the
+    subgraph induced by `ids`: Tarjan's low-link pass, with an explicit
+    stack."""
+    disc: dict[str, int] = {}
+    low: dict[str, int] = {}
+    cut = set()
+    for start in sorted(ids):
+        if start in disc:
+            continue
+        disc[start] = low[start] = len(disc)
+        stack = [(start, iter(g.neighbors(start)))]
+        root_children = 0
+        while stack:
+            node, neighbours = stack[-1]
+            for other in neighbours:
+                if other not in ids:
+                    continue
+                if other in disc:
+                    low[node] = min(low[node], disc[other])
+                else:
+                    disc[other] = low[other] = len(disc)
+                    stack.append((other, iter(g.neighbors(other))))
+                    break
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[node])
+                if parent == start:
+                    root_children += 1
+                elif low[node] >= disc[parent]:
+                    cut.add(parent)
+        if root_children > 1:
+            cut.add(start)
+    return cut
+
+
 def identify_depth1(g: DiagramGraph) -> str:
     """The depth-1 group of a piece split at the root."""
     stage = "depth-1-identification"
@@ -298,9 +342,14 @@ def identify_depth1(g: DiagramGraph) -> str:
     if not candidates:
         raise InvalidDiagramError("no candidate for the depth-1 group", stage)
     without_root = set(g.nodes) - {root}
+    components = len(g.weakly_connected_components(without_root))
+    cut = _cut_vertices(g, without_root)
     for candidate in candidates:
-        components = g.weakly_connected_components(without_root - {candidate})
-        if len(components) > 1:
+        # Removing a group that is not a cut vertex leaves as many components
+        # as before, or one fewer when the group stood alone.
+        alone = all(x == candidate or x not in without_root
+                    for x in g.neighbors(candidate))
+        if candidate in cut or components - alone > 1:
             return candidate
     # No disconnection and not a path: the depth-1 group has a single child,
     # which branches and is the max-out-degree node.
@@ -386,32 +435,106 @@ def _scope_ok(g: DiagramGraph, assignment: DepthAssignment) -> bool:
     return True
 
 
+def _backtrack(variables: list[str], options: Callable[[str, dict], list],
+               partial: dict) -> Iterator[dict]:
+    """Depth-first search with an explicit stack: yields `partial` each time
+    every variable holds a value.  `options(var, partial)` lists the values
+    `var` may take given the variables before it."""
+    if not variables:
+        yield partial
+        return
+    stack = [iter(options(variables[0], partial))]
+    while stack:
+        var = variables[len(stack) - 1]
+        value = next(stack[-1], None)
+        if value is None:
+            stack.pop()
+            partial.pop(var, None)
+            continue
+        partial[var] = value
+        if len(stack) == len(variables):
+            yield partial
+        else:
+            stack.append(iter(options(variables[len(stack)], partial)))
+
+
+def _parent_candidates(g: DiagramGraph, node: str, depths: dict[str, int]) -> list[str]:
+    """The groups one level up that `node` may take as its parent.  The
+    scope rule makes every shallower neighbour an ancestor, so a neighbour
+    one level up is the parent.  A group with none is connected only through
+    its children, which are then its out-neighbours one level down, so its
+    parent must be joined by each of them."""
+    d = depths[node]
+    up = [p for p in g._pred.get(node, ()) if depths[p] == d - 1]
+    if up:
+        return up
+    kids = [k for k in g._succ.get(node, ()) if depths[k] == d + 1]
+    joined = [{p for p in g._succ.get(k, ()) if depths[p] == d - 1} for k in kids]
+    return sorted(set.intersection(*joined)) if joined else []
+
+
 def brute_force_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignment]:
     """Every depth labeling plus parent tree that satisfies the arrow rule,
-    the connected-subquery property and the scope rule.  Exponential; keep
-    graphs small."""
-    others = [node for node in g.nodes if node != g.root_id]
-    if len(others) > 11:
-        raise ValueError("brute force is limited to 12 nodes")
-    survivors: list[DepthAssignment] = []
-    for depth_combo in itertools.product(range(1, max_depth + 1), repeat=len(others)):
-        depths = {g.root_id: 0}
-        depths.update(zip(others, depth_combo))
-        if not _edges_consistent(g, depths):
-            continue
-        candidate_parents = []
-        feasible = True
-        for node in others:
-            options = [p for p in depths if depths[p] == depths[node] - 1]
-            if not options:
-                feasible = False
-                break
-            candidate_parents.append(options)
-        if not feasible:
-            continue
-        for parent_combo in itertools.product(*candidate_parents):
-            assignment = DepthAssignment(depths=dict(depths),
-                                         parents=dict(zip(others, parent_combo)))
-            if _connected_subqueries_ok(g, assignment) and _scope_ok(g, assignment):
+    the connected-subquery property and the scope rule, found by a
+    backtracking search.
+
+    Depths are assigned outward from the root in depth-first order, so each
+    branch is labeled before the next; each edge is checked by the arrow rule
+    once both ends have a depth, and a group is dropped as soon as the
+    depths it reads leave it no parent candidate.  Parents are then chosen
+    layer by layer from those candidates.  A group's scope is checked once
+    its parent is chosen; the connected-subquery property of a group without
+    an edge from its parent is checked on each child as it is placed.  Every
+    survivor passes the whole-assignment checks again."""
+    root = g.root_id
+    order, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            order.append(node)
+            stack.extend(reversed(g.neighbors(node)))
+    if seen != set(g.nodes) | {root}:
+        return []  # a group not connected to the root cannot join its parent
+    # Each group's candidates are checked when the last group they read is labeled.
+    rank = {node: i for i, node in enumerate(order)}
+    completes: dict[str, list[str]] = {node: [] for node in order}
+    for node in order[1:]:
+        read = [node, *g.neighbors(node)]
+        read += [p for k in g._succ.get(node, ()) for p in g._succ.get(k, ())]
+        completes[max(read, key=rank.get)].append(node)
+
+    def depth_options(node: str, partial: dict[str, int]) -> list[int]:
+        options = []
+        for d in range(1, max_depth + 1):
+            partial[node] = d
+            if (all(_edge_direction_ok(d, partial[t]) for t in g._succ.get(node, ())
+                    if t in partial)
+                    and all(_edge_direction_ok(partial[s], d) for s in g._pred.get(node, ())
+                            if s in partial)
+                    and all(_parent_candidates(g, done, partial) for done in completes[node])):
+                options.append(d)
+        del partial[node]
+        return options
+
+    def ancestor(node: str, depth: int, parents: dict[str, str]) -> str:
+        while depths[node] > depth:
+            node = parents[node]
+        return node
+
+    def parent_options(node: str, parents: dict[str, str]) -> list[str]:
+        shallower = [y for y in g.neighbors(node) if depths[y] < depths[node]]
+        return [p for p in _parent_candidates(g, node, depths)
+                if all(ancestor(p, depths[y], parents) == y for y in shallower)
+                and (p == root or (parents[p], p) in g.edges
+                     or ((p, node) in g.edges and (node, parents[p]) in g.edges))]
+
+    survivors = []
+    for labeling in _backtrack(order[1:], depth_options, {root: 0}):
+        depths = dict(labeling)
+        for parents in _backtrack(sorted(order[1:], key=depths.get), parent_options, {}):
+            assignment = DepthAssignment(depths=dict(depths), parents=dict(parents))
+            if (_edges_consistent(g, depths) and _connected_subqueries_ok(g, assignment)
+                    and _scope_ok(g, assignment)):
                 survivors.append(assignment)
     return survivors

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -20,8 +22,9 @@ from sqldiagram.corpus import random_logic_tree
 from sqldiagram.errors import InvalidDiagramError
 from sqldiagram.fixtures import ONLY_LIKED_DRINKS, UNIQUE_BEER_SET, VALID_QUERIES
 from sqldiagram.logic import build_logic_tree
+from sqldiagram.recovery import _connected_subqueries_ok, _edges_consistent, _scope_ok
 
-from graphs import make_graph
+from graphs import enumerate_depths, make_graph
 
 
 def graph_of(sql):
@@ -167,6 +170,39 @@ def test_identify_depth1_by_disconnection():
     assert assignment.depths == {"r": 0, "n1": 1, "a2": 2, "a3": 3, "b2": 2, "b3": 3}
     survivors = brute_force_depths(g)
     assert len(survivors) == 1 and survivors[0] == assignment
+
+
+def _depth1_fan(k, depth1):
+    """A depth-1 group with k children and no edge from the root: each child
+    joins the root and has one child that joins the depth-1 group."""
+    ids, edges = ["r", depth1], []
+    for i in range(k):
+        child, grandchild = f"c{i:03d}", f"g{i:03d}"
+        ids += [child, grandchild]
+        edges += [(depth1, child), (child, "r"), (child, grandchild), (grandchild, depth1)]
+    return make_graph(ids, edges, "r")
+
+
+def test_identify_depth1_is_linear_in_the_candidates():
+    # "z1" sorts after every grandchild, all of which are candidates too
+    def best_of_three(g):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assignment = recover_depths(g)
+            times.append(time.perf_counter() - start)
+        return min(times), assignment
+
+    late_time, late = best_of_three(_depth1_fan(300, "z1"))
+    early_time, early = best_of_three(_depth1_fan(300, "d1"))
+    assert len(early.depths) == 602
+
+    def rename(node):
+        return "d1" if node == "z1" else node
+
+    assert {rename(n): d for n, d in late.depths.items()} == early.depths
+    assert {rename(n): rename(p) for n, p in late.parents.items()} == early.parents
+    assert late_time <= 3 * early_time
 
 
 def test_identify_depth1_single_child_then_branching_depth2():
@@ -348,3 +384,106 @@ def test_recovery_matches_oracle_on_mutated_generated_graphs():
         mutated = make_graph(g.nodes, edges, g.root_id)
         assert _agrees_with_oracle(mutated), mutated
         checked += 1
+
+
+# -- the backtracking oracle against the reference enumerator --------------------------
+
+
+def _check_against_reference(g):
+    """The oracle returns the reference's survivors, each of which passes the
+    whole-assignment checks; returns how many there are."""
+    survivors = brute_force_depths(g)
+    for assignment in survivors:
+        assert _edges_consistent(g, assignment.depths), g
+        assert _connected_subqueries_ok(g, assignment) and _scope_ok(g, assignment), g
+    expected = sorted(a.to_json() for a in enumerate_depths(g))
+    assert sorted(a.to_json() for a in survivors) == expected, g
+    return len(survivors)
+
+
+def test_oracle_matches_reference_on_every_small_graph():
+    counts = Counter(_check_against_reference(g) for g in _every_small_graph())
+    assert sum(counts.values()) == 16585 and counts[1] > 0
+
+
+def _nested_digraph(rng):
+    """5-8 groups: a random nesting tree of depth at most 3 whose groups join
+    their parent or else have children that join both, with random joins to
+    further ancestors, then up to two edges toggled."""
+    ids = [f"v{i}" for i in range(rng.randint(5, 8))]
+    rng.shuffle(ids)
+    depth, parent, edges = {ids[0]: 0}, {}, set()
+    for node in ids[1:]:
+        parent[node] = rng.choice([p for p in depth if depth[p] < 3])
+        depth[node] = depth[parent[node]] + 1
+    for node in ids[1:]:
+        if rng.random() < 0.7:
+            edges.add((parent[node], node))
+        ancestor = parent[node]
+        while ancestor in parent:
+            ancestor = parent[ancestor]
+            if rng.random() < 0.4:
+                edges.add((node, ancestor))
+    for node in ids[1:]:
+        kids = [k for k in ids if parent.get(k) == node]
+        if (parent[node], node) not in edges and rng.random() < 0.7:
+            for kid in kids:
+                edges |= {(node, kid), (kid, parent[node])}
+    for _ in range(rng.randint(0, 2)):
+        edges ^= {tuple(rng.sample(ids, 2))}
+    return make_graph(ids, edges, ids[0])
+
+
+def test_oracle_matches_reference_on_random_digraphs():
+    rng = random.Random(2005)
+    counts = Counter(_check_against_reference(_nested_digraph(rng)) for _ in range(2000))
+    assert counts[1] >= 200
+
+
+def test_oracle_has_no_group_cap():
+    # a root with 300 children, each with 2 children, all joined to their parent
+    ids, edges = ["r"], []
+    for i in range(300):
+        child = f"c{i:03d}"
+        ids.append(child)
+        edges.append(("r", child))
+        for j in range(2):
+            ids.append(f"{child}_{j}")
+            edges.append((child, f"{child}_{j}"))
+    g = make_graph(ids, edges, "r")
+    assert len(g.nodes) == 901
+    start = time.perf_counter()
+    survivors = brute_force_depths(g)
+    assert time.perf_counter() - start < 1.0
+    assert survivors == [recover_depths(g)]
+
+
+def test_oracle_on_large_generated_graphs():
+    rng = random.Random(40)
+    checked = 0
+    while checked < 10:
+        g = diagram_to_graph(build_diagram(random_logic_tree(rng, max_nodes=40)))
+        if len(g.nodes) < 20:
+            continue
+        start = time.perf_counter()
+        survivors = brute_force_depths(g)
+        assert time.perf_counter() - start < 1.0
+        assert survivors == [recover_depths(g)], g
+        checked += 1
+
+
+def test_oracle_labels_one_branch_at_a_time():
+    # 16 not-A paths under one root: each admits a second arrow-consistent
+    # labeling that only its own groups rule out, so the search must not
+    # multiply the branches' choices
+    for present in ({"B", "C", "D"}, {"B", "C", "D", "E"}):
+        ids, edges = ["r"], []
+        for i in range(16):
+            rename = {"r": "r", "n1": f"x{i}_1", "n2": f"x{i}_2", "n3": f"x{i}_3"}
+            ids += [rename[n] for n in ("n1", "n2", "n3")]
+            edges += [(rename[s], rename[d]) for s, d in (_CLASS_EDGES[c] for c in present)]
+        g = make_graph(ids, edges, "r")
+        start = time.perf_counter()
+        survivors = brute_force_depths(g)
+        assert time.perf_counter() - start < 1.0
+        assert survivors == [recover_depths(g)]
