@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateQueryError
-from .logic import LogicTree, Predicate, Quantifier, check_nondegenerate, simplify_forall
+from .logic import (
+    LogicTree,
+    Predicate,
+    Quantifier,
+    _Relabeling,
+    check_nondegenerate,
+    simplify_forall,
+)
 from .sqlast import FLIPPED_OP, ColumnRef, Constant
 
 SELECT_BOX_ID = "SELECT"
@@ -370,81 +377,41 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
     constant labels maps one diagram onto the other, preserving the group
     tree, quantifiers, box rows, edges and the SELECT box.
 
-    The search backtracks through every choice (group pairing, box pairing,
-    row pairing) before the final edge comparison, so an unlucky early
-    bijection cannot cause a false negative.
+    The search is exhaustive: it pairs groups down the group tree, and within
+    a group its boxes and their rows, and compares the edges and the SELECT
+    box only once every group is paired, backtracking into every other
+    pairing when they differ.  Its time is factorial in the number of alike
+    siblings.
     """
     if len(a.groups) != len(b.groups) or len(a.edges) != len(b.edges):
         return False
     if len(a.select_box.rows) != len(b.select_box.rows):
         return False
-    from .logic import _Relabeling  # shared backtracking mapper
-
     kids_a = _children_index(a)
     kids_b = _children_index(b)
-    by_id_a = {g.id: g for g in a.groups}
-    by_id_b = {g.id: g for g in b.groups}
     mapping = _Relabeling()
 
-    def match_groups(pairs: list[tuple[str, str]], cont) -> bool:
-        if not pairs:
-            return cont()
-        (ia, ib), rest = pairs[0], pairs[1:]
-        ga, gb = by_id_a[ia], by_id_b[ib]
-        if ga.quantifier is not gb.quantifier or ga.depth != gb.depth:
-            return False
-        if len(ga.tables) != len(gb.tables):
-            return False
-        ca, cb = kids_a.get(ia, []), kids_b.get(ib, [])
-        if len(ca) != len(cb):
-            return False
-        return match_boxes(list(ga.tables), list(gb.tables),
-                           lambda: pair_children(ca, cb, rest, cont))
+    def pair_groups(x: TableGroup, y: TableGroup):
+        kx, ky = kids_a.get(x.id, []), kids_b.get(y.id, [])
+        if x.quantifier is not y.quantifier or x.depth != y.depth or len(kx) != len(ky):
+            return
+        for _ in mapping.pair_all(x.tables, y.tables, pair_boxes):
+            yield from mapping.pair_all(kx, ky, pair_groups)
 
-    def pair_children(ca: list[str], cb: list[str], rest, cont) -> bool:
-        if not ca:
-            return match_groups(rest, cont)
-        head, tail = ca[0], ca[1:]
-        for j, cand in enumerate(cb):
-            mark = mapping.mark()
-            if pair_children(tail, cb[:j] + cb[j + 1:], rest + [(head, cand)], cont):
-                return True
-            mapping.undo(mark)
-        return False
+    def pair_boxes(x: TableBox, y: TableBox):
+        if len(x.rows) != len(y.rows):
+            return
+        for _ in mapping.pair(("alias", x.alias, y.alias), ("table", x.table_name, y.table_name)):
+            yield from mapping.pair_all(x.rows, y.rows, pair_rows)
 
-    def match_boxes(boxes_a: list[TableBox], boxes_b: list[TableBox], cont) -> bool:
-        if not boxes_a:
-            return cont()
-        head, rest = boxes_a[0], boxes_a[1:]
-        for j, cand in enumerate(boxes_b):
-            if len(head.rows) != len(cand.rows):
-                continue
-            mark = mapping.mark()
-            if (mapping.try_pair("alias", head.alias, cand.alias)
-                    and mapping.try_pair("table", head.table_name, cand.table_name)
-                    and match_rows(list(head.rows), list(cand.rows),
-                                   lambda: match_boxes(rest, boxes_b[:j] + boxes_b[j + 1:], cont))):
-                return True
-            mapping.undo(mark)
-        return False
-
-    def match_rows(rows_a: list[Row], rows_b: list[Row], cont) -> bool:
-        if not rows_a:
-            return cont()
-        head, rest = rows_a[0], rows_a[1:]
-        for j, cand in enumerate(rows_b):
-            if type(head) is not type(cand):
-                continue
-            mark = mapping.mark()
-            ok = mapping.try_pair("attr", head.attribute, cand.attribute)
-            if ok and isinstance(head, SelectionRow):
-                assert isinstance(cand, SelectionRow)
-                ok = (head.op == cand.op and head.constant.kind == cand.constant.kind
-                      and mapping.try_pair("const", head.constant.literal, cand.constant.literal))
-            if ok and match_rows(rest, rows_b[:j] + rows_b[j + 1:], cont):
-                return True
-            mapping.undo(mark)
-        return False
+    def pair_rows(x: Row, y: Row):
+        if type(x) is not type(y):
+            return
+        if isinstance(x, AttributeRow):
+            yield from mapping.pair(("attr", x.attribute, y.attribute))
+        elif x.op == y.op and x.constant.kind == y.constant.kind:
+            yield from mapping.pair(("attr", x.attribute, y.attribute),
+                                    ("const", x.constant.literal, y.constant.literal))
 
     def edges_match() -> bool:
         def translate(pair: tuple[str, str]):
@@ -470,12 +437,12 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
 
     root_a = next(g for g in a.groups if g.parent is None)
     root_b = next(g for g in b.groups if g.parent is None)
-    return match_groups([(root_a.id, root_b.id)], edges_match)
+    return any(edges_match() for _ in pair_groups(root_a, root_b))
 
 
-def _children_index(d: Diagram) -> dict[str, list[str]]:
-    index: dict[str, list[str]] = {}
+def _children_index(d: Diagram) -> dict[str, list[TableGroup]]:
+    index: dict[str, list[TableGroup]] = {}
     for g in d.groups:
         if g.parent is not None:
-            index.setdefault(g.parent, []).append(g.id)
+            index.setdefault(g.parent, []).append(g)
     return index

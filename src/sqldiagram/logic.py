@@ -12,6 +12,7 @@ node with a single not-exists child into forall/exists.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -35,10 +36,6 @@ class Quantifier(Enum):
     EXISTS = "EXISTS"
     NOT_EXISTS = "NOT_EXISTS"
     FOR_ALL = "FOR_ALL"
-
-    @property
-    def symbol(self) -> str:
-        return {"ROOT": "", "EXISTS": "∃", "NOT_EXISTS": "∄", "FOR_ALL": "∀"}[self.value]
 
 
 @dataclass(frozen=True)
@@ -342,130 +339,115 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
     Children are compared as unordered multisets and predicates as sets of
     normalized comparisons.  With modulo_renaming, equality holds if some
     per-kind bijection of alias, table, attribute and constant labels maps
-    one tree onto the other.
+    one tree onto the other.  That search is exhaustive: it pairs tables,
+    then predicates (each in both orientations), then children, node by
+    node, and backtracks through every alternative before answering false.
     """
     if not modulo_renaming:
         sa = tuple(c.sql() for c in a.select_list)
         sb = tuple(c.sql() for c in b.select_list)
         return sa == sb and a.root == b.root
-    mapping = _Relabeling()
     if len(a.select_list) != len(b.select_list):
         return False
-    for ca, cb in zip(a.select_list, b.select_list):
-        if not (mapping.try_pair("alias", ca.alias, cb.alias)
-                and mapping.try_pair("attr", ca.attribute, cb.attribute)):
-            return False
-    return _match_nodes(a.root, b.root, mapping)
+    mapping = _Relabeling()
+    select = [pair for ca, cb in zip(a.select_list, b.select_list)
+              for pair in (("alias", ca.alias, cb.alias), ("attr", ca.attribute, cb.attribute))]
+
+    def pair_nodes(x: LtNode, y: LtNode):
+        if x.quantifier is not y.quantifier or len(x.children) != len(y.children):
+            return
+        for _ in mapping.pair_all(x.tables, y.tables, pair_tables):
+            for _ in mapping.pair_all(x.predicates, y.predicates, pair_predicates):
+                yield from mapping.pair_all(x.children, y.children, pair_nodes)
+
+    def pair_tables(x: tuple[str, str], y: tuple[str, str]):
+        return mapping.pair(("alias", x[0], y[0]), ("table", x[1], y[1]))
+
+    def pair_predicates(x: Predicate, y: Predicate):
+        if isinstance(x.rhs, Constant):
+            if x.op == y.op and isinstance(y.rhs, Constant) and x.rhs.kind == y.rhs.kind:
+                yield from mapping.pair(("alias", x.lhs.alias, y.lhs.alias),
+                                        ("attr", x.lhs.attribute, y.lhs.attribute),
+                                        ("const", x.rhs.literal, y.rhs.literal))
+            return
+        if isinstance(y.rhs, Constant):
+            return
+        # Normalized orientation may differ once labels are renamed, so try both.
+        for op, lhs, rhs in ((y.op, y.lhs, y.rhs), (FLIPPED_OP[y.op], y.rhs, y.lhs)):
+            if x.op == op:
+                yield from mapping.pair(("alias", x.lhs.alias, lhs.alias),
+                                        ("attr", x.lhs.attribute, lhs.attribute),
+                                        ("alias", x.rhs.alias, rhs.alias),
+                                        ("attr", x.rhs.attribute, rhs.attribute))
+
+    for _ in mapping.pair(*select):
+        for _ in pair_nodes(a.root, b.root):
+            return True
+    return False
+
+
+_EXHAUSTED = object()
 
 
 class _Relabeling:
-    """Per-kind label bijections built up during matching, with undo support."""
+    """Per-kind label bijections and one exhaustive backtracking search over them.
+
+    A pairing of two items is a generator: it yields once for each way it can
+    extend the bijections to map x onto y, leaves them extended while it is
+    suspended, and takes its own pairs back before it tries the next way or
+    ends.
+    """
 
     def __init__(self):
         self.forward: dict[tuple[str, object], object] = {}
         self.backward: dict[tuple[str, object], object] = {}
-        self.trail: list[tuple[str, object, object]] = []
 
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            kind, x, y = self.trail.pop()
-            del self.forward[(kind, x)]
-            del self.backward[(kind, y)]
-
-    def try_pair(self, kind: str, x, y) -> bool:
-        fwd = self.forward.get((kind, x))
-        bwd = self.backward.get((kind, y))
-        if fwd is None and bwd is None:
-            self.forward[(kind, x)] = y
-            self.backward[(kind, y)] = x
-            self.trail.append((kind, x, y))
-            return True
-        return fwd == y and bwd == x
-
-
-def _match_nodes(a: LtNode, b: LtNode, mapping: _Relabeling) -> bool:
-    if a.quantifier is not b.quantifier:
-        return False
-    if len(a.tables) != len(b.tables) or len(a.predicates) != len(b.predicates):
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return _match_tables(a, b, mapping, 0)
-
-
-def _match_tables(a: LtNode, b: LtNode, mapping: _Relabeling, i: int) -> bool:
-    if i == len(a.tables):
-        return _match_predicates(a, b, mapping, list(b.predicates))
-    alias_a, table_a = a.tables[i]
-    for alias_b, table_b in b.tables:
-        mark = mapping.mark()
-        if (mapping.try_pair("alias", alias_a, alias_b)
-                and mapping.try_pair("table", table_a, table_b)
-                and _match_tables(a, b, mapping, i + 1)):
-            return True
-        mapping.undo(mark)
-    return False
-
-
-def _match_predicates(a: LtNode, b: LtNode, mapping: _Relabeling,
-                      remaining: list[Predicate]) -> bool:
-    if not a.predicates and not remaining:
-        return _match_children(list(a.children), list(b.children), mapping)
-    pred_a, rest_a = a.predicates[0], replace(a, predicates=a.predicates[1:])
-    for j, pred_b in enumerate(remaining):
-        mark = mapping.mark()
-        if _match_predicate(pred_a, pred_b, mapping):
-            if _match_predicates(rest_a, b, mapping, remaining[:j] + remaining[j + 1:]):
-                return True
-        mapping.undo(mark)
-    return False
-
-
-def _match_predicate(pa: Predicate, pb: Predicate, mapping: _Relabeling) -> bool:
-    # Normalized orientation may differ once labels are renamed, so try both.
-    for pb_variant in (pb, _flip(pb)):
-        if pa.op != pb_variant.op or pa.is_selection != pb_variant.is_selection:
-            continue
-        mark = mapping.mark()
-        if not (mapping.try_pair("alias", pa.lhs.alias, pb_variant.lhs.alias)
-                and mapping.try_pair("attr", pa.lhs.attribute, pb_variant.lhs.attribute)):
-            mapping.undo(mark)
-            continue
-        if isinstance(pa.rhs, ColumnRef):
-            assert isinstance(pb_variant.rhs, ColumnRef)
-            ok = (mapping.try_pair("alias", pa.rhs.alias, pb_variant.rhs.alias)
-                  and mapping.try_pair("attr", pa.rhs.attribute, pb_variant.rhs.attribute))
+    def pair(self, *pairs: tuple[str, object, object]) -> Iterator[None]:
+        """Yield once if every (kind, x, y) fits the bijections, with them added."""
+        forward, backward = self.forward, self.backward
+        added = []
+        for kind, x, y in pairs:
+            fwd = forward.get((kind, x))
+            bwd = backward.get((kind, y))
+            if fwd is None and bwd is None:
+                forward[(kind, x)] = y
+                backward[(kind, y)] = x
+                added.append((kind, x, y))
+            elif fwd != y or bwd != x:
+                break
         else:
-            assert isinstance(pb_variant.rhs, Constant)
-            ok = (pa.rhs.kind == pb_variant.rhs.kind
-                  and mapping.try_pair("const", pa.rhs.literal, pb_variant.rhs.literal))
-        if ok:
-            return True
-        mapping.undo(mark)
-    return False
+            yield
+        for kind, x, y in added:
+            del forward[(kind, x)]
+            del backward[(kind, y)]
 
+    def pair_all(self, xs, ys, pair_one) -> Iterator[None]:
+        """Yield once for each way of pairing every x with a distinct y, where
+        pair_one(x, y) is the pairing generator of one item.  The partial
+        pairings are kept on an explicit stack, so the call depth does not
+        grow with the number of siblings."""
+        if len(xs) != len(ys):
+            return
+        if not xs:
+            yield
+            return
+        free = [True] * len(ys)
 
-def _flip(pred: Predicate) -> Predicate:
-    if pred.is_selection:
-        return pred
-    assert isinstance(pred.rhs, ColumnRef)
-    return Predicate(lhs=pred.rhs, op=FLIPPED_OP[pred.op], rhs=pred.lhs)
+        def ways(x):
+            for j, y in enumerate(ys):
+                if free[j]:
+                    free[j] = False
+                    yield from pair_one(x, y)
+                    free[j] = True
 
-
-def _match_children(kids_a: list[LtNode], kids_b: list[LtNode], mapping: _Relabeling) -> bool:
-    if not kids_a:
-        return not kids_b
-    head, rest = kids_a[0], kids_a[1:]
-    for j, cand in enumerate(kids_b):
-        mark = mapping.mark()
-        if _match_nodes(head, cand, mapping):
-            if _match_children(rest, kids_b[:j] + kids_b[j + 1:], mapping):
-                return True
-        mapping.undo(mark)
-    return False
+        stack = [ways(xs[0])]
+        while stack:
+            if next(stack[-1], _EXHAUSTED) is _EXHAUSTED:
+                stack.pop()
+            elif len(stack) == len(xs):
+                yield
+            else:
+                stack.append(ways(xs[len(stack)]))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,12 @@ _CLAUSE_FEATURES = {
 
 _OUTER_JOIN_KEYWORDS = {"LEFT", "RIGHT", "FULL", "OUTER"}
 
+# Deepest subquery nesting accepted.  Each level costs the recursive descent
+# (and every later stage) a few stack frames, so deeper input would exhaust
+# the interpreter's stack instead of getting a diagnostic; the bound leaves
+# room below the default recursion limit for a caller's own frames.
+MAX_NESTING_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class Token:
@@ -188,7 +194,9 @@ class _Parser:
         return query
 
     def _parse_query(self, depth: int) -> QueryAst:
-        self._expect("KEYWORD", "SELECT")
+        select = self._expect("KEYWORD", "SELECT")
+        if depth > MAX_NESTING_DEPTH:
+            self._unsupported(f"subquery nesting deeper than {MAX_NESTING_DEPTH} levels", select)
         if self._check("KEYWORD", "DISTINCT"):
             self._unsupported("DISTINCT", self._peek())
         select_list = self._parse_select_list(depth)

@@ -13,6 +13,7 @@ from sqldiagram.fixtures import (
     VALID_QUERIES,
 )
 from sqldiagram.logic import lt_to_sql
+from sqldiagram.parser import MAX_NESTING_DEPTH
 
 
 @pytest.fixture
@@ -187,3 +188,65 @@ def test_byte_stability_across_runs(sql_file, capsys):
 def test_usage_error_exits_2(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
+
+
+def _wide_sql(k):
+    """A root with k NOT EXISTS children, each with two EXISTS children of its
+    own: 3k + 1 groups."""
+    children = []
+    for i in range(k):
+        grandchildren = " AND ".join(
+            f"EXISTS (SELECT * FROM R G{i}x{j} WHERE G{i}x{j}.b = C{i}.b)" for j in range(2))
+        children.append(f"NOT EXISTS (SELECT * FROM R C{i} WHERE C{i}.a = W.a AND {grandchildren})")
+    return "SELECT W.a FROM R W WHERE " + " AND ".join(children)
+
+
+def test_roundtrip_runs_the_oracle_above_twelve_groups(sql_file, capsys):
+    assert run(["roundtrip", sql_file(_wide_sql(4))]) == 0
+    assert capsys.readouterr().out == (
+        "round trip ok: 13 groups recovered exactly, unique by exhaustive search\n")
+
+
+def test_lt_and_trc_take_no_max_depth(sql_file, capsys):
+    path = sql_file(SOME_LIKED_DRINK)
+    for command in ("lt", "trc"):
+        assert run([command, "--max-depth", "3", path]) == 2
+        assert "unrecognized arguments: --max-depth" in capsys.readouterr().err
+
+
+def _nested_sql(levels):
+    """A chain of `levels` nested NOT EXISTS subqueries, each joining its
+    parent, with every SELECT but the first at column 17 of its own line."""
+    lines = ["SELECT T0.a FROM R T0 WHERE T0.a = 1"]
+    for i in range(1, levels + 1):
+        lines.append(f"AND NOT EXISTS (SELECT * FROM R T{i} WHERE T{i}.a = T{i - 1}.a")
+    return "\n".join(lines) + ")" * levels
+
+
+def test_nesting_up_to_the_limit_runs_every_command(sql_file, tmp_path, capsys):
+    path = sql_file(_nested_sql(MAX_NESTING_DEPTH))
+    diagram_path = str(tmp_path / "diagram.json")
+    expected = [
+        (["viz", path], 0),
+        (["viz", "--no-simplify", path], 0),
+        (["viz", "--format", "json", path, "-o", diagram_path], 0),
+        (["recover", diagram_path], 1),  # recovery covers depths up to 3 only
+        (["lt", path], 0),
+        (["lt", "--no-simplify", path], 0),
+        (["trc", path], 0),
+        (["check", path], 1),  # depth exceeded
+        (["metrics", path], 0),
+        (["roundtrip", path], 1),
+    ]
+    for argv, code in expected:
+        assert run(argv) == code, argv
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_nesting_past_the_limit_is_a_positioned_error(sql_file, capsys):
+    path = sql_file(_nested_sql(MAX_NESTING_DEPTH + 1))
+    message = (f"error: unsupported feature subquery nesting deeper than "
+               f"{MAX_NESTING_DEPTH} levels at line {MAX_NESTING_DEPTH + 2}:17\n")
+    for command in ("viz", "lt", "trc", "check", "metrics", "roundtrip"):
+        assert run([command, path]) == 2, command
+        assert capsys.readouterr().err == message, command
