@@ -24,6 +24,9 @@ from .logic import (
     LogicTree,
     Predicate,
     Quantifier,
+    _json_array,
+    _json_str,
+    _json_str_or_null,
     _Relabeling,
     check_nondegenerate,
     simplify_forall,
@@ -298,43 +301,50 @@ def count_words(sql_text: str) -> int:
 # Canonical JSON
 
 
-def diagram_to_dict(d: Diagram) -> dict:
-    edges = [
-        {"from": list(e.src), "to": list(e.dst), "directed": e.directed, "label": e.label}
-        for e in d.edges
-    ]
-    for row_label, target in zip(d.select_box.rows, d.select_box.links):
-        edges.append({"from": [SELECT_BOX_ID, row_label], "to": list(target),
-                      "directed": False, "label": None})
-    return {
-        "groups": [
-            {
-                "id": g.id,
-                "quantifier": g.quantifier.value,
-                "depth": g.depth,
-                "parent": g.parent,
-                "tables": [
-                    {"alias": box.alias, "table_name": box.table_name,
-                     "rows": [_row_to_dict(r) for r in box.rows]}
-                    for box in g.tables
-                ],
-            }
-            for g in d.groups
-        ],
-        "edges": edges,
-        "select_box": {"rows": list(d.select_box.rows)},
-    }
-
-
-def _row_to_dict(row: Row) -> dict:
-    if isinstance(row, AttributeRow):
-        return {"attribute": row.attribute}
-    return {"attribute": row.attribute, "op": row.op,
-            "constant": {"kind": row.constant.kind, "literal": row.constant.literal}}
-
-
 def diagram_to_json(d: Diagram) -> str:
-    return json.dumps(diagram_to_dict(d), indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON of a diagram: the bytes json.dumps(doc, indent=2,
+    ensure_ascii=False) gives for it, plus a newline."""
+    groups = [
+        f'{{\n      "id": {_json_str(g.id)},\n'
+        f'      "quantifier": {_json_str(g.quantifier.value)},\n'
+        f'      "depth": {g.depth:d},\n'
+        f'      "parent": {_json_str_or_null(g.parent)},\n'
+        f'      "tables": {_json_array([_box_json(box) for box in g.tables], " " * 6)}\n    }}'
+        for g in d.groups]
+    edges = [_edge_json(e.src, e.dst, e.directed, e.label) for e in d.edges]
+    edges += [_edge_json((SELECT_BOX_ID, row), target, False, None)
+              for row, target in zip(d.select_box.rows, d.select_box.links)]
+    select_rows = _json_array([_json_str(row) for row in d.select_box.rows], "    ")
+    return (f'{{\n  "groups": {_json_array(groups, "  ")},\n'
+            f'  "edges": {_json_array(edges, "  ")},\n'
+            f'  "select_box": {{\n    "rows": {select_rows}\n  }}\n}}\n')
+
+
+def _box_json(box: TableBox) -> str:
+    rows = _json_array([_row_json(row) for row in box.rows], " " * 10)
+    return (f'{{\n          "alias": {_json_str(box.alias)},\n'
+            f'          "table_name": {_json_str(box.table_name)},\n'
+            f'          "rows": {rows}\n        }}')
+
+
+def _row_json(row: Row) -> str:
+    attribute = f'{{\n              "attribute": {_json_str(row.attribute)}'
+    if isinstance(row, AttributeRow):
+        return attribute + "\n            }"
+    return (f'{attribute},\n              "op": {_json_str(row.op)},\n'
+            f'              "constant": {{\n'
+            f'                "kind": {_json_str(row.constant.kind)},\n'
+            f'                "literal": {_json_str(row.constant.literal)}\n'
+            f'              }}\n            }}')
+
+
+def _edge_json(src: tuple[str, str], dst: tuple[str, str], directed: bool,
+               label: str | None) -> str:
+    ends = " " * 6
+    return (f'{{\n      "from": {_json_array([_json_str(x) for x in src], ends)},\n'
+            f'      "to": {_json_array([_json_str(x) for x in dst], ends)},\n'
+            f'      "directed": {"true" if directed else "false"},\n'
+            f'      "label": {_json_str_or_null(label)}\n    }}')
 
 
 def diagram_from_json(text: str) -> Diagram:

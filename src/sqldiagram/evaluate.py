@@ -73,7 +73,8 @@ def _predicate_holds(pred: Predicate, env: dict) -> bool:
 
 def constant_value(constant: Constant) -> object:
     if constant.kind == "number":
-        return float(constant.literal) if "." in constant.literal else int(constant.literal)
+        literal = constant.literal
+        return float(literal) if any(c in ".eE" for c in literal) else int(literal)
     return constant.literal
 
 

@@ -454,28 +454,53 @@ class _Relabeling:
 # JSON serialization
 
 
+# `indent` makes json.dumps fall back to its pure-Python encoder, so the
+# canonical documents are written field by field in the layout it would
+# give; string leaves still go through its C string encoder.
+_json_str = json.encoder.encode_basestring
+
+
+def _json_str_or_null(value: str | None) -> str:
+    return "null" if value is None else _json_str(value)
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2) does
+    with the closing bracket on a line indented by `pad`."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
 def lt_to_json(lt: LogicTree) -> str:
-    doc = _node_to_dict(lt.root)
-    doc["select_list"] = [col.sql() for col in lt.select_list]
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON of a Logic Tree: the bytes json.dumps(doc, indent=2,
+    ensure_ascii=False) gives for it, plus a newline."""
+    select = _json_array([_json_str(col.sql()) for col in lt.select_list], "  ")
+    return _node_json(lt.root, "", f',\n  "select_list": {select}') + "\n"
 
 
-def _node_to_dict(node: LtNode) -> dict:
-    return {
-        "tables": [[alias, table] for alias, table in node.tables],
-        "predicates": [_pred_to_dict(p) for p in node.predicates],
-        "quantifier": node.quantifier.value,
-        "children": [_node_to_dict(c) for c in node.children],
-    }
+def _node_json(node: LtNode, pad: str, tail: str = "") -> str:
+    inner = pad + "  "
+    deeper = inner + "  "
+    tables = _json_array([_json_array([_json_str(alias), _json_str(table)], deeper)
+                          for alias, table in node.tables], inner)
+    predicates = _json_array([_pred_json(p, deeper) for p in node.predicates], inner)
+    children = _json_array([_node_json(c, deeper) for c in node.children], inner)
+    return (f'{{\n{inner}"tables": {tables},\n{inner}"predicates": {predicates},\n'
+            f'{inner}"quantifier": {_json_str(node.quantifier.value)},\n'
+            f'{inner}"children": {children}{tail}\n{pad}}}')
 
 
-def _pred_to_dict(pred: Predicate) -> dict:
-    rhs: object
+def _pred_json(pred: Predicate, pad: str) -> str:
+    inner = pad + "  "
     if isinstance(pred.rhs, ColumnRef):
-        rhs = pred.rhs.sql()
+        rhs = _json_str(pred.rhs.sql())
     else:
-        rhs = {"kind": pred.rhs.kind, "literal": pred.rhs.literal}
-    return {"lhs": pred.lhs.sql(), "op": pred.op, "rhs": rhs}
+        rhs = (f'{{\n{inner}  "kind": {_json_str(pred.rhs.kind)},\n'
+               f'{inner}  "literal": {_json_str(pred.rhs.literal)}\n{inner}}}')
+    return (f'{{\n{inner}"lhs": {_json_str(pred.lhs.sql())},\n{inner}"op": {_json_str(pred.op)},\n'
+            f'{inner}"rhs": {rhs}\n{pad}}}')
 
 
 def lt_from_json(text: str) -> LogicTree:

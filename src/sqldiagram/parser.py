@@ -1,6 +1,7 @@
 """Lexer and recursive-descent parser for the supported SQL fragment.
 
-Keywords are case-insensitive, identifiers preserve their case.  Anything
+Keywords are case-insensitive, identifiers preserve their case; `--` and
+`/* */` comments are skipped and `''` in a string is one quote.  Anything
 outside the fragment is rejected explicitly: recognisable but unsupported
 constructs (OR, GROUP BY, aggregates, ...) raise UnsupportedFeatureError,
 everything else raises SqlSyntaxError with line/column information.
@@ -8,7 +9,8 @@ everything else raises SqlSyntaxError with line/column information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import SqlSyntaxError, UnsupportedFeatureError
 from .sqlast import (
@@ -50,93 +52,85 @@ _OUTER_JOIN_KEYWORDS = {"LEFT", "RIGHT", "FULL", "OUTER"}
 MAX_NESTING_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # KEYWORD OP IDENT NUMBER STRING LPAREN RPAREN COMMA DOT STAR SEMI ARITH EOF
     text: str
     line: int
     column: int
 
 
+# One alternative per lexeme, most frequent first, each taking the blanks
+# after it; the last one takes any character that nothing else accepts.  A
+# sign is never part of a NUMBER: the parser reads it where a constant may
+# stand, so `S.b - 1` stays an arithmetic expression.  `½` stands for every
+# numeral that is neither a digit nor a letter (see `_fold_numerals`).
+_SCANNER = re.compile(r"""
+  (?:
+    (?P<IDENT>[^\W\d½]\w*)
+  | (?P<DOT>\.)
+  | (?P<OP><=|>=|<>|[<>=])
+  | (?P<LPAREN>\()
+  | (?P<RPAREN>\))
+  | (?P<COMMA>,)
+  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<STRING>'(?:[^'\n]|'')*')
+  | (?P<NEWLINE>\n)
+  | (?P<SKIP>[ \t\r]+|--[^\n]*|/\*(?s:.*?)\*/)
+  | (?P<UNTERMINATED>'|/\*)
+  | (?P<STAR>\*)
+  | (?P<SEMI>;)
+  | (?P<ARITH>[-+/%])
+  | (?P<UNEXPECTED>.)
+  )[ \t\r]*
+""", re.VERBOSE)
+_SPECIAL = frozenset(("STRING", "NEWLINE", "SKIP", "UNTERMINATED", "UNEXPECTED"))
+_new_token = tuple.__new__  # builds a Token without the Python-level Token.__new__ call
+
+# \w and \d are str.isalnum (plus "_") and str.isdecimal, but a number is a
+# run of str.isdigit characters and a name starts with str.isalpha or "_".
+# The characters on which the two differ are non-ASCII numerals that are
+# not letters.
+_NUMERAL_CANDIDATE = re.compile(r"[^\W\d_\x00-\x7f]")
+
+
+def _fold_numerals(sql_text: str) -> str:
+    """`sql_text` with every non-decimal digit read as "0" and every other
+    non-letter numeral as "½", so that the scanner's classes are exact; the
+    length, and so every position, stays the same."""
+    if sql_text.isascii():
+        return sql_text
+    odd = {ord(c): "0" if c.isdigit() else "½"
+           for c in set(_NUMERAL_CANDIDATE.findall(sql_text)) if not c.isalpha()}
+    return sql_text.translate(odd) if odd else sql_text
+
+
 def tokenize(sql_text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(sql_text)
-    while i < n:
-        ch = sql_text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "'":
-            j = sql_text.find("'", i + 1)
-            if j < 0:
-                raise SqlSyntaxError("unterminated string literal", start_line, start_col)
-            literal = sql_text[i + 1:j]
-            if "\n" in literal:
-                raise SqlSyntaxError("unterminated string literal", start_line, start_col)
-            tokens.append(Token("STRING", literal, start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and sql_text[j].isdigit():
-                j += 1
-            if j < n and sql_text[j] == "." and j + 1 < n and sql_text[j + 1].isdigit():
-                j += 1
-                while j < n and sql_text[j].isdigit():
-                    j += 1
-            tokens.append(Token("NUMBER", sql_text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql_text[j].isalnum() or sql_text[j] == "_"):
-                j += 1
-            word = sql_text[i:j]
-            upper = word.upper()
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(_fold_numerals(sql_text)):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        text = sql_text[start:end]
+        if kind == "IDENT":
+            upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, start_line, start_col))
+                kind, text = "KEYWORD", upper
+        elif kind in _SPECIAL:
+            if kind == "STRING":
+                text = text[1:-1].replace("''", "'")
+            elif kind == "UNTERMINATED":
+                what = "string literal" if text == "'" else "block comment"
+                raise SqlSyntaxError(f"unterminated {what}", line, start - line_start + 1)
+            elif kind == "UNEXPECTED":
+                raise SqlSyntaxError(f"unexpected character {text!r}", line, start - line_start + 1)
             else:
-                tokens.append(Token("IDENT", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = sql_text[i:i + 2]
-        if two in ("<=", ">=", "<>"):
-            tokens.append(Token("OP", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "<>=":
-            tokens.append(Token("OP", ch, start_line, start_col))
-        elif ch == "(":
-            tokens.append(Token("LPAREN", ch, start_line, start_col))
-        elif ch == ")":
-            tokens.append(Token("RPAREN", ch, start_line, start_col))
-        elif ch == ",":
-            tokens.append(Token("COMMA", ch, start_line, start_col))
-        elif ch == ".":
-            tokens.append(Token("DOT", ch, start_line, start_col))
-        elif ch == "*":
-            tokens.append(Token("STAR", ch, start_line, start_col))
-        elif ch == ";":
-            tokens.append(Token("SEMI", ch, start_line, start_col))
-        elif ch in "+-/%":
-            tokens.append(Token("ARITH", ch, start_line, start_col))
-        else:
-            raise SqlSyntaxError(f"unexpected character {ch!r}", start_line, start_col)
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", line, col))
+                newlines = text.count("\n")  # a newline, or a block comment across lines
+                if newlines:
+                    line += newlines
+                    line_start = start + text.rindex("\n") + 1
+                continue
+        tokens.append(_new_token(Token, (kind, text, line, start - line_start + 1)))
+    tokens.append(_new_token(Token, ("EOF", "", line, len(sql_text) - line_start + 1)))
     return tokens
 
 
@@ -147,9 +141,8 @@ class _Parser:
 
     # -- token plumbing ---------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        pos = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[pos]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         tok = self._tokens[self._pos]
@@ -297,12 +290,12 @@ class _Parser:
         if tok.kind == "KEYWORD" and tok.text == "EXISTS":
             self._advance()
             return Exists(negated=False, subquery=self._parse_parenthesized_query(depth))
-        if tok.kind in ("STRING", "NUMBER"):
+        if self._at_constant():
             # constant-first comparison: normalise to put the column on the left
             constant = self._parse_constant()
             op = self._expect("OP", expected="a comparison operator").text
             rhs_tok = self._peek()
-            if rhs_tok.kind in ("STRING", "NUMBER"):
+            if self._at_constant():
                 raise SqlSyntaxError(
                     "comparison between two constants", rhs_tok.line, rhs_tok.column,
                     "at most one constant operand")
@@ -329,19 +322,28 @@ class _Parser:
             raise SqlSyntaxError(
                 "scalar subquery comparison is not part of the fragment",
                 nxt.line, nxt.column, "a column, a constant, ANY or ALL")
-        if nxt.kind == "ARITH":
-            self._unsupported("arithmetic expression", nxt)
-        if nxt.kind in ("STRING", "NUMBER"):
+        if self._at_constant():
             rhs: ColumnRef | Constant = self._parse_constant()
         else:
             rhs = self._parse_column_ref()
         self._reject_arithmetic()
         return Comparison(lhs=column, op=op_tok.text, rhs=rhs)
 
+    def _at_constant(self) -> bool:
+        """A string, a number, or a sign directly before a number."""
+        tok = self._peek()
+        if tok.kind == "ARITH" and tok.text in "+-":
+            return self._tokens[self._pos + 1].kind == "NUMBER"
+        return tok.kind == "STRING" or tok.kind == "NUMBER"
+
     def _parse_constant(self) -> Constant:
         tok = self._advance()
-        kind = "string" if tok.kind == "STRING" else "number"
-        return Constant(kind=kind, literal=tok.text)
+        if tok.kind == "STRING":
+            return Constant(kind="string", literal=tok.text)
+        if tok.kind == "ARITH":
+            sign = "-" if tok.text == "-" else ""
+            return Constant(kind="number", literal=sign + self._advance().text)
+        return Constant(kind="number", literal=tok.text)
 
     def _parse_parenthesized_query(self, depth: int) -> QueryAst:
         self._expect("LPAREN")

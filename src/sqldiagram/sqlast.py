@@ -22,11 +22,11 @@ COMPLEMENT_OP = {"<": ">=", "<=": ">", "=": "<>", "<>": "=", ">": "<=", ">=": "<
 @dataclass(frozen=True)
 class Constant:
     kind: str  # "string" | "number"
-    literal: str  # exact text, quotes stripped for strings
+    literal: str  # a number as written, with its "-" sign; a string's value, '' read as '
 
     def sql(self) -> str:
         if self.kind == "string":
-            return "'" + self.literal + "'"
+            return "'" + self.literal.replace("'", "''") + "'"
         return self.literal
 
 

@@ -1,0 +1,92 @@
+"""Seeded grammar fuzzer for the SQL front end.
+
+Random Logic Trees are rendered as SQL, with their constants respelled as
+signed numbers, exponents and strings with escaped quotes.  Printing and
+re-parsing must give the same AST, and so must the same SQL with comments
+between its tokens.  Dropping, duplicating or swapping one token of that SQL
+must make every command end in exit 0, 1 or 2 with a diagnostic, never with
+an exception.
+"""
+
+import io
+import random
+import re
+
+from sqldiagram import build_logic_tree, lt_to_sql, parse, print_sql, resolve_scopes
+from sqldiagram.cli import run
+from sqldiagram.corpus import random_logic_tree
+from sqldiagram.parser import tokenize
+
+SEED = 4242
+TREES = 250
+MUTATED_TREES = 120
+
+# No spaces inside the strings: comments go in place of spaces.
+CONSTANTS = ("-1", "+2", "- 7", "1e5", "2.5E-3", "0.5", "'O''Brien'", "''", "'--x'",
+             "'/*y*/'", "'Größe'")
+COMMENTS = (" /* c */ ", " /*\n*/ ", " -- c\n", "/**/")
+COMMANDS = (["viz"], ["viz", "--format", "json"], ["lt"], ["trc"], ["check"],
+            ["roundtrip"], ["metrics"])
+
+
+def _lower(sql):
+    return build_logic_tree(resolve_scopes(parse(sql)))
+
+
+def _generated_sql(rng):
+    sql = lt_to_sql(random_logic_tree(rng, max_nodes=rng.randint(1, 10)))
+    return re.sub(r"(?<=[<>=] )\d+", lambda m: rng.choice(CONSTANTS), sql)
+
+
+def _with_comments(rng, sql):
+    return re.sub(" ", lambda m: rng.choice(COMMENTS) if rng.random() < 0.3 else " ", sql)
+
+
+def _source(token):
+    if token.kind == "STRING":
+        return "'" + token.text.replace("'", "''") + "'"
+    return token.text
+
+
+def _mutant(rng, sql):
+    words = [_source(t) for t in tokenize(sql)[:-1]]
+    i = rng.randrange(len(words))
+    action = rng.choice(("drop", "duplicate", "swap"))
+    if action == "drop":
+        del words[i]
+    elif action == "duplicate":
+        words.insert(i, words[i])
+    else:
+        j = rng.randrange(len(words))
+        words[i], words[j] = words[j], words[i]
+    return " ".join(words)
+
+
+def test_printed_sql_parses_back_to_the_same_ast():
+    rng = random.Random(SEED)
+    for _ in range(TREES):
+        sql = _generated_sql(rng)
+        ast = parse(sql)
+        assert parse(print_sql(ast)) == ast, sql
+        resolved = resolve_scopes(ast)
+        assert parse(print_sql(resolved)) == resolved, sql
+        assert parse(_with_comments(rng, sql)) == ast, sql
+        lt = build_logic_tree(resolved)
+        assert _lower(lt_to_sql(lt)) == lt, sql
+
+
+def test_one_token_mutations_end_in_a_diagnostic(monkeypatch, capsys):
+    rng = random.Random(SEED + 1)
+    codes = set()
+    for _ in range(MUTATED_TREES):
+        sql = _generated_sql(rng)
+        for _ in range(3):
+            mutant = _mutant(rng, sql)
+            monkeypatch.setattr("sys.stdin", io.StringIO(mutant))
+            code = run(rng.choice(COMMANDS))
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), mutant
+            assert "Traceback" not in err and "malformed input" not in err, (mutant, err)
+            assert code != 2 or err.startswith("error: "), (mutant, err)
+            codes.add(code)
+    assert {0, 2} <= codes

@@ -1,7 +1,8 @@
 import pytest
 
-from sqldiagram import parse, print_sql, resolve_scopes
+from sqldiagram import build_logic_tree, lt_to_sql, parse, print_sql, resolve_scopes
 from sqldiagram.errors import SqlSyntaxError, UnsupportedFeatureError
+from sqldiagram.evaluate import constant_value
 from sqldiagram.fixtures import ONLY_LIKED_DRINKS, SOME_LIKED_DRINK, VALID_QUERIES
 from sqldiagram.sqlast import (
     ColumnRef,
@@ -67,7 +68,10 @@ def test_or_rejected():
     ("SELECT T.a FROM T LEFT OUTER JOIN S ON T.a = S.a", "outer join"),
     ("SELECT COUNT(T.a) FROM T", "aggregate"),
     ("SELECT T.a FROM T WHERE T.a = T.b + 1", "arithmetic expression"),
-    ("SELECT T.a FROM T WHERE T.a = -1", "arithmetic expression"),
+    ("SELECT T.a FROM T WHERE T.a = -T.b", "arithmetic expression"),
+    ("SELECT T.a FROM T WHERE T.a - 1 = T.b", "arithmetic expression"),
+    ("SELECT T.a FROM T, S WHERE T.a = S.b - 1", "arithmetic expression"),
+    ("SELECT T.a FROM T WHERE -T.b = 1", "arithmetic expression"),
 ])
 def test_unsupported_features(sql, feature):
     with pytest.raises(UnsupportedFeatureError) as exc:
@@ -134,3 +138,63 @@ def test_printer_output_is_single_canonical_line():
     text = print_sql(parse(ONLY_LIKED_DRINKS))
     assert "\n" not in text
     assert text.startswith("SELECT F.person FROM Frequents F WHERE NOT EXISTS (")
+
+
+def _comparisons(sql):
+    return [p for p in iter_predicates(parse(sql).where_clause) if isinstance(p, Comparison)]
+
+
+def test_line_and_block_comments_are_skipped():
+    plain = parse("SELECT T.a FROM T WHERE T.a = 1")
+    assert parse("SELECT T.a -- the column\nFROM T WHERE T.a = 1 -- done") == plain
+    assert parse("SELECT /* c */ T.a FROM T/**/WHERE T.a = /* one\n two */ 1") == plain
+
+
+def test_block_comment_across_lines_keeps_positions():
+    with pytest.raises(SqlSyntaxError) as exc:
+        parse("SELECT T.a /* one\n  two */ FROM T\nWHERE T.a = )")
+    assert (exc.value.line, exc.value.column) == (3, 13)
+    with pytest.raises(SqlSyntaxError) as exc:
+        parse("SELECT T.a /* one\n  two */ FROM T WHERE T.a = )")
+    assert (exc.value.line, exc.value.column) == (2, 29)
+
+
+def test_unterminated_block_comment_is_a_positioned_error():
+    with pytest.raises(SqlSyntaxError) as exc:
+        parse("SELECT T.a\nFROM T /* open\n*")
+    assert str(exc.value).startswith("unterminated block comment")
+    assert (exc.value.line, exc.value.column) == (2, 8)
+
+
+def test_doubled_quote_is_an_escaped_quote():
+    sql = "SELECT T.a FROM T WHERE T.a = 'O''Brien' AND T.b = ''''"
+    first, second = _comparisons(sql)
+    assert first.rhs == Constant(kind="string", literal="O'Brien")
+    assert second.rhs == Constant(kind="string", literal="'")
+    ast = parse(sql)
+    assert parse(print_sql(ast)) == ast
+    lt = build_logic_tree(resolve_scopes(ast))
+    assert build_logic_tree(resolve_scopes(parse(lt_to_sql(lt)))) == lt
+
+
+def test_exponent_is_part_of_the_number():
+    first, second = _comparisons("SELECT T.a FROM T WHERE T.a < 1e5 AND T.b = 2.5E-3")
+    assert first.rhs == Constant(kind="number", literal="1e5")
+    assert second.rhs == Constant(kind="number", literal="2.5E-3")
+    assert constant_value(first.rhs) == 100000.0
+    assert constant_value(second.rhs) == 0.0025
+    assert constant_value(Constant(kind="number", literal="-1")) == -1
+
+
+def test_signed_constant_where_a_constant_may_stand():
+    ast = parse("SELECT S.a FROM S WHERE S.b = -1 AND -1 < S.b AND S.c <> - 2.5 AND S.d = +3")
+    assert [(p.op, p.rhs) for p in iter_predicates(ast.where_clause)] == [
+        ("=", Constant(kind="number", literal="-1")),
+        (">", Constant(kind="number", literal="-1")),
+        ("<>", Constant(kind="number", literal="-2.5")),
+        ("=", Constant(kind="number", literal="3")),
+    ]
+    assert parse(print_sql(ast)) == ast
+    with pytest.raises(SqlSyntaxError) as exc:
+        parse("SELECT S.a FROM S WHERE 1 = -1")
+    assert "two constants" in str(exc.value)
