@@ -20,7 +20,7 @@ from .diagram import (
     reading_order,
     resolve_arrow,
 )
-from .dot import StyleOptions, emit_dot
+from .dot import emit_dot
 from .errors import (
     AmbiguousColumnError,
     DegenerateQueryError,
@@ -33,6 +33,7 @@ from .errors import (
 )
 from .evaluate import evaluate
 from .logic import (
+    MAX_DEPTH,
     LogicTree,
     LtNode,
     Predicate,
@@ -69,13 +70,13 @@ __all__ = [
     "ArrowDirection", "Diagram", "ReadingOrder", "build_diagram", "count_elements",
     "count_words", "diagram_from_json", "diagram_isomorphic", "diagram_to_json",
     "orient_inequality", "reading_order", "resolve_arrow",
-    "StyleOptions", "emit_dot",
+    "emit_dot",
     "AmbiguousColumnError", "DegenerateQueryError", "InvalidDiagramError",
     "MalformedSubqueryError", "SqlDiagramError", "SqlSyntaxError",
     "UnknownAliasError", "UnsupportedFeatureError",
     "evaluate",
-    "LogicTree", "LtNode", "Predicate", "Quantifier", "ValidationReport", "Violation",
-    "ViolationKind", "build_logic_tree", "check_nondegenerate", "lt_equal",
+    "MAX_DEPTH", "LogicTree", "LtNode", "Predicate", "Quantifier", "ValidationReport",
+    "Violation", "ViolationKind", "build_logic_tree", "check_nondegenerate", "lt_equal",
     "lt_from_json", "lt_to_json", "lt_to_sql", "render_trc", "simplify_forall",
     "parse", "print_sql",
     "DepthAssignment", "DiagramGraph", "PathFamily", "brute_force_depths",

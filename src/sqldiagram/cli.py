@@ -25,7 +25,7 @@ from .diagram import (
     diagram_from_json,
     diagram_to_json,
 )
-from .dot import StyleOptions, emit_dot
+from .dot import emit_dot
 from .errors import (
     AmbiguousColumnError,
     DegenerateQueryError,
@@ -36,6 +36,7 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .logic import (
+    MAX_DEPTH,
     ViolationKind,
     build_logic_tree,
     check_nondegenerate,
@@ -59,16 +60,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         description="Translate nested conjunctive SQL into logic-based diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, simplify=True, depth=True):
+    def add_common(p, simplify=True):
         p.add_argument("input", nargs="?", default="-",
                        help="input file, or - for standard input (default)")
         p.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
         if simplify:
             p.add_argument("--no-simplify", action="store_true",
                            help="keep the raw not-exists form instead of forall boxes")
-        if depth:
-            p.add_argument("--max-depth", type=int, default=3,
-                           help="maximum supported nesting depth (default 3)")
 
     viz = sub.add_parser("viz", help="SQL to diagram (DOT or JSON)")
     add_common(viz)
@@ -77,16 +75,16 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                      help=f"also run the external renderer named by ${RENDERER_ENV}")
 
     lt = sub.add_parser("lt", help="SQL to logic tree JSON")
-    add_common(lt, depth=False)
+    add_common(lt)
 
     trc = sub.add_parser("trc", help="SQL to tuple calculus text")
-    add_common(trc, depth=False)
+    add_common(trc)
 
     check = sub.add_parser("check", help="validate a query")
     add_common(check, simplify=False)
 
     recover = sub.add_parser("recover", help="diagram JSON to depth assignment JSON")
-    add_common(recover, simplify=False, depth=False)
+    add_common(recover, simplify=False)
 
     roundtrip = sub.add_parser("roundtrip", help="build a diagram, recover it, compare")
     add_common(roundtrip)
@@ -118,15 +116,14 @@ def _logic_tree(args, sql_text: str):
 
 def _validated_diagram(args, lt):
     """Build the diagram; degeneracy is fatal, excess depth only warns."""
-    report = check_nondegenerate(lt, max_depth=args.max_depth)
+    report = check_nondegenerate(lt)
     hard = [v for v in report.violations if v.kind is not ViolationKind.DEPTH_EXCEEDED]
     if hard:
         raise DegenerateQueryError(report)
     if not report.depth_ok:
-        print(f"warning: nesting depth exceeds {args.max_depth}; "
+        print(f"warning: nesting depth exceeds {MAX_DEPTH}; "
               "structure recovery is not guaranteed", file=sys.stderr)
-    return build_diagram(lt, simplified=not args.no_simplify,
-                         max_depth=args.max_depth, allow_invalid=True)
+    return build_diagram(lt, simplified=not args.no_simplify, allow_invalid=True)
 
 
 def _cmd_viz(args) -> int:
@@ -135,7 +132,7 @@ def _cmd_viz(args) -> int:
     if args.format == "json":
         _write_output(args, diagram_to_json(diagram))
         return 0
-    dot_text = emit_dot(diagram, StyleOptions())
+    dot_text = emit_dot(diagram)
     _write_output(args, dot_text)
     if args.render:
         _render(args, dot_text)
@@ -173,7 +170,7 @@ def _cmd_trc(args) -> int:
 
 def _cmd_check(args) -> int:
     lt = _logic_tree(args, _read_input(args.input))
-    report = check_nondegenerate(lt, max_depth=args.max_depth)
+    report = check_nondegenerate(lt)
     if report.ok:
         _write_output(args, "ok: query is non-degenerate and within the depth bound\n")
         return 0

@@ -4,14 +4,14 @@ The generator builds trees that satisfy the validity rules by construction:
 every predicate references a local attribute, every nested block either
 references its parent or has all of its children reference both the block
 and the block's parent, references only go to ancestors, aliases are
-globally unique and depth never exceeds 3.
+globally unique and depth never exceeds MAX_DEPTH.
 """
 
 from __future__ import annotations
 
 import random
 
-from .logic import LogicTree, LtNode, Predicate, Quantifier, make_node
+from .logic import MAX_DEPTH, LogicTree, LtNode, Predicate, Quantifier, make_node
 from .sqlast import ColumnRef, Constant
 
 SCHEMA = {
@@ -22,6 +22,8 @@ SCHEMA = {
 }
 
 _OPS = ("=", "=", "=", "<", "<=", "<>", ">=", ">")
+_MAX_CHILDREN = 3
+_MAX_TABLES = 2
 
 
 class _Budget:
@@ -35,15 +37,14 @@ class _Budget:
         return True
 
 
-def random_logic_tree(rng: random.Random, *, max_depth: int = 3, max_children: int = 3,
-                      max_tables: int = 2, max_nodes: int = 8) -> LogicTree:
+def random_logic_tree(rng: random.Random, *, max_nodes: int = 8) -> LogicTree:
     """A random valid Logic Tree using exists/not-exists quantifiers only."""
     counter = [0]
     budget = _Budget(max_nodes - 1)
 
     def fresh_tables() -> list[tuple[str, str]]:
         tables = []
-        for _ in range(rng.randint(1, max_tables)):
+        for _ in range(rng.randint(1, _MAX_TABLES)):
             counter[0] += 1
             tables.append((f"A{counter[0]}", rng.choice(sorted(SCHEMA))))
         return tables
@@ -69,8 +70,8 @@ def random_logic_tree(rng: random.Random, *, max_depth: int = 3, max_children: i
         predicates = [join_pred(rng.choice(tables), target) for target in forced_targets]
 
         wanted_children = 0
-        if depth < max_depth:
-            wanted_children = rng.choice((0, 0, 1, 1, 2, max_children))
+        if depth < MAX_DEPTH:
+            wanted_children = rng.choice((0, 0, 1, 1, 2, _MAX_CHILDREN))
         n_children = 0
         while n_children < wanted_children and budget.take():
             n_children += 1

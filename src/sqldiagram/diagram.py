@@ -104,9 +104,6 @@ class Diagram:
     edges: tuple[Edge, ...]  # join edges, canonical order
     select_box: SelectBox
 
-    def group_of_alias(self) -> dict[str, TableGroup]:
-        return {box.alias: group for group in self.groups for box in group.tables}
-
     def boxes(self) -> list[TableBox]:
         return [box for group in self.groups for box in group.tables]
 
@@ -147,13 +144,13 @@ def orient_inequality(pred: Predicate, direction: ArrowDirection,
 
 
 def build_diagram(lt: LogicTree, simplified: bool = True, *,
-                  max_depth: int = 3, allow_invalid: bool = False) -> Diagram:
+                  allow_invalid: bool = False) -> Diagram:
     """Construct the diagram for a validated Logic Tree.
 
     Raises DegenerateQueryError when validation fails, unless allow_invalid.
     """
     if not allow_invalid:
-        report = check_nondegenerate(lt, max_depth=max_depth)
+        report = check_nondegenerate(lt)
         if report.violations:
             raise DegenerateQueryError(report)
     if simplified:

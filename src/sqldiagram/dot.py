@@ -9,8 +9,6 @@ diagrams always produce byte-identical documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import (
     SELECT_BOX_ID,
     AttributeRow,
@@ -20,70 +18,55 @@ from .diagram import (
 from .logic import Quantifier
 
 
-@dataclass(frozen=True)
-class StyleOptions:
-    header_bg: str = "black"
-    header_fg: str = "white"
-    select_header_bg: str = "lightgrey"
-    select_header_fg: str = "black"
-    selection_row_bg: str = "yellow"
-    fontname: str = "Helvetica"
-    rankdir: str = "LR"
-
-
 def _escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             .replace('"', "&quot;"))
 
 
-def _box_label(box: TableBox, style: StyleOptions) -> str:
+def _box_label(box: TableBox) -> str:
     header = box.table_name if box.alias == box.table_name else f"{box.alias}: {box.table_name}"
     lines = ['<TABLE BORDER="0" CELLBORDER="1" CELLSPACING="0">']
-    lines.append(f'<TR><TD BGCOLOR="{style.header_bg}">'
-                 f'<FONT COLOR="{style.header_fg}">{_escape(header)}</FONT></TD></TR>')
+    lines.append('<TR><TD BGCOLOR="black">'
+                 f'<FONT COLOR="white">{_escape(header)}</FONT></TD></TR>')
     for i, row in enumerate(box.rows):
         if isinstance(row, AttributeRow):
             lines.append(f'<TR><TD PORT="p_{i}">{_escape(row.label())}</TD></TR>')
         else:
-            lines.append(f'<TR><TD PORT="p_{i}" BGCOLOR="{style.selection_row_bg}">'
+            lines.append(f'<TR><TD PORT="p_{i}" BGCOLOR="yellow">'
                          f'{_escape(row.label())}</TD></TR>')
     lines.append("</TABLE>")
     return "".join(lines)
 
 
-def _select_label(d: Diagram, style: StyleOptions) -> str:
+def _select_label(d: Diagram) -> str:
     lines = ['<TABLE BORDER="0" CELLBORDER="1" CELLSPACING="0">']
-    lines.append(f'<TR><TD BGCOLOR="{style.select_header_bg}">'
-                 f'<FONT COLOR="{style.select_header_fg}">SELECT</FONT></TD></TR>')
+    lines.append('<TR><TD BGCOLOR="lightgrey"><FONT COLOR="black">SELECT</FONT></TD></TR>')
     for i, label in enumerate(d.select_box.rows):
         lines.append(f'<TR><TD PORT="p_{i}">{_escape(label)}</TD></TR>')
     lines.append("</TABLE>")
     return "".join(lines)
 
 
-def emit_dot(d: Diagram, style: StyleOptions = StyleOptions()) -> str:
+def emit_dot(d: Diagram) -> str:
     out: list[str] = []
     out.append("digraph query_diagram {")
-    out.append(f'  rankdir={style.rankdir};')
-    out.append(f'  node [shape=none, fontname="{style.fontname}"];')
-    out.append(f'  t_{SELECT_BOX_ID} [label=<{_select_label(d, style)}>];')
-    cluster_count = 0
+    out.append("  rankdir=LR;")
+    out.append('  node [shape=none, fontname="Helvetica"];')
+    out.append(f'  t_{SELECT_BOX_ID} [label=<{_select_label(d)}>];')
     for group in d.groups:
-        node_lines = [f't_{box.alias} [label=<{_box_label(box, style)}>];'
+        node_lines = [f't_{box.alias} [label=<{_box_label(box)}>];'
                       for box in group.tables]
         if group.quantifier is Quantifier.NOT_EXISTS:
             out.append(f"  subgraph cluster_{group.id} {{")
             out.append('    style="rounded,dashed";')
             out.extend(f"    {line}" for line in node_lines)
             out.append("  }")
-            cluster_count += 1
         elif group.quantifier is Quantifier.FOR_ALL:
             out.append(f"  subgraph cluster_{group.id} {{")
             out.append('    style="rounded";')
             out.append("    peripheries=2;")
             out.extend(f"    {line}" for line in node_lines)
             out.append("  }")
-            cluster_count += 1
         else:
             out.extend(f"  {line}" for line in node_lines)
 

@@ -194,6 +194,11 @@ def _single_column(subquery: QueryAst) -> ColumnRef:
 # ---------------------------------------------------------------------------
 # Validation (non-degeneracy and depth)
 
+# The deepest nesting that structure recovery reads back from a diagram: its
+# path classification and decomposition (recovery.recover_depths) are written
+# for exactly this many levels, so deeper blocks are reported DEPTH_EXCEEDED.
+MAX_DEPTH = 3
+
 
 class ViolationKind(Enum):
     LOCAL_ATTRIBUTES = "LocalAttributes"
@@ -224,7 +229,7 @@ class ValidationReport:
         return not self.violations
 
 
-def check_nondegenerate(lt: LogicTree, max_depth: int = 3) -> ValidationReport:
+def check_nondegenerate(lt: LogicTree) -> ValidationReport:
     """Report local-attribute, connected-subquery and depth violations.
 
     Every predicate must reference at least one attribute of its own block,
@@ -248,7 +253,7 @@ def check_nondegenerate(lt: LogicTree, max_depth: int = 3) -> ValidationReport:
                     for child in node.children)
                 if not mediated:
                     violations.append(Violation(ViolationKind.CONNECTED_SUBQUERIES, path))
-        if len(path) > max_depth:
+        if len(path) > MAX_DEPTH:
             violations.append(Violation(ViolationKind.DEPTH_EXCEEDED, path))
 
     depth_ok = not any(v.kind is ViolationKind.DEPTH_EXCEEDED for v in violations)

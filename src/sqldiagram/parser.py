@@ -62,11 +62,12 @@ class Token(NamedTuple):
 # One alternative per lexeme, most frequent first, each taking the blanks
 # after it; the last one takes any character that nothing else accepts.  A
 # sign is never part of a NUMBER: the parser reads it where a constant may
-# stand, so `S.b - 1` stays an arithmetic expression.  `½` stands for every
-# numeral that is neither a digit nor a letter (see `_fold_numerals`).
+# stand, so `S.b - 1` stays an arithmetic expression.  A NUMBER is decimal
+# digits (\d, str.isdecimal) of any script; an IDENT that starts with another
+# numeral, such as "²", is rejected in `tokenize`.
 _SCANNER = re.compile(r"""
   (?:
-    (?P<IDENT>[^\W\d½]\w*)
+    (?P<IDENT>[^\W\d]\w*)
   | (?P<DOT>\.)
   | (?P<OP><=|>=|<>|[<>=])
   | (?P<LPAREN>\()
@@ -86,28 +87,10 @@ _SCANNER = re.compile(r"""
 _SPECIAL = frozenset(("STRING", "NEWLINE", "SKIP", "UNTERMINATED", "UNEXPECTED"))
 _new_token = tuple.__new__  # builds a Token without the Python-level Token.__new__ call
 
-# \w and \d are str.isalnum (plus "_") and str.isdecimal, but a number is a
-# run of str.isdigit characters and a name starts with str.isalpha or "_".
-# The characters on which the two differ are non-ASCII numerals that are
-# not letters.
-_NUMERAL_CANDIDATE = re.compile(r"[^\W\d_\x00-\x7f]")
-
-
-def _fold_numerals(sql_text: str) -> str:
-    """`sql_text` with every non-decimal digit read as "0" and every other
-    non-letter numeral as "½", so that the scanner's classes are exact; the
-    length, and so every position, stays the same."""
-    if sql_text.isascii():
-        return sql_text
-    odd = {ord(c): "0" if c.isdigit() else "½"
-           for c in set(_NUMERAL_CANDIDATE.findall(sql_text)) if not c.isalpha()}
-    return sql_text.translate(odd) if odd else sql_text
-
-
 def tokenize(sql_text: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
-    for m in _SCANNER.finditer(_fold_numerals(sql_text)):
+    for m in _SCANNER.finditer(sql_text):
         kind = m.lastgroup
         start, end = m.span(kind)
         text = sql_text[start:end]
@@ -115,6 +98,9 @@ def tokenize(sql_text: str) -> list[Token]:
             upper = text.upper()
             if upper in KEYWORDS:
                 kind, text = "KEYWORD", upper
+            elif not (text[0].isalpha() or text[0] == "_"):
+                raise SqlSyntaxError(f"unexpected character {text[0]!r}", line,
+                                     start - line_start + 1)
         elif kind in _SPECIAL:
             if kind == "STRING":
                 text = text[1:-1].replace("''", "'")

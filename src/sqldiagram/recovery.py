@@ -29,6 +29,7 @@ from enum import Enum
 
 from .diagram import Diagram
 from .errors import InvalidDiagramError
+from .logic import MAX_DEPTH
 
 
 @dataclass(frozen=True)
@@ -168,12 +169,13 @@ def _validate_assignment(g: DiagramGraph, assignment: DepthAssignment, stage: st
 
 
 def classify_path_pattern(g: DiagramGraph) -> tuple[PathFamily, DepthAssignment]:
-    """Depth labeling for a path-shaped graph of at most 4 nodes."""
+    """Depth labeling for a path-shaped graph of at most MAX_DEPTH + 1 nodes."""
     stage = "path-classification"
     ids = list(g.nodes)
     n = len(ids)
-    if n > 4:
-        raise InvalidDiagramError(f"path patterns have at most 4 nodes, got {n}", stage)
+    if n > MAX_DEPTH + 1:
+        raise InvalidDiagramError(
+            f"path patterns have at most {MAX_DEPTH + 1} nodes, got {n}", stage)
     root = g.root_id
     if root not in ids:
         raise InvalidDiagramError(f"root {root} missing from graph", stage)
@@ -399,7 +401,7 @@ def _recover_below(g: DiagramGraph, chain: list[str]) -> DepthAssignment:
         try:
             assignment = classify_path_pattern(piece)[1]
         except InvalidDiagramError:
-            if len(chain) == 3:
+            if len(chain) == MAX_DEPTH:
                 raise
             identify = identify_depth1 if len(chain) == 1 else identify_depth2
             assignment = _recover_below(piece, chain + [identify(piece)])
@@ -473,7 +475,7 @@ def _parent_candidates(g: DiagramGraph, node: str, depths: dict[str, int]) -> li
     return sorted(set.intersection(*joined)) if joined else []
 
 
-def brute_force_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignment]:
+def brute_force_depths(g: DiagramGraph) -> list[DepthAssignment]:
     """Every depth labeling plus parent tree that satisfies the arrow rule,
     the connected-subquery property and the scope rule, found by a
     backtracking search.
@@ -506,7 +508,7 @@ def brute_force_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignm
 
     def depth_options(node: str, partial: dict[str, int]) -> list[int]:
         options = []
-        for d in range(1, max_depth + 1):
+        for d in range(1, MAX_DEPTH + 1):
             partial[node] = d
             if (all(_edge_direction_ok(d, partial[t]) for t in g._succ.get(node, ())
                     if t in partial)

@@ -59,10 +59,6 @@ class Comparison:
     op: str
     rhs: ColumnRef | Constant
 
-    @property
-    def is_selection(self) -> bool:
-        return isinstance(self.rhs, Constant)
-
 
 @dataclass(frozen=True)
 class Exists:

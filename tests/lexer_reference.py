@@ -2,7 +2,7 @@
 
 `reference_tokenize` is the earlier character-walking `tokenize`, kept as an
 independent check on the package's regex scanner: it walks the input one
-character at a time with str.isdigit, str.isalpha and str.isalnum.  It knows
+character at a time with str.isdecimal, str.isalpha and str.isalnum.  It knows
 no comments, no doubled-quote escapes and no exponents, so compare the two
 only on input without them.  Its tokens are plain named tuples, so a token
 stream compares equal to the package's when every field does.
@@ -48,13 +48,13 @@ def reference_tokenize(sql_text: str) -> list[Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and sql_text[j].isdigit():
+            while j < n and sql_text[j].isdecimal():
                 j += 1
-            if j < n and sql_text[j] == "." and j + 1 < n and sql_text[j + 1].isdigit():
+            if j < n and sql_text[j] == "." and j + 1 < n and sql_text[j + 1].isdecimal():
                 j += 1
-                while j < n and sql_text[j].isdigit():
+                while j < n and sql_text[j].isdecimal():
                     j += 1
             tokens.append(Token("NUMBER", sql_text[i:j], start_line, start_col))
             col += j - i

@@ -207,11 +207,24 @@ def test_roundtrip_runs_the_oracle_above_twelve_groups(sql_file, capsys):
         "round trip ok: 13 groups recovered exactly, unique by exhaustive search\n")
 
 
-def test_lt_and_trc_take_no_max_depth(sql_file, capsys):
+def test_no_command_takes_max_depth(sql_file, capsys):
     path = sql_file(SOME_LIKED_DRINK)
-    for command in ("lt", "trc"):
-        assert run([command, "--max-depth", "3", path]) == 2
-        assert "unrecognized arguments: --max-depth" in capsys.readouterr().err
+    for command in ("viz", "lt", "trc", "check", "recover", "roundtrip", "metrics"):
+        assert run([command, "--max-depth", "3", path]) == 2, command
+        assert "unrecognized arguments: --max-depth" in capsys.readouterr().err, command
+
+
+def test_depth_past_the_bound_fails_check_and_warns_in_viz(sql_file, capsys):
+    path = sql_file(
+        "SELECT A.x FROM TA A WHERE NOT EXISTS (SELECT * FROM TB B WHERE B.x = A.x"
+        " AND NOT EXISTS (SELECT * FROM TC C WHERE C.x = B.x"
+        " AND NOT EXISTS (SELECT * FROM TD D WHERE D.x = C.x"
+        " AND NOT EXISTS (SELECT * FROM TE E WHERE E.x = D.x))))")
+    assert run(["check", path]) == 1
+    assert "violation: DepthExceeded at node 0/0/0/0" in capsys.readouterr().out
+    assert run(["viz", path]) == 0
+    assert capsys.readouterr().err == (
+        "warning: nesting depth exceeds 3; structure recovery is not guaranteed\n")
 
 
 def _nested_sql(levels):

@@ -2,7 +2,6 @@ import pathlib
 import re
 
 from sqldiagram import (
-    StyleOptions,
     build_diagram,
     build_logic_tree,
     diagram_from_json,
@@ -83,14 +82,6 @@ def test_selection_rows_highlighted():
 def test_byte_determinism():
     for sql in (SOME_LIKED_DRINK, ONLY_LIKED_DRINKS, UNIQUE_BEER_SET):
         assert emit_dot(diagram_of(sql)) == emit_dot(diagram_of(sql))
-
-
-def test_style_options_respected():
-    style = StyleOptions(header_bg="navy", selection_row_bg="orange", rankdir="TB")
-    text = emit_dot(diagram_of("SELECT T.a FROM Tab T WHERE T.a = 1"), style)
-    assert 'BGCOLOR="navy"' in text
-    assert 'BGCOLOR="orange"' in text
-    assert "rankdir=TB;" in text
 
 
 def test_dot_is_well_formed():

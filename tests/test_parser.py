@@ -3,7 +3,12 @@ import pytest
 from sqldiagram import build_logic_tree, lt_to_sql, parse, print_sql, resolve_scopes
 from sqldiagram.errors import SqlSyntaxError, UnsupportedFeatureError
 from sqldiagram.evaluate import constant_value
-from sqldiagram.fixtures import ONLY_LIKED_DRINKS, SOME_LIKED_DRINK, VALID_QUERIES
+from sqldiagram.fixtures import (
+    ONLY_LIKED_DRINKS,
+    ONLY_RED_VARIANTS,
+    SOME_LIKED_DRINK,
+    VALID_QUERIES,
+)
 from sqldiagram.sqlast import (
     ColumnRef,
     Comparison,
@@ -126,8 +131,15 @@ def test_trailing_semicolon_accepted():
     assert parse("SELECT T.a FROM T;") == parse("SELECT T.a FROM T")
 
 
+ALL_AND_ANY = ("SELECT S.sname FROM Sailor S WHERE S.rating > ALL"
+               "(SELECT T.rating FROM Sailor T WHERE NOT T.sid = ANY"
+               "(SELECT R.sid FROM Reserves R WHERE R.bid IN (SELECT B.bid FROM Boat B)))")
+
+
 def test_print_parse_round_trip_on_fixture_corpus():
-    for name, sql in VALID_QUERIES.items():
+    corpus = {**VALID_QUERIES, "all_and_any": ALL_AND_ANY,
+              **{f"only_red_{i}": sql for i, sql in enumerate(ONLY_RED_VARIANTS)}}
+    for name, sql in corpus.items():
         first = parse(sql)
         assert parse(print_sql(first)) == first, name
         resolved = resolve_scopes(first)
@@ -184,6 +196,17 @@ def test_exponent_is_part_of_the_number():
     assert constant_value(first.rhs) == 100000.0
     assert constant_value(second.rhs) == 0.0025
     assert constant_value(Constant(kind="number", literal="-1")) == -1
+
+
+def test_numbers_are_decimal_digits_of_any_script():
+    (comparison,) = _comparisons("SELECT T.a FROM T WHERE T.a = ١٢")
+    assert constant_value(comparison.rhs) == 12
+    for sql, column in (("SELECT T.a FROM T WHERE T.a = ²", 31),
+                        ("SELECT T.a FROM T WHERE T.a = 1²", 32)):
+        with pytest.raises(SqlSyntaxError) as exc:
+            parse(sql)
+        assert str(exc.value).startswith("unexpected character '²'")
+        assert (exc.value.line, exc.value.column) == (1, column)
 
 
 def test_signed_constant_where_a_constant_may_stand():

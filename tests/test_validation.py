@@ -43,8 +43,6 @@ def test_depth_four_chain_reported():
     kinds = {v.kind for v in report.violations}
     assert kinds == {ViolationKind.DEPTH_EXCEEDED}
     assert [v.node_path for v in report.violations] == [(0, 0, 0, 0)]
-    # a larger bound accepts the same query
-    assert check_nondegenerate(lower(sql), max_depth=4).ok
 
 
 def test_disconnected_subquery_reported():
