@@ -59,10 +59,8 @@ from .recovery import (
     brute_force_depths,
     classify_path_pattern,
     diagram_to_graph,
-    identify_depth1,
-    identify_depth2,
+    next_group,
     recover_depths,
-    split_below,
 )
 from .scopes import resolve_scopes, resolve_scopes_detailed
 
@@ -80,7 +78,6 @@ __all__ = [
     "lt_from_json", "lt_to_json", "lt_to_sql", "render_trc", "simplify_forall",
     "parse", "print_sql",
     "DepthAssignment", "DiagramGraph", "PathFamily", "brute_force_depths",
-    "classify_path_pattern", "diagram_to_graph", "identify_depth1",
-    "identify_depth2", "recover_depths", "split_below",
+    "classify_path_pattern", "diagram_to_graph", "next_group", "recover_depths",
     "resolve_scopes", "resolve_scopes_detailed",
 ]

@@ -2,17 +2,30 @@
 
 The group graph has one node per table group and one directed edge per
 cross-group join (parallel attribute edges collapse, one edge per ordered
-pair).  For depth-3 path-shaped graphs the six possible edge classes are
+pair).  Recovery labels the groups top-down with one step, next_group:
+given the chain of groups already labeled at depths 0..k and one weakly
+connected component of the groups below it, it returns the component's
+group at depth k+1.
+
+  - Direct: by the arrow rule an edge from the depth-k group into the
+    component can only reach depth k+1, so its target is that group.
+  - Mediated: with no such edge the group joins its parent only through
+    its children, and all of them join the depth-k group.  It is the one
+    group of the component with no edge to or from the depth-k group and
+    an out-edge into one of that group's in-neighbours.  This is exact
+    because no group is nested deeper than MAX_DEPTH.
+
+recover_depths applies the step down the chain: the rest of each
+component splits into weakly connected components, one per subquery of
+the group just labeled.  On a depth-3 path r, n1, n2, n3 the six possible
+edge classes are
 
     A: 0->1   B: 1->2   C: 2->0   D: 2->3   E: 3->1   F: 3->0
 
-and classification deduces the unique depth labeling per family: with A and
-B present the chain is read off directly; with A but no B the depth-2 node
-is the remaining node without incoming edges; without A the depth-2 node is
-the in-neighbour of the root that points at the other one.  Branching
-graphs are cut into such paths by split_below: it removes the groups found
-so far at depths 0, 1 and 2, splits the rest into weakly connected
-components and re-attaches the removed groups to each component.
+The direct rule reads A, B and D; the mediated rule finds n1 through B and
+C when A is absent, and n2 through D and E when B is absent.
+classify_path_pattern names the three families: A and B, A but not B, and
+not A.
 
 brute_force_depths is the independent oracle: a backtracking search over
 depth labelings and parent trees for those that obey three rules: the
@@ -23,6 +36,7 @@ ancestors."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,12 +67,6 @@ class DiagramGraph:
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
 
-    def out_neighbors(self, node_id: str) -> list[str]:
-        return list(self._succ.get(node_id, ()))
-
-    def in_neighbors(self, node_id: str) -> list[str]:
-        return list(self._pred.get(node_id, ()))
-
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         """Successors, then predecessors."""
         return (*self._succ.get(node_id, ()), *self._pred.get(node_id, ()))
@@ -85,6 +93,10 @@ class DiagramGraph:
 
 def diagram_to_graph(d: Diagram) -> DiagramGraph:
     """Collapse a diagram to its group-level graph."""
+    nodes = tuple(group.id for group in d.groups)
+    if len(set(nodes)) != len(nodes):
+        repeated = next(gid for gid, count in Counter(nodes).items() if count > 1)
+        raise InvalidDiagramError(f"group id {repeated!r} is repeated")
     group_of = {box.alias: group.id for group in d.groups for box in group.tables}
     edges = set()
     for edge in d.edges:
@@ -105,8 +117,7 @@ def diagram_to_graph(d: Diagram) -> DiagramGraph:
     roots = sorted({group_of[a] for a in select_aliases})
     if len(roots) != 1:
         raise InvalidDiagramError(f"SELECT box links into {len(roots)} groups, expected 1")
-    return DiagramGraph(nodes=tuple(g.id for g in d.groups), edges=frozenset(edges),
-                        root_id=roots[0])
+    return DiagramGraph(nodes=nodes, edges=frozenset(edges), root_id=roots[0])
 
 
 class PathFamily(Enum):
@@ -158,267 +169,69 @@ def _connected_subqueries_ok(g: DiagramGraph, assignment: DepthAssignment) -> bo
     return True
 
 
-def _validate_assignment(g: DiagramGraph, assignment: DepthAssignment, stage: str) -> None:
+def _validate_assignment(g: DiagramGraph, assignment: DepthAssignment) -> None:
     if not _edges_consistent(g, assignment.depths):
-        raise InvalidDiagramError("edge directions contradict the depth labeling", stage)
+        raise InvalidDiagramError("edge directions contradict the depth labeling", "recovery")
     if not _connected_subqueries_ok(g, assignment):
-        raise InvalidDiagramError("connected-subquery property fails", stage)
+        raise InvalidDiagramError("connected-subquery property fails", "recovery")
 
 
-# -- path classification ----------------------------------------------------
+# -- recovery -------------------------------------------------------------------
 
 
-def classify_path_pattern(g: DiagramGraph) -> tuple[PathFamily, DepthAssignment]:
-    """Depth labeling for a path-shaped graph of at most MAX_DEPTH + 1 nodes."""
-    stage = "path-classification"
-    ids = list(g.nodes)
-    n = len(ids)
-    if n > MAX_DEPTH + 1:
-        raise InvalidDiagramError(
-            f"path patterns have at most {MAX_DEPTH + 1} nodes, got {n}", stage)
-    root = g.root_id
-    if root not in ids:
-        raise InvalidDiagramError(f"root {root} missing from graph", stage)
-    depths = {root: 0}
-
-    if n == 1:
-        if g.edges:
-            raise InvalidDiagramError("single-node graph with edges", stage)
-        return PathFamily.AB, DepthAssignment(depths={root: 0}, parents={})
-
-    out_root = g.out_neighbors(root)
-    if out_root:
-        if len(out_root) > 1:
-            raise InvalidDiagramError("root has outgoing edges to several groups", stage)
-        d1 = out_root[0]
-        depths[d1] = 1
-        remaining = [x for x in ids if x not in (root, d1)]
-        if not remaining:
-            family = PathFamily.AB
-        else:
-            b_targets = [t for t in g.out_neighbors(d1) if t != root]
-            if b_targets:
-                family = PathFamily.AB
-                if len(b_targets) > 1:
-                    raise InvalidDiagramError("depth-1 group links to several groups", stage)
-                d2 = b_targets[0]
-                depths[d2] = 2
-                last = [x for x in remaining if x != d2]
-                if last:
-                    depths[last[0]] = 3
-            else:
-                family = PathFamily.A_NOT_B
-                if len(remaining) != 2:
-                    raise InvalidDiagramError("no link into the depth-2 group", stage)
-                x, y = remaining
-                has_xy = (x, y) in g.edges
-                has_yx = (y, x) in g.edges
-                if has_xy == has_yx:
-                    raise InvalidDiagramError("cannot order the depth-2/3 groups", stage)
-                d2, d3 = (x, y) if has_xy else (y, x)
-                depths[d2], depths[d3] = 2, 3
-    else:
-        family = PathFamily.NOT_A
-        in_root = g.in_neighbors(root)
-        if not in_root or n == 2:
-            raise InvalidDiagramError("root is disconnected", stage)
-        if len(in_root) == 1:
-            d2 = in_root[0]
-        elif len(in_root) == 2:
-            p, q = in_root
-            p_to_q = (p, q) in g.edges
-            q_to_p = (q, p) in g.edges
-            if p_to_q == q_to_p:
-                raise InvalidDiagramError("cannot tell the depth-2 group apart", stage)
-            d2 = p if p_to_q else q
-        else:
-            raise InvalidDiagramError("more than two groups link into the root", stage)
-        depths[d2] = 2
-        in_d2 = g.in_neighbors(d2)
-        if len(in_d2) != 1:
-            raise InvalidDiagramError("depth-2 group needs exactly one incoming edge", stage)
-        d1 = in_d2[0]
-        depths[d1] = 1
-        d3_candidates = [t for t in g.out_neighbors(d2) if t != root]
-        if len(d3_candidates) > 1:
-            raise InvalidDiagramError("depth-2 group links to several groups", stage)
-        if d3_candidates:
-            depths[d3_candidates[0]] = 3
-
-    if len(depths) != n:
-        raise InvalidDiagramError("some groups were left unlabeled", stage)
-    by_depth = sorted(depths, key=depths.get)
-    if sorted(depths.values()) != list(range(n)):
-        raise InvalidDiagramError("depth labeling is not a path", stage)
-    parents = {by_depth[i]: by_depth[i - 1] for i in range(1, n)}
-    assignment = DepthAssignment(depths=depths, parents=parents)
-    _validate_assignment(g, assignment, stage)
-    return family, assignment
-
-
-# -- decomposition ------------------------------------------------------------
-
-
-def split_below(g: DiagramGraph, fixed: set[str]) -> list[DiagramGraph]:
-    """Cut the graph at the `fixed` groups: one subgraph per weakly connected
-    component of the rest, with the fixed groups re-attached to each."""
-    fixed_edges = {(s, d) for s in fixed for d in fixed if (s, d) in g.edges}
-    pieces = []
-    for component in g.weakly_connected_components(set(g.nodes) - fixed):
-        keep = component | fixed
-        edges = set(fixed_edges)
-        for node in component:
-            edges.update((node, d) for d in g.out_neighbors(node) if d in keep)
-            edges.update((s, node) for s in g.in_neighbors(node) if s in keep)
-        pieces.append(DiagramGraph(nodes=tuple(keep), edges=frozenset(edges),
-                                   root_id=g.root_id))
-    return pieces
-
-
-def _peak_out_degree(g: DiagramGraph, minimum: int, message: str, stage: str) -> str:
-    """The unique non-root group with the most edges to other non-root groups;
-    raises unless that count is at least `minimum`."""
-    root = g.root_id
-    out_degrees = {node: sum(1 for t in g.out_neighbors(node) if t != root)
-                   for node in g.nodes if node != root}
-    best = max(out_degrees.values(), default=0)
-    peaked = [node for node, deg in out_degrees.items() if deg == best]
-    if best < minimum or len(peaked) != 1:
-        raise InvalidDiagramError(message, stage)
-    return peaked[0]
-
-
-def _cut_vertices(g: DiagramGraph, ids: set[str]) -> set[str]:
-    """Groups whose removal splits their weakly connected component of the
-    subgraph induced by `ids`: Tarjan's low-link pass, with an explicit
-    stack."""
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    cut = set()
-    for start in sorted(ids):
-        if start in disc:
-            continue
-        disc[start] = low[start] = len(disc)
-        stack = [(start, iter(g.neighbors(start)))]
-        root_children = 0
-        while stack:
-            node, neighbours = stack[-1]
-            for other in neighbours:
-                if other not in ids:
-                    continue
-                if other in disc:
-                    low[node] = min(low[node], disc[other])
-                else:
-                    disc[other] = low[other] = len(disc)
-                    stack.append((other, iter(g.neighbors(other))))
-                    break
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[node])
-                if parent == start:
-                    root_children += 1
-                elif low[node] >= disc[parent]:
-                    cut.add(parent)
-        if root_children > 1:
-            cut.add(start)
-    return cut
-
-
-def identify_depth1(g: DiagramGraph) -> str:
-    """The depth-1 group of a piece split at the root."""
-    stage = "depth-1-identification"
-    root = g.root_id
-    out_root = g.out_neighbors(root)
-    if out_root:
-        if len(out_root) > 1:
-            raise InvalidDiagramError("root has outgoing edges to several groups", stage)
-        return out_root[0]
-    # No edge from the root: every depth-2 group must link to the root, so
-    # candidates are the groups not adjacent to it.  Removing the depth-1
-    # group (and the root) disconnects the depth-2 subtrees from each other.
-    adjacent = set(g.in_neighbors(root))
-    candidates = [x for x in g.nodes if x != root and x not in adjacent]
-    if not candidates:
-        raise InvalidDiagramError("no candidate for the depth-1 group", stage)
-    without_root = set(g.nodes) - {root}
-    components = len(g.weakly_connected_components(without_root))
-    cut = _cut_vertices(g, without_root)
-    for candidate in candidates:
-        # Removing a group that is not a cut vertex leaves as many components
-        # as before, or one fewer when the group stood alone.
-        alone = all(x == candidate or x not in without_root
-                    for x in g.neighbors(candidate))
-        if candidate in cut or components - alone > 1:
-            return candidate
-    # No disconnection and not a path: the depth-1 group has a single child,
-    # which branches and is the max-out-degree node.
-    d2 = _peak_out_degree(g, 2, "cannot locate the depth-2 group", stage)
-    direct = [s for s in g.in_neighbors(d2) if s != root]
+def next_group(g: DiagramGraph, chain: list[str], below: set[str]) -> str:
+    """The group of `below` at depth len(chain), where `chain` holds the
+    groups at depths 0, 1, ... and `below` is one weakly connected component
+    of the groups not on it."""
+    top, edges = chain[-1], g.edges
+    direct = [x for x in below if (top, x) in edges]
+    if len(direct) > 1:
+        raise InvalidDiagramError(f"{top} joins several groups of one subquery", "recovery")
     if direct:
         return direct[0]
-    kids = [t for t in g.out_neighbors(d2) if t != root]
-    mediated = [{t for t in g.out_neighbors(k) if t != root} for k in kids]
-    common = set.intersection(*mediated) if mediated else set()
-    if len(common) == 1:
-        return common.pop()
-    raise InvalidDiagramError("no consistent depth-1 group exists", stage)
-
-
-def identify_depth2(g: DiagramGraph) -> str:
-    """The depth-2 group of a branching piece split below the depth-1 group:
-    after dropping the root, the unique node with maximal out-degree."""
-    return _peak_out_degree(g, 1, "out-degree tie among depth-2 candidates",
-                            "depth-2-identification")
-
-
-# -- full recovery ------------------------------------------------------------
+    mediated = [x for x in below if (x, top) not in edges
+                and any((t, top) in edges for t in g._succ.get(x, ()))]
+    if len(mediated) != 1:
+        raise InvalidDiagramError(
+            f"no single group below {top} joins it through its children", "recovery")
+    return mediated[0]
 
 
 def recover_depths(g: DiagramGraph) -> DepthAssignment:
-    """Unique depth/parent assignment for a valid diagram graph.
-
-    Splits below the root, then below the depth-1 and depth-2 groups, until
-    every piece is a classifiable path, and merges the per-piece labelings.
-    """
-    if g.root_id not in g.nodes:
-        raise InvalidDiagramError(f"root {g.root_id} missing from graph", "recovery")
+    """Unique depth/parent assignment for a valid diagram graph: next_group
+    labels the top group of each component below the chain, and the rest of
+    the component splits into the components below the longer chain."""
+    root = g.root_id
+    if root not in g.nodes:
+        raise InvalidDiagramError(f"root {root} missing from graph", "recovery")
     if len(g.weakly_connected_components(set(g.nodes))) != 1:
         raise InvalidDiagramError("graph is not weakly connected", "recovery")
-    merged = _recover_below(g, [g.root_id])
-    _validate_assignment(g, merged, "recovery")
-    return merged
+    depths, parents = {root: 0}, {}
+    stack = [([root], below) for below in g.weakly_connected_components(set(g.nodes) - {root})]
+    while stack:
+        chain, below = stack.pop()
+        if len(chain) > MAX_DEPTH:
+            raise InvalidDiagramError(f"groups are nested deeper than {MAX_DEPTH}", "recovery")
+        top = next_group(g, chain, below)
+        depths[top], parents[top] = len(chain), chain[-1]
+        below.discard(top)
+        stack.extend((chain + [top], rest) for rest in g.weakly_connected_components(below))
+    assignment = DepthAssignment(depths=depths, parents=parents)
+    _validate_assignment(g, assignment)
+    return assignment
 
 
-def _recover_below(g: DiagramGraph, chain: list[str]) -> DepthAssignment:
-    """Labeling of every piece below `chain`, the groups at depths 0..k: a
-    piece that is not a path is split again below its depth k+1 group."""
-    merged = DepthAssignment(depths={node: i for i, node in enumerate(chain)},
-                             parents=dict(zip(chain[1:], chain)))
-    for piece in split_below(g, set(chain)):
-        try:
-            assignment = classify_path_pattern(piece)[1]
-        except InvalidDiagramError:
-            if len(chain) == MAX_DEPTH:
-                raise
-            identify = identify_depth1 if len(chain) == 1 else identify_depth2
-            assignment = _recover_below(piece, chain + [identify(piece)])
-        if len(chain) == 2 and assignment.depths.get(chain[1]) != 1:
-            raise InvalidDiagramError("decomposition disagrees on the depth-1 group",
-                                      "depth-1-decomposition")
-        _merge(merged, assignment)
-    return merged
-
-
-def _merge(target: DepthAssignment, part: DepthAssignment) -> None:
-    for node, depth in part.depths.items():
-        if target.depths.setdefault(node, depth) != depth:
-            raise InvalidDiagramError(f"conflicting depths recovered for {node}", "merge")
-    for node, parent in part.parents.items():
-        if target.parents.setdefault(node, parent) != parent:
-            raise InvalidDiagramError(f"conflicting parents recovered for {node}", "merge")
+def classify_path_pattern(g: DiagramGraph) -> tuple[PathFamily, DepthAssignment]:
+    """Family and depth labeling of a graph that recovers to a path: one
+    group at each depth."""
+    assignment = recover_depths(g)
+    path = sorted(assignment.depths, key=assignment.depths.get)
+    if len(set(assignment.depths.values())) != len(path):
+        raise InvalidDiagramError("depth labeling is not a path", "path-classification")
+    a = len(path) < 2 or (path[0], path[1]) in g.edges
+    b = len(path) < 3 or (path[1], path[2]) in g.edges
+    family = PathFamily.AB if a and b else PathFamily.A_NOT_B if a else PathFamily.NOT_A
+    return family, assignment
 
 
 # -- independent oracle --------------------------------------------------------

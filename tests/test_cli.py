@@ -142,6 +142,18 @@ def test_recover_invalid_diagram_exits_1(sql_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_recover_repeated_group_id_exits_1(sql_file, tmp_path, capsys):
+    diagram_path = tmp_path / "diagram.json"
+    run(["viz", "--format", "json", sql_file(UNIQUE_BEER_SET), "-o", str(diagram_path)])
+    doc = json.loads(diagram_path.read_text())
+    assert [g["id"] for g in doc["groups"]][2::2] == ["g2_1", "g2_2"]
+    doc["groups"][4]["id"] = "g2_1"  # the two depth-2 groups share one id
+    diagram_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["recover", str(diagram_path)]) == 1
+    assert capsys.readouterr().err == "error: group id 'g2_1' is repeated\n"
+
+
 def test_roundtrip_fixture_queries(sql_file, capsys):
     for name, sql in VALID_QUERIES.items():
         assert run(["roundtrip", sql_file(sql, name=f"{name}.sql")]) == 0, name
@@ -214,7 +226,7 @@ def test_no_command_takes_max_depth(sql_file, capsys):
         assert "unrecognized arguments: --max-depth" in capsys.readouterr().err, command
 
 
-def test_depth_past_the_bound_fails_check_and_warns_in_viz(sql_file, capsys):
+def test_depth_past_the_bound_fails_check_and_warns_in_viz(sql_file, tmp_path, capsys):
     path = sql_file(
         "SELECT A.x FROM TA A WHERE NOT EXISTS (SELECT * FROM TB B WHERE B.x = A.x"
         " AND NOT EXISTS (SELECT * FROM TC C WHERE C.x = B.x"
@@ -222,9 +234,17 @@ def test_depth_past_the_bound_fails_check_and_warns_in_viz(sql_file, capsys):
         " AND NOT EXISTS (SELECT * FROM TE E WHERE E.x = D.x))))")
     assert run(["check", path]) == 1
     assert "violation: DepthExceeded at node 0/0/0/0" in capsys.readouterr().out
+    warning = "warning: nesting depth exceeds 3; structure recovery is not guaranteed\n"
+    error = "error: recovery: groups are nested deeper than 3\n"
     assert run(["viz", path]) == 0
-    assert capsys.readouterr().err == (
-        "warning: nesting depth exceeds 3; structure recovery is not guaranteed\n")
+    assert capsys.readouterr().err == warning
+    assert run(["roundtrip", path]) == 1
+    assert capsys.readouterr().err == warning + error
+    diagram_path = str(tmp_path / "diagram.json")
+    assert run(["viz", "--format", "json", path, "-o", diagram_path]) == 0
+    capsys.readouterr()
+    assert run(["recover", diagram_path]) == 1
+    assert capsys.readouterr().err == error
 
 
 def _nested_sql(levels):

@@ -11,12 +11,10 @@ from sqldiagram import (
     build_diagram,
     classify_path_pattern,
     diagram_to_graph,
-    identify_depth1,
-    identify_depth2,
+    next_group,
     parse,
     recover_depths,
     resolve_scopes,
-    split_below,
 )
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.errors import InvalidDiagramError
@@ -42,6 +40,11 @@ _CLASS_EDGES = {
 
 def path_graph(present: set[str]):
     return make_graph(["r", "n1", "n2", "n3"], [_CLASS_EDGES[c] for c in present], "r")
+
+
+def below_root(g):
+    """next_group's arguments for the piece below the root of a connected graph."""
+    return [g.root_id], set(g.nodes) - {g.root_id}
 
 
 # -- classification ------------------------------------------------------------
@@ -120,30 +123,23 @@ def test_path_pattern_census_16_patterns_8_4_4():
 # -- decompositions --------------------------------------------------------------
 
 
+_X_BRANCH = [("x1", "x2"), ("x2", "r"), ("x2", "x3"), ("x3", "x1")]
+_Y_BRANCH = [("y1", "y2"), ("y2", "r"), ("y2", "y3"), ("y3", "r")]
+
+
 def _two_branch_root_graph():
     """Root with two path subtrees, both lacking the root->depth-1 edge."""
-    edges = [("x1", "x2"), ("x2", "r"), ("x2", "x3"), ("x3", "x1"),
-             ("y1", "y2"), ("y2", "r"), ("y2", "y3"), ("y3", "r")]
-    return make_graph(["r", "x1", "x2", "x3", "y1", "y2", "y3"], edges, "r")
+    return make_graph(["r", "x1", "x2", "x3", "y1", "y2", "y3"], _X_BRANCH + _Y_BRANCH, "r")
 
 
 def test_decompose_depth0_splits_root_subtrees():
-    g = _two_branch_root_graph()
-    subgraphs = split_below(g, {"r"})
-    assert len(subgraphs) == 2
-    assert {s.nodes for s in subgraphs} == {
-        ("r", "x1", "x2", "x3"), ("r", "y1", "y2", "y3")}
-    for sub in subgraphs:
-        family, assignment = classify_path_pattern(sub)
+    whole = recover_depths(_two_branch_root_graph())
+    for prefix, edges in (("x", _X_BRANCH), ("y", _Y_BRANCH)):
+        ids = ["r"] + [f"{prefix}{i}" for i in (1, 2, 3)]
+        family, assignment = classify_path_pattern(make_graph(ids, edges, "r"))
         assert family is PathFamily.NOT_A
         assert sorted(assignment.depths.values()) == [0, 1, 2, 3]
-
-
-def test_decompose_depth0_path_is_single_subgraph():
-    g = path_graph({"A", "B", "D"})
-    (only,) = split_below(g, {"r"})
-    assert only.nodes == g.nodes
-    assert only.edges == g.edges
+        assert assignment.depths == {n: whole.depths[n] for n in ids}
 
 
 def test_recover_two_branch_root_graph():
@@ -156,16 +152,17 @@ def test_recover_two_branch_root_graph():
 
 
 def test_identify_depth1_from_root_edge():
-    assert identify_depth1(path_graph({"A", "B", "D"})) == "n1"
+    g = path_graph({"A", "B", "D"})
+    assert next_group(g, *below_root(g)) == "n1"
 
 
 def test_identify_depth1_by_disconnection():
     # root has no outgoing edge; the depth-1 node has two depth-2 children,
-    # so removing it (after the root) splits the remainder
+    # both joining the root, and a3 joins only n1
     edges = [("n1", "a2"), ("a2", "r"), ("n1", "b2"), ("b2", "r"),
              ("a2", "a3"), ("a3", "n1"), ("b2", "b3"), ("b3", "r")]
     g = make_graph(["r", "n1", "a2", "a3", "b2", "b3"], edges, "r")
-    assert identify_depth1(g) == "n1"
+    assert next_group(g, *below_root(g)) == "n1"
     assignment = recover_depths(g)
     assert assignment.depths == {"r": 0, "n1": 1, "a2": 2, "a3": 3, "b2": 2, "b3": 3}
     survivors = brute_force_depths(g)
@@ -206,26 +203,41 @@ def test_identify_depth1_is_linear_in_the_candidates():
 
 
 def test_identify_depth1_single_child_then_branching_depth2():
-    # no disconnection possible: depth-1 has one child, the depth-2 node
-    # branches, and is found by maximal out-degree
+    # depth-1 has one child, which joins the root and branches; its
+    # children join nothing above it
     edges = [("n1", "d2"), ("d2", "r"), ("d2", "e1"), ("d2", "e2")]
     g = make_graph(["r", "n1", "d2", "e1", "e2"], edges, "r")
-    assert identify_depth1(g) == "n1"
+    assert next_group(g, *below_root(g)) == "n1"
 
 
 def test_identify_depth1_mediated_neighbor():
-    # the depth-1 group joins neither the root nor the depth-2 group; all of
-    # the depth-2 group's children join it
+    # n1 joins neither the root nor d2, and the children of d2 join n1, not
+    # the root: no structure fits, and the step finds no depth-1 group
     edges = [("d2", "r"), ("d2", "e1"), ("d2", "e2"), ("e1", "n1"), ("e2", "n1")]
     g = make_graph(["r", "n1", "d2", "e1", "e2"], edges, "r")
-    assert identify_depth1(g) == "n1"
+    assert brute_force_depths(g) == []
+    with pytest.raises(InvalidDiagramError):
+        next_group(g, *below_root(g))
+    with pytest.raises(InvalidDiagramError):
+        recover_depths(g)
+
+
+def test_next_group_needs_exactly_one_candidate():
+    # two edges from the root into one component
+    g = make_graph(["r", "a", "b"], [("r", "a"), ("r", "b"), ("a", "b")], "r")
+    with pytest.raises(InvalidDiagramError):
+        next_group(g, *below_root(g))
+    # no edge from the root, and two groups join it through t
+    g = make_graph(["r", "t", "x1", "x2"], [("t", "r"), ("x1", "t"), ("x2", "t")], "r")
+    with pytest.raises(InvalidDiagramError):
+        next_group(g, *below_root(g))
 
 
 def test_identify_depth2_by_out_degree():
     edges = [("n1", "d2"), ("d2", "r"), ("d2", "e1"), ("d2", "e2"), ("d2", "e3"),
              ("e1", "n1"), ("e2", "r"), ("e3", "n1")]
     g = make_graph(["r", "n1", "d2", "e1", "e2", "e3"], edges, "r")
-    assert identify_depth2(g) == "d2"
+    assert next_group(g, ["r", "n1"], {"d2", "e1", "e2", "e3"}) == "d2"
     assignment = recover_depths(g)
     assert assignment.depths == {"r": 0, "n1": 1, "d2": 2, "e1": 3, "e2": 3, "e3": 3}
     assert assignment.parents["e2"] == "d2"
@@ -250,7 +262,7 @@ def test_identify_depth2_from_built_diagram():
 
 
 def test_recover_mixed_branching():
-    # one path subtree plus one subtree that needs the depth-1 decomposition
+    # one path subtree plus one subtree that branches below its depth-1 group
     edges = [("p1", "p2"), ("p2", "r"), ("p2", "p3"), ("p3", "p1"),
              ("n1", "q2"), ("q2", "r"), ("q2", "q3"), ("q3", "n1"),
              ("n1", "s2"), ("s2", "r"), ("s2", "s3"), ("s3", "r")]
@@ -436,8 +448,10 @@ def _nested_digraph(rng):
 
 def test_oracle_matches_reference_on_random_digraphs():
     rng = random.Random(2005)
-    counts = Counter(_check_against_reference(_nested_digraph(rng)) for _ in range(2000))
+    graphs = [_nested_digraph(rng) for _ in range(2000)]
+    counts = Counter(_check_against_reference(g) for g in graphs)
     assert counts[1] >= 200
+    assert [g for g in graphs if not _agrees_with_oracle(g)] == []
 
 
 def test_oracle_has_no_group_cap():
