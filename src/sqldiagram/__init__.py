@@ -7,9 +7,9 @@ diagram's group graph.
 """
 
 from .diagram import (
-    ArrowDirection,
     Diagram,
     ReadingOrder,
+    arrow_points,
     build_diagram,
     count_elements,
     count_words,
@@ -18,7 +18,6 @@ from .diagram import (
     diagram_to_json,
     orient_inequality,
     reading_order,
-    resolve_arrow,
 )
 from .dot import emit_dot
 from .errors import (
@@ -62,12 +61,12 @@ from .recovery import (
     next_group,
     recover_depths,
 )
-from .scopes import resolve_scopes, resolve_scopes_detailed
+from .scopes import resolve_scopes
 
 __all__ = [
-    "ArrowDirection", "Diagram", "ReadingOrder", "build_diagram", "count_elements",
+    "Diagram", "ReadingOrder", "arrow_points", "build_diagram", "count_elements",
     "count_words", "diagram_from_json", "diagram_isomorphic", "diagram_to_json",
-    "orient_inequality", "reading_order", "resolve_arrow",
+    "orient_inequality", "reading_order",
     "emit_dot",
     "AmbiguousColumnError", "DegenerateQueryError", "InvalidDiagramError",
     "MalformedSubqueryError", "SqlDiagramError", "SqlSyntaxError",
@@ -79,5 +78,5 @@ __all__ = [
     "parse", "print_sql",
     "DepthAssignment", "DiagramGraph", "PathFamily", "brute_force_depths",
     "classify_path_pattern", "diagram_to_graph", "next_group", "recover_depths",
-    "resolve_scopes", "resolve_scopes_detailed",
+    "resolve_scopes",
 ]

@@ -26,15 +26,7 @@ from .diagram import (
     diagram_to_json,
 )
 from .dot import emit_dot
-from .errors import (
-    AmbiguousColumnError,
-    DegenerateQueryError,
-    InvalidDiagramError,
-    MalformedSubqueryError,
-    SqlSyntaxError,
-    UnknownAliasError,
-    UnsupportedFeatureError,
-)
+from .errors import DegenerateQueryError, SqlDiagramError
 from .logic import (
     MAX_DEPTH,
     ViolationKind,
@@ -49,9 +41,6 @@ from .recovery import brute_force_depths, diagram_to_graph, recover_depths
 from .scopes import resolve_scopes
 
 RENDERER_ENV = "SQLDIAGRAM_RENDERER"
-
-_PARSE_ERRORS = (SqlSyntaxError, UnsupportedFeatureError, UnknownAliasError,
-                 AmbiguousColumnError, MalformedSubqueryError)
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -109,9 +98,8 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _logic_tree(args, sql_text: str):
-    ast = resolve_scopes(parse(sql_text))
-    return build_logic_tree(ast)
+def _logic_tree(sql_text: str):
+    return build_logic_tree(resolve_scopes(parse(sql_text)))
 
 
 def _validated_diagram(args, lt):
@@ -127,7 +115,7 @@ def _validated_diagram(args, lt):
 
 
 def _cmd_viz(args) -> int:
-    lt = _logic_tree(args, _read_input(args.input))
+    lt = _logic_tree(_read_input(args.input))
     diagram = _validated_diagram(args, lt)
     if args.format == "json":
         _write_output(args, diagram_to_json(diagram))
@@ -153,7 +141,7 @@ def _render(args, dot_text: str) -> None:
 
 
 def _cmd_lt(args) -> int:
-    lt = _logic_tree(args, _read_input(args.input))
+    lt = _logic_tree(_read_input(args.input))
     if not args.no_simplify:
         lt = simplify_forall(lt)
     _write_output(args, lt_to_json(lt))
@@ -161,7 +149,7 @@ def _cmd_lt(args) -> int:
 
 
 def _cmd_trc(args) -> int:
-    lt = _logic_tree(args, _read_input(args.input))
+    lt = _logic_tree(_read_input(args.input))
     if not args.no_simplify:
         lt = simplify_forall(lt)
     _write_output(args, render_trc(lt) + "\n")
@@ -169,7 +157,7 @@ def _cmd_trc(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    lt = _logic_tree(args, _read_input(args.input))
+    lt = _logic_tree(_read_input(args.input))
     report = check_nondegenerate(lt)
     if report.ok:
         _write_output(args, "ok: query is non-degenerate and within the depth bound\n")
@@ -187,7 +175,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    lt = _logic_tree(args, _read_input(args.input))
+    lt = _logic_tree(_read_input(args.input))
     diagram = _validated_diagram(args, lt)
     graph = diagram_to_graph(diagram)
     recovered = recover_depths(graph)
@@ -217,7 +205,7 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_metrics(args) -> int:
     sql_text = _read_input(args.input)
-    lt = _logic_tree(args, sql_text)
+    lt = _logic_tree(sql_text)
     diagram = _validated_diagram(args, lt)
     _write_output(args, f"elements: {count_elements(diagram)}\n"
                         f"words: {count_words(sql_text)}\n")
@@ -243,12 +231,9 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _PARSE_ERRORS as exc:
+    except SqlDiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateQueryError, InvalidDiagramError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DegenerateQueryError
 from .logic import (
@@ -108,39 +107,28 @@ class Diagram:
         return [box for group in self.groups for box in group.tables]
 
 
-class ArrowDirection(Enum):
-    UNDIRECTED = "undirected"
-    LOW_TO_HIGH = "low-to-high"
-    HIGH_TO_LOW = "high-to-low"
+def arrow_points(depth_src: int, depth_dst: int) -> bool:
+    """Arrow rule: an edge may point from a group at depth_src to one at
+    depth_dst when the target is one level deeper or the source two or more
+    levels deeper."""
+    return depth_dst == depth_src + 1 or depth_src >= depth_dst + 2
 
 
-def resolve_arrow(depth_a: int, depth_b: int) -> ArrowDirection:
-    """Arrow direction between two groups given their nesting depths."""
-    diff = abs(depth_a - depth_b)
-    if diff == 0:
-        return ArrowDirection.UNDIRECTED
-    if diff == 1:
-        return ArrowDirection.LOW_TO_HIGH
-    return ArrowDirection.HIGH_TO_LOW
-
-
-def orient_inequality(pred: Predicate, direction: ArrowDirection,
-                      depths: dict[str, int]) -> Edge:
-    """Order the edge endpoints to match the arrow and mirror the operator
-    if that swaps the operands."""
+def orient_inequality(pred: Predicate, depths: dict[str, int]) -> Edge:
+    """Order the edge endpoints to match the arrow rule (equal depths give
+    an undirected edge) and mirror the operator if that swaps the operands."""
     assert isinstance(pred.rhs, ColumnRef), "orient_inequality needs a join predicate"
     lhs, rhs, op = pred.lhs, pred.rhs, pred.op
-    if direction is ArrowDirection.UNDIRECTED:
-        swap = (lhs.alias, lhs.attribute) > (rhs.alias, rhs.attribute)
-    elif direction is ArrowDirection.LOW_TO_HIGH:
-        swap = depths[lhs.alias] > depths[rhs.alias]
+    depth_lhs, depth_rhs = depths[lhs.alias], depths[rhs.alias]
+    directed = depth_lhs != depth_rhs
+    if directed:
+        swap = not arrow_points(depth_lhs, depth_rhs)
     else:
-        swap = depths[lhs.alias] < depths[rhs.alias]
+        swap = (lhs.alias, lhs.attribute) > (rhs.alias, rhs.attribute)
     if swap:
         lhs, rhs, op = rhs, lhs, FLIPPED_OP[op]
     return Edge(src=(lhs.alias, lhs.attribute), dst=(rhs.alias, rhs.attribute),
-                directed=direction is not ArrowDirection.UNDIRECTED,
-                label=None if op == "=" else op)
+                directed=directed, label=None if op == "=" else op)
 
 
 def build_diagram(lt: LogicTree, simplified: bool = True, *,
@@ -195,10 +183,7 @@ def build_diagram(lt: LogicTree, simplified: bool = True, *,
         groups.append(TableGroup(id=gid, quantifier=node.quantifier, depth=depth,
                                  parent=parent, tables=boxes))
 
-    edges = [
-        orient_inequality(pred, resolve_arrow(depths[pred.lhs.alias], depths[pred.rhs.alias]), depths)
-        for pred in join_predicates
-    ]
+    edges = [orient_inequality(pred, depths) for pred in join_predicates]
     edges.sort(key=lambda e: (e.src, e.dst, e.label or ""))
 
     select_box = SelectBox(rows=tuple(col.attribute for col in lt.select_list),

@@ -6,6 +6,8 @@ from __future__ import annotations
 class SqlDiagramError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2  # the CLI's exit status: 2 unreadable input, 1 failed validation
+
 
 class SqlSyntaxError(SqlDiagramError):
     """Input text does not match the supported SQL fragment."""
@@ -43,7 +45,13 @@ class UnknownAliasError(SqlDiagramError):
 
 
 class AmbiguousColumnError(SqlDiagramError):
-    """An unqualified column could belong to more than one in-scope table."""
+    """An unqualified column could belong to more than one in-scope table, or
+    one FROM clause declares an alias twice (which has no position)."""
+
+    def __init__(self, message: str, line: int = 0, column: int = 0):
+        self.line = line
+        self.column = column
+        super().__init__(f"{message} at line {line}:{column}" if line else message)
 
 
 class MalformedSubqueryError(SqlDiagramError):
@@ -53,6 +61,8 @@ class MalformedSubqueryError(SqlDiagramError):
 class DegenerateQueryError(SqlDiagramError):
     """The query failed non-degeneracy validation; carries the full report."""
 
+    exit_code = 1
+
     def __init__(self, report):
         self.report = report
         super().__init__("query failed validation: " + "; ".join(str(v) for v in report.violations))
@@ -60,6 +70,8 @@ class DegenerateQueryError(SqlDiagramError):
 
 class InvalidDiagramError(SqlDiagramError):
     """A diagram graph admits no consistent depth assignment."""
+
+    exit_code = 1
 
     def __init__(self, message: str, stage: str | None = None):
         self.stage = stage

@@ -27,7 +27,6 @@ from .sqlast import (
     InSubquery,
     QuantifiedComparison,
     QueryAst,
-    iter_predicates,
 )
 
 
@@ -126,47 +125,36 @@ def make_node(tables, predicates, quantifier, children=()) -> LtNode:
 
 def build_logic_tree(ast: QueryAst) -> LogicTree:
     """Lower a scope-resolved AST to its Logic Tree."""
-    _require_resolved(ast)
     root = _lower_block(ast, Quantifier.ROOT, ())
     return LogicTree(root=root, select_list=ast.select_list)
 
 
-def _require_resolved(block: QueryAst) -> None:
-    def refs(pred):
-        if isinstance(pred, Comparison):
-            yield pred.lhs
-            if isinstance(pred.rhs, ColumnRef):
-                yield pred.rhs
-        elif isinstance(pred, (InSubquery, QuantifiedComparison)):
-            yield pred.column
-
-    columns = list(block.select_list)
-    for pred in iter_predicates(block.where_clause):
-        columns.extend(refs(pred))
-        if isinstance(pred, (Exists, InSubquery, QuantifiedComparison)):
-            _require_resolved(pred.subquery)
-    for col in columns:
-        if col.alias is None:
-            raise ValueError(
-                f"column {col.attribute!r} is unqualified; run resolve_scopes first")
+def _qualified(col: ColumnRef) -> ColumnRef:
+    if col.alias is None:
+        raise ValueError(f"column {col.attribute!r} is unqualified; run resolve_scopes first")
+    return col
 
 
 def _lower_block(block: QueryAst, quantifier: Quantifier,
                  extra_predicates: tuple[Predicate, ...]) -> LtNode:
+    for col in block.select_list:
+        _qualified(col)
     predicates: list[Predicate] = list(extra_predicates)
     children: list[LtNode] = []
-    for pred in iter_predicates(block.where_clause):
+    for pred in block.where_clause:
         if isinstance(pred, Comparison):
-            predicates.append(Predicate(lhs=pred.lhs, op=pred.op, rhs=pred.rhs))
+            lhs = _qualified(pred.lhs)
+            rhs = pred.rhs if isinstance(pred.rhs, Constant) else _qualified(pred.rhs)
+            predicates.append(Predicate(lhs=lhs, op=pred.op, rhs=rhs))
         elif isinstance(pred, Exists):
             q = Quantifier.NOT_EXISTS if pred.negated else Quantifier.EXISTS
             children.append(_lower_block(pred.subquery, q, ()))
         elif isinstance(pred, InSubquery):
             q = Quantifier.NOT_EXISTS if pred.negated else Quantifier.EXISTS
-            link = Predicate(lhs=pred.column, op="=", rhs=_single_column(pred.subquery))
+            link = Predicate(lhs=_qualified(pred.column), op="=",
+                             rhs=_single_column(pred.subquery))
             children.append(_lower_block(pred.subquery, q, (link,)))
         elif isinstance(pred, QuantifiedComparison):
-            sel = _single_column(pred.subquery)
             if pred.mode == "ANY":
                 q = Quantifier.EXISTS
                 op = pred.op
@@ -175,7 +163,8 @@ def _lower_block(block: QueryAst, quantifier: Quantifier,
                 op = COMPLEMENT_OP[pred.op]
             if pred.negated:
                 q = Quantifier.EXISTS if q is Quantifier.NOT_EXISTS else Quantifier.NOT_EXISTS
-            link = Predicate(lhs=pred.column, op=op, rhs=sel)
+            link = Predicate(lhs=_qualified(pred.column), op=op,
+                             rhs=_single_column(pred.subquery))
             children.append(_lower_block(pred.subquery, q, (link,)))
         else:
             raise TypeError(f"unknown predicate node {pred!r}")

@@ -18,7 +18,6 @@ from .sqlast import (
     FLIPPED_OP,
     ColumnRef,
     Comparison,
-    Conjunction,
     Constant,
     Exists,
     InSubquery,
@@ -181,7 +180,7 @@ class _Parser:
         select_list = self._parse_select_list(depth)
         self._expect("KEYWORD", "FROM")
         from_list = self._parse_from_list()
-        where = None
+        where: tuple[PredicateAst, ...] = ()
         if self._match("KEYWORD", "WHERE"):
             where = self._parse_conjunction(depth)
         tok = self._peek()
@@ -244,7 +243,7 @@ class _Parser:
             return TableRef(table_name=name.text, alias=alias.text)
         return TableRef(table_name=name.text, alias=name.text)
 
-    def _parse_conjunction(self, depth: int) -> Conjunction:
+    def _parse_conjunction(self, depth: int) -> tuple[PredicateAst, ...]:
         parts = [self._parse_predicate(depth)]
         while True:
             if self._match("KEYWORD", "AND"):
@@ -254,7 +253,7 @@ class _Parser:
             if tok.kind == "KEYWORD" and tok.text == "OR":
                 self._unsupported("OR", tok)
             break
-        return Conjunction(parts=tuple(parts))
+        return tuple(parts)
 
     def _parse_predicate(self, depth: int) -> PredicateAst:
         tok = self._peek()

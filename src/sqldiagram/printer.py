@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .sqlast import (
     Comparison,
-    Conjunction,
     Exists,
     InSubquery,
     PredicateAst,
@@ -24,8 +23,8 @@ def print_sql(ast: QueryAst) -> str:
     else:
         select = "*"
     text = f"SELECT {select} FROM " + ", ".join(ref.sql() for ref in ast.from_list)
-    if ast.where_clause is not None:
-        text += " WHERE " + " AND ".join(_predicate(p) for p in ast.where_clause.parts)
+    if ast.where_clause:
+        text += " WHERE " + " AND ".join(_predicate(p) for p in ast.where_clause)
     return text
 
 
@@ -41,6 +40,4 @@ def _predicate(pred: PredicateAst) -> str:
     if isinstance(pred, QuantifiedComparison):
         prefix = "NOT " if pred.negated else ""
         return f"{prefix}{pred.column.sql()} {pred.op} {pred.mode} ({print_sql(pred.subquery)})"
-    if isinstance(pred, Conjunction):
-        return " AND ".join(_predicate(p) for p in pred.parts)
     raise TypeError(f"unknown predicate node {pred!r}")

@@ -41,7 +41,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .diagram import Diagram
+from .diagram import Diagram, arrow_points
 from .errors import InvalidDiagramError
 from .logic import MAX_DEPTH
 
@@ -140,13 +140,8 @@ class DepthAssignment:
 # -- shared validity checks -------------------------------------------------
 
 
-def _edge_direction_ok(depth_src: int, depth_dst: int) -> bool:
-    """Arrow rule: difference 1 points shallow->deep, >=2 points deep->shallow."""
-    return depth_dst == depth_src + 1 or depth_src >= depth_dst + 2
-
-
 def _edges_consistent(g: DiagramGraph, depths: dict[str, int]) -> bool:
-    return all(_edge_direction_ok(depths[s], depths[d]) for s, d in g.edges)
+    return all(arrow_points(depths[s], depths[d]) for s, d in g.edges)
 
 
 def _connected_subqueries_ok(g: DiagramGraph, assignment: DepthAssignment) -> bool:
@@ -323,9 +318,9 @@ def brute_force_depths(g: DiagramGraph) -> list[DepthAssignment]:
         options = []
         for d in range(1, MAX_DEPTH + 1):
             partial[node] = d
-            if (all(_edge_direction_ok(d, partial[t]) for t in g._succ.get(node, ())
+            if (all(arrow_points(d, partial[t]) for t in g._succ.get(node, ())
                     if t in partial)
-                    and all(_edge_direction_ok(partial[s], d) for s in g._pred.get(node, ())
+                    and all(arrow_points(partial[s], d) for s in g._pred.get(node, ())
                             if s in partial)
                     and all(_parent_candidates(g, done, partial) for done in completes[node])):
                 options.append(d)

@@ -3,132 +3,96 @@
 A block's aliases are visible in the block itself and every block nested
 below it.  References bind to the nearest enclosing declaration; sibling
 blocks cannot see each other's aliases.  After resolution every column
-reference is qualified and aliases are globally unique: duplicate or
-shadowing declarations are renamed with a numeric suffix in document
-order, and the renames are reported.
+reference is qualified and aliases are globally unique.
 
-Blocks are identified by paths: () is the root, path + (i,) is the i-th
-subquery (document order) of the block at `path`.
+Renaming follows document order: the FROM aliases of every block, read
+root first and each block before its subqueries, form one list.  The first
+declaration of a name keeps it; a later one is renamed with a numeric
+suffix.  Rewriting walks the blocks in the same order and takes each
+block's final names from that list.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import replace
 
 from .errors import AmbiguousColumnError, UnknownAliasError
 from .sqlast import (
     ColumnRef,
     Comparison,
-    Conjunction,
     Constant,
     Exists,
-    InSubquery,
     PredicateAst,
-    QuantifiedComparison,
     QueryAst,
     TableRef,
-    iter_predicates,
-    subqueries,
 )
-
-BlockPath = tuple[int, ...]
-RenameMap = dict[tuple[BlockPath, str], str]
 
 
 def resolve_scopes(ast: QueryAst) -> QueryAst:
     """Qualify every column reference and make aliases globally unique."""
-    resolved, _ = resolve_scopes_detailed(ast)
-    return resolved
-
-
-def resolve_scopes_detailed(ast: QueryAst) -> tuple[QueryAst, RenameMap]:
-    """Like resolve_scopes but also returns the applied rename map."""
-    declarations: list[tuple[BlockPath, str]] = []
-    _collect_declarations(ast, (), declarations)
+    declared: list[str] = []
+    _collect_declarations(ast, declared)
 
     # First declaration of a name keeps it; later ones get the smallest free
-    # numeric suffix >= 2, skipping names any block already declared.
-    taken = {name for _, name in declarations}
-    assigned: dict[tuple[BlockPath, str], str] = {}
-    renames: RenameMap = {}
+    # numeric suffix >= 2, skipping names any block already declares.
+    taken = set(declared)
     used: set[str] = set()
-    for path, name in declarations:
-        if name not in used:
-            final = name
-        else:
+    finals: list[str] = []
+    for name in declared:
+        final = name
+        if name in used:
             suffix = 2
             while f"{name}{suffix}" in taken or f"{name}{suffix}" in used:
                 suffix += 1
             final = f"{name}{suffix}"
-            renames[(path, name)] = final
         used.add(final)
-        assigned[(path, name)] = final
-
-    resolved = _rewrite_block(ast, (), [], assigned)
-    return resolved, renames
+        finals.append(final)
+    return _rewrite_block(ast, [], iter(finals))
 
 
-def _collect_declarations(block: QueryAst, path: BlockPath,
-                          out: list[tuple[BlockPath, str]]) -> None:
+def _collect_declarations(block: QueryAst, out: list[str]) -> None:
     local: set[str] = set()
     for ref in block.from_list:
         if ref.alias in local:
             raise AmbiguousColumnError(
                 f"alias {ref.alias!r} is declared twice in the same FROM clause")
         local.add(ref.alias)
-        out.append((path, ref.alias))
-    for i, sub in enumerate(subqueries(block.where_clause)):
-        _collect_declarations(sub, path + (i,), out)
+        out.append(ref.alias)
+    for pred in block.where_clause:
+        if not isinstance(pred, Comparison):
+            _collect_declarations(pred.subquery, out)
 
 
-def _rewrite_block(block: QueryAst, path: BlockPath,
-                   chain: list[tuple[BlockPath, dict[str, str]]],
-                   assigned: dict[tuple[BlockPath, str], str]) -> QueryAst:
-    local = {ref.alias: assigned[(path, ref.alias)] for ref in block.from_list}
-    new_chain = chain + [(path, local)]
+def _rewrite_block(block: QueryAst, chain: list[dict[str, str]],
+                   finals: Iterator[str]) -> QueryAst:
+    local = {ref.alias: next(finals) for ref in block.from_list}
+    chain = chain + [local]
 
     def resolve_ref(ref: ColumnRef) -> ColumnRef:
         if ref.alias is None:
-            visible = [final for _, scope in new_chain for final in scope.values()]
+            visible = [final for scope in chain for final in scope.values()]
             if len(visible) > 1:
                 raise AmbiguousColumnError(
-                    f"unqualified column {ref.attribute!r} with {len(visible)} tables in scope")
+                    f"unqualified column {ref.attribute!r} with {len(visible)} tables in scope",
+                    ref.line, ref.column)
             return ColumnRef(alias=visible[0], attribute=ref.attribute,
                              line=ref.line, column=ref.column)
-        for _, scope in reversed(new_chain):
+        for scope in reversed(chain):
             if ref.alias in scope:
                 return ColumnRef(alias=scope[ref.alias], attribute=ref.attribute,
                                  line=ref.line, column=ref.column)
         raise UnknownAliasError(ref.alias, ref.attribute, ref.line, ref.column)
 
-    sub_index = 0
-
     def rewrite_pred(pred: PredicateAst) -> PredicateAst:
-        nonlocal sub_index
         if isinstance(pred, Comparison):
             rhs = pred.rhs if isinstance(pred.rhs, Constant) else resolve_ref(pred.rhs)
             return Comparison(lhs=resolve_ref(pred.lhs), op=pred.op, rhs=rhs)
-        if isinstance(pred, Exists):
-            sub = _rewrite_block(pred.subquery, path + (sub_index,), new_chain, assigned)
-            sub_index += 1
-            return replace(pred, subquery=sub)
-        if isinstance(pred, InSubquery):
-            column = resolve_ref(pred.column)
-            sub = _rewrite_block(pred.subquery, path + (sub_index,), new_chain, assigned)
-            sub_index += 1
-            return InSubquery(negated=pred.negated, column=column, subquery=sub)
-        if isinstance(pred, QuantifiedComparison):
-            column = resolve_ref(pred.column)
-            sub = _rewrite_block(pred.subquery, path + (sub_index,), new_chain, assigned)
-            sub_index += 1
-            return QuantifiedComparison(negated=pred.negated, column=column, op=pred.op,
-                                        mode=pred.mode, subquery=sub)
-        if isinstance(pred, Conjunction):
-            return Conjunction(parts=tuple(rewrite_pred(p) for p in pred.parts))
-        raise TypeError(f"unknown predicate node {pred!r}")
+        column = {} if isinstance(pred, Exists) else {"column": resolve_ref(pred.column)}
+        return replace(pred, **column, subquery=_rewrite_block(pred.subquery, chain, finals))
 
     from_list = tuple(
         TableRef(table_name=ref.table_name, alias=local[ref.alias]) for ref in block.from_list)
-    where = rewrite_pred(block.where_clause) if block.where_clause is not None else None
+    where = tuple(rewrite_pred(pred) for pred in block.where_clause)
     select_list = tuple(resolve_ref(col) for col in block.select_list)
     return QueryAst(select_list=select_list, from_list=from_list, where_clause=where)

@@ -1,9 +1,10 @@
 """AST for the supported SQL fragment.
 
-A query is a SELECT list, a FROM list and an optional WHERE conjunction.
-Predicates are comparisons (join or selection), EXISTS / IN / quantified
-subqueries with optional negation, or a flat conjunction of those.  There
-is deliberately no disjunction node, no grouping and no arithmetic.
+A query is a SELECT list, a FROM list and a WHERE clause, which is the
+tuple of its conjuncts (empty without WHERE).  Predicates are comparisons
+(join or selection) or EXISTS / IN / quantified subqueries with optional
+negation.  There is deliberately no conjunction or disjunction node, no
+grouping and no arithmetic.
 """
 
 from __future__ import annotations
@@ -82,36 +83,11 @@ class QuantifiedComparison:
     subquery: "QueryAst"
 
 
-@dataclass(frozen=True)
-class Conjunction:
-    parts: tuple["PredicateAst", ...]
-
-
-PredicateAst = Comparison | Exists | InSubquery | QuantifiedComparison | Conjunction
+PredicateAst = Comparison | Exists | InSubquery | QuantifiedComparison
 
 
 @dataclass(frozen=True)
 class QueryAst:
     select_list: tuple[ColumnRef, ...]  # empty tuple encodes SELECT * (subqueries only)
     from_list: tuple[TableRef, ...]
-    where_clause: Conjunction | None
-
-
-def iter_predicates(conj: Conjunction | None):
-    """Yield the direct (non-conjunction) predicates of a WHERE clause."""
-    if conj is None:
-        return
-    for part in conj.parts:
-        if isinstance(part, Conjunction):
-            yield from iter_predicates(part)
-        else:
-            yield part
-
-
-def subqueries(conj: Conjunction | None) -> list[QueryAst]:
-    """Direct subqueries of a block, in document order."""
-    result = []
-    for pred in iter_predicates(conj):
-        if isinstance(pred, (Exists, InSubquery, QuantifiedComparison)):
-            result.append(pred.subquery)
-    return result
+    where_clause: tuple[PredicateAst, ...]  # the conjuncts; () without WHERE

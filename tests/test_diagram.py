@@ -2,8 +2,8 @@ import itertools
 import random
 
 from sqldiagram import (
-    ArrowDirection,
     Quantifier,
+    arrow_points,
     build_diagram,
     build_logic_tree,
     count_elements,
@@ -14,7 +14,6 @@ from sqldiagram import (
     orient_inequality,
     parse,
     reading_order,
-    resolve_arrow,
     resolve_scopes,
 )
 from sqldiagram.corpus import random_logic_tree
@@ -42,21 +41,21 @@ def diagram_of(sql, **kwargs):
 # -- arrow rule ---------------------------------------------------------------
 
 
-def test_resolve_arrow_cases():
-    assert resolve_arrow(0, 0) is ArrowDirection.UNDIRECTED
-    assert resolve_arrow(0, 1) is ArrowDirection.LOW_TO_HIGH
-    assert resolve_arrow(1, 0) is ArrowDirection.LOW_TO_HIGH
-    assert resolve_arrow(2, 3) is ArrowDirection.LOW_TO_HIGH
-    assert resolve_arrow(2, 0) is ArrowDirection.HIGH_TO_LOW
-    assert resolve_arrow(3, 0) is ArrowDirection.HIGH_TO_LOW
-    assert resolve_arrow(3, 1) is ArrowDirection.HIGH_TO_LOW
+def test_arrow_points_cases():
+    # depth pair -> the one (source, target) order the arrow may take, None
+    # when neither may (equal depths give an undirected edge)
+    arrows = {(0, 0): None, (0, 1): (0, 1), (1, 0): (0, 1), (2, 3): (2, 3),
+              (2, 0): (2, 0), (3, 0): (3, 0), (3, 1): (3, 1)}
+    for (a, b), arrow in arrows.items():
+        assert arrow_points(a, b) == ((a, b) == arrow), (a, b)
+        assert arrow_points(b, a) == ((b, a) == arrow), (b, a)
 
 
 def test_orient_inequality_flips_operator_with_operand_swap():
     # A.attr1 > B.attr2 with B the parent (depths 1, 0): arrow must be B->A,
     # so the edge reads B.attr2 < A.attr1
     pred = Predicate(lhs=ColumnRef("A", "attr1"), op=">", rhs=ColumnRef("B", "attr2"))
-    edge = orient_inequality(pred, ArrowDirection.LOW_TO_HIGH, {"A": 1, "B": 0})
+    edge = orient_inequality(pred, {"A": 1, "B": 0})
     assert edge.src == ("B", "attr2")
     assert edge.dst == ("A", "attr1")
     assert edge.label == "<"
@@ -65,38 +64,34 @@ def test_orient_inequality_flips_operator_with_operand_swap():
 
 def test_orient_equijoin_never_labeled():
     pred = Predicate(lhs=ColumnRef("A", "x"), op="=", rhs=ColumnRef("B", "y"))
-    edge = orient_inequality(pred, ArrowDirection.LOW_TO_HIGH, {"A": 0, "B": 1})
+    edge = orient_inequality(pred, {"A": 0, "B": 1})
     assert edge.label is None and edge.src == ("A", "x")
 
 
 def test_orient_deeper_source_no_flip():
     # S.x <= T.y with S two levels deeper: arrow S->T keeps operand order
     pred = Predicate(lhs=ColumnRef("S", "x"), op="<=", rhs=ColumnRef("T", "y"))
-    edge = orient_inequality(pred, ArrowDirection.HIGH_TO_LOW, {"S": 2, "T": 0})
+    edge = orient_inequality(pred, {"S": 2, "T": 0})
     assert edge.src == ("S", "x") and edge.dst == ("T", "y") and edge.label == "<="
 
 
 def test_edge_relation_equivalent_to_predicate_all_cases():
-    # enumerate operand order x direction x operator; the edge read from
+    # enumerate operand order x depths x operator; the edge read from
     # source to target must state the same relation as the predicate
     values = [0, 1, 2]
-    cases = [
-        (ArrowDirection.LOW_TO_HIGH, {"P": 0, "Q": 1}),
-        (ArrowDirection.HIGH_TO_LOW, {"P": 2, "Q": 0}),
-        (ArrowDirection.UNDIRECTED, {"P": 1, "Q": 1}),
-    ]
-    for direction, depths in cases:
+    cases = [{"P": 0, "Q": 1}, {"P": 2, "Q": 0}, {"P": 1, "Q": 1}]
+    for depths in cases:
         for op in ("<", "<=", "=", "<>", ">=", ">"):
             for lhs_alias, rhs_alias in (("P", "Q"), ("Q", "P")):
                 pred = Predicate(lhs=ColumnRef(lhs_alias, "v"), op=op,
                                  rhs=ColumnRef(rhs_alias, "v"))
-                edge = orient_inequality(pred, direction, depths)
+                edge = orient_inequality(pred, depths)
                 for a, b in itertools.product(values, repeat=2):
                     env = {lhs_alias: a, rhs_alias: b}
                     original = compare(env[lhs_alias], op, env[rhs_alias])
                     via_edge = compare(env[edge.src[0]], edge.label or "=",
                                        env[edge.dst[0]])
-                    assert original == via_edge, (direction, op, lhs_alias, a, b)
+                    assert original == via_edge, (depths, op, lhs_alias, a, b)
 
 
 # -- construction -------------------------------------------------------------

@@ -184,3 +184,18 @@ def test_lt_to_sql_unwinds_forall():
 def test_build_logic_tree_requires_resolution():
     with pytest.raises(ValueError):
         build_logic_tree(parse("SELECT a FROM T"))
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT z FROM T",  # the root select list
+    "SELECT T.a FROM T WHERE z = 1",  # a comparison, either side
+    "SELECT T.a FROM T WHERE T.a = z",
+    "SELECT T.a FROM T WHERE NOT EXISTS (SELECT * FROM S WHERE S.b < z)",
+    "SELECT T.a FROM T WHERE z IN (SELECT S.b FROM S)",  # an IN column
+    "SELECT T.a FROM T WHERE z < ANY (SELECT S.b FROM S)",  # an ANY column
+    "SELECT T.a FROM T WHERE T.a IN (SELECT z FROM S)",  # a subquery's select list
+    "SELECT T.a FROM T WHERE EXISTS (SELECT z FROM S WHERE S.b = T.a)",
+])
+def test_build_logic_tree_names_the_unqualified_column(sql):
+    with pytest.raises(ValueError, match="column 'z' is unqualified; run resolve_scopes first"):
+        build_logic_tree(parse(sql))

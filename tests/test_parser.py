@@ -16,7 +16,6 @@ from sqldiagram.sqlast import (
     Exists,
     InSubquery,
     QuantifiedComparison,
-    iter_predicates,
 )
 
 
@@ -24,7 +23,7 @@ def test_conjunctive_query_shape():
     ast = parse(SOME_LIKED_DRINK)
     assert [t.alias for t in ast.from_list] == ["F", "L", "S"]
     assert [t.table_name for t in ast.from_list] == ["Frequents", "Likes", "Serves"]
-    preds = list(iter_predicates(ast.where_clause))
+    preds = ast.where_clause
     assert len(preds) == 3
     assert all(isinstance(p, Comparison) and p.op == "=" for p in preds)
     assert all(isinstance(p.rhs, ColumnRef) for p in preds)
@@ -35,15 +34,15 @@ def test_minimal_query_no_where():
     assert ast.from_list == (parse("SELECT T.a FROM T").from_list[0],)
     assert ast.from_list[0].alias == "T"
     assert ast.from_list[0].table_name == "T"
-    assert ast.where_clause is None
+    assert ast.where_clause == ()
     assert ast.select_list == (ColumnRef(alias="T", attribute="a"),)
 
 
 def test_doubly_nested_not_exists():
     ast = parse(ONLY_LIKED_DRINKS)
-    (outer,) = [p for p in iter_predicates(ast.where_clause)]
+    (outer,) = ast.where_clause
     assert isinstance(outer, Exists) and outer.negated
-    inner = [p for p in iter_predicates(outer.subquery.where_clause)
+    inner = [p for p in outer.subquery.where_clause
              if isinstance(p, Exists)]
     assert len(inner) == 1 and inner[0].negated
     # keywords are case-insensitive ("not exists" in the source)
@@ -103,7 +102,7 @@ def test_two_constant_comparison_rejected():
 
 def test_constant_on_left_is_normalized():
     ast = parse("SELECT T.a FROM T WHERE 3 < T.a")
-    (pred,) = list(iter_predicates(ast.where_clause))
+    (pred,) = ast.where_clause
     assert isinstance(pred, Comparison)
     assert pred.lhs == ColumnRef(alias="T", attribute="a")
     assert pred.op == ">"
@@ -112,7 +111,7 @@ def test_constant_on_left_is_normalized():
 
 def test_string_constant_content_preserved():
     ast = parse("SELECT T.a FROM T WHERE T.a = 'Owl  Fox'")
-    (pred,) = list(iter_predicates(ast.where_clause))
+    (pred,) = ast.where_clause
     assert pred.rhs == Constant(kind="string", literal="Owl  Fox")
 
 
@@ -120,7 +119,7 @@ def test_in_and_quantified_forms():
     ast = parse("SELECT T.a FROM T WHERE T.a NOT IN (SELECT S.b FROM S) "
                 "AND T.a > ALL (SELECT S.b FROM S) "
                 "AND NOT T.a = ANY (SELECT S.b FROM S)")
-    preds = list(iter_predicates(ast.where_clause))
+    preds = ast.where_clause
     assert isinstance(preds[0], InSubquery) and preds[0].negated
     assert isinstance(preds[1], QuantifiedComparison) and preds[1].mode == "ALL"
     assert isinstance(preds[2], QuantifiedComparison)
@@ -153,7 +152,7 @@ def test_printer_output_is_single_canonical_line():
 
 
 def _comparisons(sql):
-    return [p for p in iter_predicates(parse(sql).where_clause) if isinstance(p, Comparison)]
+    return [p for p in parse(sql).where_clause if isinstance(p, Comparison)]
 
 
 def test_line_and_block_comments_are_skipped():
@@ -211,7 +210,7 @@ def test_numbers_are_decimal_digits_of_any_script():
 
 def test_signed_constant_where_a_constant_may_stand():
     ast = parse("SELECT S.a FROM S WHERE S.b = -1 AND -1 < S.b AND S.c <> - 2.5 AND S.d = +3")
-    assert [(p.op, p.rhs) for p in iter_predicates(ast.where_clause)] == [
+    assert [(p.op, p.rhs) for p in ast.where_clause] == [
         ("=", Constant(kind="number", literal="-1")),
         (">", Constant(kind="number", literal="-1")),
         ("<>", Constant(kind="number", literal="-2.5")),

@@ -1,26 +1,37 @@
+import random
+import re
+
 import pytest
 
-from sqldiagram import parse, resolve_scopes, resolve_scopes_detailed
+from sqldiagram import lt_to_sql, parse, print_sql, resolve_scopes
+from sqldiagram.corpus import random_logic_tree
 from sqldiagram.errors import AmbiguousColumnError, UnknownAliasError
 from sqldiagram.fixtures import ONLY_LIKED_DRINKS, VALID_QUERIES
-from sqldiagram.sqlast import Exists, iter_predicates
+from sqldiagram.sqlast import Exists
+
+
+def _blocks(ast):
+    """Every query block, each before its subqueries, in document order."""
+    yield ast
+    for pred in ast.where_clause:
+        if hasattr(pred, "subquery"):
+            yield from _blocks(pred.subquery)
+
+
+def _aliases(ast):
+    return [t.alias for block in _blocks(ast) for t in block.from_list]
 
 
 def _tables_per_block(ast):
-    blocks = [sorted(t.table_name for t in ast.from_list)]
-    for pred in iter_predicates(ast.where_clause):
-        if hasattr(pred, "subquery"):
-            blocks.extend(_tables_per_block(pred.subquery))
-    return blocks
+    return [sorted(t.table_name for t in block.from_list) for block in _blocks(ast)]
 
 
 def test_nested_refs_resolve_through_scope_chain():
     ast = resolve_scopes(parse(ONLY_LIKED_DRINKS))
-    (outer,) = list(iter_predicates(ast.where_clause))
+    (outer,) = ast.where_clause
     assert isinstance(outer, Exists)
-    inner = [p for p in iter_predicates(outer.subquery.where_clause) if isinstance(p, Exists)][0]
-    comparisons = [p for p in iter_predicates(inner.subquery.where_clause)
-                   if not isinstance(p, Exists)]
+    inner = [p for p in outer.subquery.where_clause if isinstance(p, Exists)][0]
+    comparisons = [p for p in inner.subquery.where_clause if not isinstance(p, Exists)]
     aliases = {p.lhs.alias for p in comparisons} | {p.rhs.alias for p in comparisons}
     assert aliases == {"L", "F", "S"}  # refs reach depth 0 (F) and depth 1 (S)
 
@@ -49,6 +60,14 @@ def test_unqualified_column_ambiguous():
         resolve_scopes(parse("SELECT a FROM T, S"))
 
 
+def test_unqualified_column_ambiguous_has_position():
+    sql = "SELECT T.a FROM T WHERE EXISTS (SELECT * FROM S\n  WHERE b = 1)"
+    with pytest.raises(AmbiguousColumnError) as exc:
+        resolve_scopes(parse(sql))
+    assert (exc.value.line, exc.value.column) == (2, 9)
+    assert str(exc.value) == "unqualified column 'b' with 2 tables in scope at line 2:9"
+
+
 def test_duplicate_alias_same_block_rejected():
     with pytest.raises(AmbiguousColumnError):
         resolve_scopes(parse("SELECT L.a FROM Likes L, Serves L"))
@@ -58,25 +77,24 @@ def test_sibling_duplicate_aliases_renamed():
     sql = ("SELECT T.a FROM Tab T "
            "WHERE EXISTS (SELECT L.x FROM Likes L WHERE L.x = T.a) "
            "AND EXISTS (SELECT L.y FROM Likes L WHERE L.y = T.a)")
-    resolved, renames = resolve_scopes_detailed(parse(sql))
-    assert renames == {((1,), "L"): "L2"}
-    subs = [p.subquery for p in iter_predicates(resolved.where_clause)]
+    resolved = resolve_scopes(parse(sql))
+    assert _aliases(resolved) == ["T", "L", "L2"]
+    subs = [p.subquery for p in resolved.where_clause]
     assert subs[0].from_list[0].alias == "L"
     assert subs[1].from_list[0].alias == "L2"
     assert subs[1].select_list[0].alias == "L2"
     # reparse of the printed form keeps aliases unique
-    from sqldiagram import print_sql
     assert resolve_scopes(parse(print_sql(resolved))) == resolved
 
 
 def test_shadowing_renamed_and_rebound():
     sql = ("SELECT L.a FROM Likes L "
            "WHERE EXISTS (SELECT L.b FROM Serves L WHERE L.b = 1)")
-    resolved, renames = resolve_scopes_detailed(parse(sql))
-    assert renames == {((0,), "L"): "L2"}
-    (sub,) = [p.subquery for p in iter_predicates(resolved.where_clause)]
+    resolved = resolve_scopes(parse(sql))
+    assert _aliases(resolved) == ["L", "L2"]
+    (sub,) = [p.subquery for p in resolved.where_clause]
     assert sub.from_list[0].alias == "L2"
-    (pred,) = [p for p in iter_predicates(sub.where_clause)]
+    (pred,) = sub.where_clause
     assert pred.lhs.alias == "L2"  # inner L meant the inner declaration
     assert resolved.select_list[0].alias == "L"
 
@@ -85,8 +103,7 @@ def test_rename_suffix_skips_taken_names():
     sql = ("SELECT T.a FROM Tab T, Other L2 "
            "WHERE EXISTS (SELECT L.x FROM Likes L WHERE L.x = T.a) "
            "AND EXISTS (SELECT L.y FROM Likes L WHERE L.y = T.a)")
-    _, renames = resolve_scopes_detailed(parse(sql))
-    assert renames == {((1,), "L"): "L3"}
+    assert _aliases(resolve_scopes(parse(sql))) == ["T", "L2", "L", "L3"]
 
 
 def test_idempotent_on_fixture_corpus():
@@ -100,3 +117,42 @@ def test_table_multiset_per_block_unchanged():
         before = _tables_per_block(parse(sql))
         after = _tables_per_block(resolve_scopes(parse(sql)))
         assert before == after, name
+
+
+def test_renaming_follows_document_order():
+    sql = ("SELECT L.a FROM Likes L, T L2 "
+           "WHERE EXISTS (SELECT * FROM S L WHERE EXISTS "
+           "(SELECT * FROM U L WHERE L.x = L2.y)) "
+           "AND EXISTS (SELECT * FROM V L3 WHERE L3.z = L.a)")
+    resolved = resolve_scopes(parse(sql))
+    assert _aliases(resolved) == ["L", "L2", "L4", "L5", "L3"]
+    first, second = resolved.where_clause
+    (innermost,) = first.subquery.where_clause[0].subquery.where_clause
+    assert (innermost.lhs.alias, innermost.rhs.alias) == ("L5", "L2")
+    (pred,) = second.subquery.where_clause
+    assert (pred.lhs.alias, pred.rhs.alias) == ("L3", "L")
+
+
+def test_resolution_properties_on_collapsed_aliases():
+    # Generated queries with their aliases collapsed onto four names, so that
+    # blocks shadow, repeat and collide with the numeric suffixes.
+    rng = random.Random(909)
+    names = ("L", "L2", "M", "T")
+    resolved_count = rejected = 0
+    for _ in range(500):
+        sql = lt_to_sql(random_logic_tree(rng, max_nodes=rng.randint(1, 12)))
+        mapping = {alias: rng.choice(names) for alias in sorted(set(re.findall(r"\bA\d+\b", sql)))}
+        ast = parse(re.sub(r"\bA\d+\b", lambda m: mapping[m.group(0)], sql))
+        try:
+            resolved = resolve_scopes(ast)
+        except AmbiguousColumnError:
+            rejected += 1
+            continue
+        resolved_count += 1
+        aliases = _aliases(resolved)
+        assert len(set(aliases)) == len(aliases), sql
+        assert ([[t.table_name for t in b.from_list] for b in _blocks(resolved)]
+                == [[t.table_name for t in b.from_list] for b in _blocks(ast)]), sql
+        assert resolve_scopes(resolved) == resolved, sql
+        assert resolve_scopes(parse(print_sql(resolved))) == resolved, sql
+    assert resolved_count > 0 and rejected > 0
