@@ -43,7 +43,6 @@ from .logic import (
     build_logic_tree,
     check_nondegenerate,
     lt_equal,
-    lt_from_json,
     lt_to_json,
     lt_to_sql,
     render_trc,
@@ -74,7 +73,7 @@ __all__ = [
     "evaluate",
     "MAX_DEPTH", "LogicTree", "LtNode", "Predicate", "Quantifier", "ValidationReport",
     "Violation", "ViolationKind", "build_logic_tree", "check_nondegenerate", "lt_equal",
-    "lt_from_json", "lt_to_json", "lt_to_sql", "render_trc", "simplify_forall",
+    "lt_to_json", "lt_to_sql", "render_trc", "simplify_forall",
     "parse", "print_sql",
     "DepthAssignment", "DiagramGraph", "PathFamily", "brute_force_depths",
     "classify_path_pattern", "diagram_to_graph", "next_group", "recover_depths",

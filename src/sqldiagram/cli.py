@@ -76,7 +76,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     add_common(recover, simplify=False)
 
     roundtrip = sub.add_parser("roundtrip", help="build a diagram, recover it, compare")
-    add_common(roundtrip)
+    add_common(roundtrip, simplify=False)
 
     metrics = sub.add_parser("metrics", help="element and word counts")
     add_common(metrics)
@@ -102,7 +102,7 @@ def _logic_tree(sql_text: str):
     return build_logic_tree(resolve_scopes(parse(sql_text)))
 
 
-def _validated_diagram(args, lt):
+def _validated_diagram(lt, simplified: bool):
     """Build the diagram; degeneracy is fatal, excess depth only warns."""
     report = check_nondegenerate(lt)
     hard = [v for v in report.violations if v.kind is not ViolationKind.DEPTH_EXCEEDED]
@@ -111,12 +111,12 @@ def _validated_diagram(args, lt):
     if not report.depth_ok:
         print(f"warning: nesting depth exceeds {MAX_DEPTH}; "
               "structure recovery is not guaranteed", file=sys.stderr)
-    return build_diagram(lt, simplified=not args.no_simplify, allow_invalid=True)
+    return build_diagram(lt, simplified=simplified, allow_invalid=True)
 
 
 def _cmd_viz(args) -> int:
     lt = _logic_tree(_read_input(args.input))
-    diagram = _validated_diagram(args, lt)
+    diagram = _validated_diagram(lt, not args.no_simplify)
     if args.format == "json":
         _write_output(args, diagram_to_json(diagram))
         return 0
@@ -176,7 +176,8 @@ def _cmd_recover(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     lt = _logic_tree(_read_input(args.input))
-    diagram = _validated_diagram(args, lt)
+    # Recovery reads nothing that the forall rewrite changes.
+    diagram = _validated_diagram(lt, simplified=True)
     graph = diagram_to_graph(diagram)
     recovered = recover_depths(graph)
 
@@ -206,7 +207,7 @@ def _cmd_roundtrip(args) -> int:
 def _cmd_metrics(args) -> int:
     sql_text = _read_input(args.input)
     lt = _logic_tree(sql_text)
-    diagram = _validated_diagram(args, lt)
+    diagram = _validated_diagram(lt, not args.no_simplify)
     _write_output(args, f"elements: {count_elements(diagram)}\n"
                         f"words: {count_words(sql_text)}\n")
     return 0

@@ -6,7 +6,8 @@ quantifiers (EXISTS -> exists, NOT EXISTS / NOT IN / op ALL -> not-exists,
 IN / op ANY -> exists with an extra equality or comparison against the
 subquery's single select column).  FOR_ALL never comes out of lowering;
 it is introduced only by simplify_forall, which rewrites a not-exists
-node with a single not-exists child into forall/exists.
+node with a single not-exists child into forall/exists.  A predicate is
+the parser's own sqlast.Comparison; lt_to_sql prints through print_sql.
 """
 
 from __future__ import annotations
@@ -17,16 +18,19 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import MalformedSubqueryError
+from .printer import print_sql
 from .sqlast import (
     COMPLEMENT_OP,
     FLIPPED_OP,
     ColumnRef,
     Comparison,
+    Comparison as Predicate,  # a comparison whose operands are fully qualified
     Constant,
     Exists,
     InSubquery,
     QuantifiedComparison,
     QueryAst,
+    TableRef,
 )
 
 
@@ -35,46 +39,6 @@ class Quantifier(Enum):
     EXISTS = "EXISTS"
     NOT_EXISTS = "NOT_EXISTS"
     FOR_ALL = "FOR_ALL"
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """A comparison at the logic level; operands are fully qualified."""
-
-    lhs: ColumnRef
-    op: str
-    rhs: ColumnRef | Constant
-
-    @property
-    def is_selection(self) -> bool:
-        return isinstance(self.rhs, Constant)
-
-    @property
-    def aliases(self) -> tuple[str, ...]:
-        if isinstance(self.rhs, ColumnRef):
-            return (self.lhs.alias, self.rhs.alias)
-        return (self.lhs.alias,)
-
-    def normalize(self) -> "Predicate":
-        """Join predicates get lexicographic operand order, operator flipped to match."""
-        if self.is_selection:
-            return self
-        assert isinstance(self.rhs, ColumnRef)
-        lhs_key = (self.lhs.alias, self.lhs.attribute)
-        rhs_key = (self.rhs.alias, self.rhs.attribute)
-        if lhs_key <= rhs_key:
-            return self
-        return Predicate(lhs=self.rhs, op=FLIPPED_OP[self.op], rhs=self.lhs)
-
-    def text(self) -> str:
-        return f"{self.lhs.sql()} {self.op} {self.rhs.sql()}"
-
-    def sort_key(self):
-        if isinstance(self.rhs, ColumnRef):
-            rhs = ("col", self.rhs.alias, self.rhs.attribute)
-        else:
-            rhs = ("const", self.rhs.kind, self.rhs.literal)
-        return (self.lhs.alias, self.lhs.attribute, self.op, rhs)
 
 
 @dataclass(frozen=True)
@@ -143,9 +107,10 @@ def _lower_block(block: QueryAst, quantifier: Quantifier,
     children: list[LtNode] = []
     for pred in block.where_clause:
         if isinstance(pred, Comparison):
-            lhs = _qualified(pred.lhs)
-            rhs = pred.rhs if isinstance(pred.rhs, Constant) else _qualified(pred.rhs)
-            predicates.append(Predicate(lhs=lhs, op=pred.op, rhs=rhs))
+            _qualified(pred.lhs)
+            if isinstance(pred.rhs, ColumnRef):
+                _qualified(pred.rhs)
+            predicates.append(pred)
         elif isinstance(pred, Exists):
             q = Quantifier.NOT_EXISTS if pred.negated else Quantifier.EXISTS
             children.append(_lower_block(pred.subquery, q, ()))
@@ -271,21 +236,6 @@ def _simplify(node: LtNode) -> LtNode:
     return replace(node, children=tuple(_simplify(c) for c in node.children))
 
 
-def desimplify(lt: LogicTree) -> LogicTree:
-    """Inverse of simplify_forall: restore the not-exists/not-exists form."""
-    return LogicTree(root=_desimplify(lt.root), select_list=lt.select_list)
-
-
-def _desimplify(node: LtNode) -> LtNode:
-    children = tuple(_desimplify(c) for c in node.children)
-    if node.quantifier is Quantifier.FOR_ALL:
-        if len(children) != 1:
-            raise ValueError("forall node must have exactly one child")
-        child = replace(children[0], quantifier=Quantifier.NOT_EXISTS)
-        return replace(node, quantifier=Quantifier.NOT_EXISTS, children=(child,))
-    return replace(node, children=children)
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 
@@ -338,9 +288,7 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
     node, and backtracks through every alternative before answering false.
     """
     if not modulo_renaming:
-        sa = tuple(c.sql() for c in a.select_list)
-        sb = tuple(c.sql() for c in b.select_list)
-        return sa == sb and a.root == b.root
+        return a == b
     if len(a.select_list) != len(b.select_list):
         return False
     mapping = _Relabeling()
@@ -497,53 +445,25 @@ def _pred_json(pred: Predicate, pad: str) -> str:
             f'{inner}"rhs": {rhs}\n{pad}}}')
 
 
-def lt_from_json(text: str) -> LogicTree:
-    doc = json.loads(text)
-    root = _node_from_dict(doc)
-    select = tuple(_column_from_text(c) for c in doc["select_list"])
-    return LogicTree(root=root, select_list=select)
-
-
-def _node_from_dict(doc: dict) -> LtNode:
-    tables = [(alias, table) for alias, table in doc["tables"]]
-    predicates = [_pred_from_dict(p) for p in doc["predicates"]]
-    children = [_node_from_dict(c) for c in doc["children"]]
-    return make_node(tables, predicates, Quantifier(doc["quantifier"]), children)
-
-
-def _pred_from_dict(doc: dict) -> Predicate:
-    rhs: ColumnRef | Constant
-    if isinstance(doc["rhs"], dict):
-        rhs = Constant(kind=doc["rhs"]["kind"], literal=doc["rhs"]["literal"])
-    else:
-        rhs = _column_from_text(doc["rhs"])
-    return Predicate(lhs=_column_from_text(doc["lhs"]), op=doc["op"], rhs=rhs)
-
-
-def _column_from_text(text: str) -> ColumnRef:
-    alias, _, attribute = text.partition(".")
-    return ColumnRef(alias=alias, attribute=attribute)
-
-
 # ---------------------------------------------------------------------------
 # Back to SQL
 
 
+# A child with one of these quantifiers prints as NOT EXISTS under any parent.
+_PRINTED_NOT_EXISTS = (Quantifier.NOT_EXISTS, Quantifier.FOR_ALL)
+
+
 def lt_to_sql(lt: LogicTree) -> str:
-    """Render a Logic Tree as SQL of the fragment (forall nodes are first
-    rewritten back to nested NOT EXISTS)."""
-    plain = desimplify(lt)
-    select = ", ".join(col.sql() for col in plain.select_list)
-    return _block_sql(plain.root, select)
+    """Render a Logic Tree as SQL of the fragment.  A forall node and its one
+    child both print as NOT EXISTS, the nesting simplify_forall rewrote."""
+    return print_sql(_block_ast(lt.root, lt.select_list))
 
 
-def _block_sql(node: LtNode, select: str) -> str:
-    text = f"SELECT {select} FROM " + ", ".join(
-        table if alias == table else f"{table} {alias}" for alias, table in node.tables)
-    parts = [p.text() for p in node.predicates]
-    for child in node.children:
-        keyword = "NOT EXISTS" if child.quantifier is Quantifier.NOT_EXISTS else "EXISTS"
-        parts.append(f"{keyword} ({_block_sql(child, '*')})")
-    if parts:
-        text += " WHERE " + " AND ".join(parts)
-    return text
+def _block_ast(node: LtNode, select_list: tuple[ColumnRef, ...]) -> QueryAst:
+    forall = node.quantifier is Quantifier.FOR_ALL
+    if forall and len(node.children) != 1:
+        raise ValueError("forall node must have exactly one child")
+    subqueries = [Exists(forall or child.quantifier in _PRINTED_NOT_EXISTS, _block_ast(child, ()))
+                  for child in node.children]
+    return QueryAst(select_list, tuple([TableRef(table, alias) for alias, table in node.tables]),
+                    node.predicates + tuple(subqueries))

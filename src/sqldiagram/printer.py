@@ -30,7 +30,7 @@ def print_sql(ast: QueryAst) -> str:
 
 def _predicate(pred: PredicateAst) -> str:
     if isinstance(pred, Comparison):
-        return f"{pred.lhs.sql()} {pred.op} {pred.rhs.sql()}"
+        return pred.text()
     if isinstance(pred, Exists):
         keyword = "NOT EXISTS" if pred.negated else "EXISTS"
         return f"{keyword} ({print_sql(pred.subquery)})"

@@ -98,6 +98,10 @@ def diagram_to_graph(d: Diagram) -> DiagramGraph:
         repeated = next(gid for gid, count in Counter(nodes).items() if count > 1)
         raise InvalidDiagramError(f"group id {repeated!r} is repeated")
     group_of = {box.alias: group.id for group in d.groups for box in group.tables}
+    if len(group_of) != sum(len(group.tables) for group in d.groups):
+        aliases = [box.alias for group in d.groups for box in group.tables]
+        repeated = next(alias for alias, count in Counter(aliases).items() if count > 1)
+        raise InvalidDiagramError(f"table alias {repeated!r} is repeated")
     edges = set()
     for edge in d.edges:
         for alias, _ in (edge.src, edge.dst):

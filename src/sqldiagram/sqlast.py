@@ -4,7 +4,8 @@ A query is a SELECT list, a FROM list and a WHERE clause, which is the
 tuple of its conjuncts (empty without WHERE).  Predicates are comparisons
 (join or selection) or EXISTS / IN / quantified subqueries with optional
 negation.  There is deliberately no conjunction or disjunction node, no
-grouping and no arithmetic.
+grouping and no arithmetic.  Comparison is also the logic tree's predicate
+(logic.Predicate), and its text() is the one place SQL spells a comparison.
 """
 
 from __future__ import annotations
@@ -59,6 +60,37 @@ class Comparison:
     lhs: ColumnRef
     op: str
     rhs: ColumnRef | Constant
+
+    @property
+    def is_selection(self) -> bool:
+        return isinstance(self.rhs, Constant)
+
+    @property
+    def aliases(self) -> tuple[str, ...]:
+        if isinstance(self.rhs, ColumnRef):
+            return (self.lhs.alias, self.rhs.alias)
+        return (self.lhs.alias,)
+
+    def normalize(self) -> "Comparison":
+        """Join predicates get lexicographic operand order, operator flipped to match."""
+        if self.is_selection:
+            return self
+        assert isinstance(self.rhs, ColumnRef)
+        lhs_key = (self.lhs.alias, self.lhs.attribute)
+        rhs_key = (self.rhs.alias, self.rhs.attribute)
+        if lhs_key <= rhs_key:
+            return self
+        return Comparison(lhs=self.rhs, op=FLIPPED_OP[self.op], rhs=self.lhs)
+
+    def text(self) -> str:
+        return f"{self.lhs.sql()} {self.op} {self.rhs.sql()}"
+
+    def sort_key(self):
+        if isinstance(self.rhs, ColumnRef):
+            rhs = ("col", self.rhs.alias, self.rhs.attribute)
+        else:
+            rhs = ("const", self.rhs.kind, self.rhs.literal)
+        return (self.lhs.alias, self.lhs.attribute, self.op, rhs)
 
 
 @dataclass(frozen=True)

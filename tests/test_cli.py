@@ -154,11 +154,29 @@ def test_recover_repeated_group_id_exits_1(sql_file, tmp_path, capsys):
     assert capsys.readouterr().err == "error: group id 'g2_1' is repeated\n"
 
 
+@pytest.mark.parametrize("into", [2, 4])  # the box's own group, then another one
+def test_recover_repeated_table_alias_exits_1(sql_file, tmp_path, capsys, into):
+    diagram_path = tmp_path / "diagram.json"
+    run(["viz", "--format", "json", sql_file(UNIQUE_BEER_SET), "-o", str(diagram_path)])
+    doc = json.loads(diagram_path.read_text())
+    box = doc["groups"][2]["tables"][0]
+    doc["groups"][into]["tables"].append(box)  # one alias drawn twice
+    diagram_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["recover", str(diagram_path)]) == 1
+    assert capsys.readouterr().err == f"error: table alias {box['alias']!r} is repeated\n"
+
+
 def test_roundtrip_fixture_queries(sql_file, capsys):
     for name, sql in VALID_QUERIES.items():
         assert run(["roundtrip", sql_file(sql, name=f"{name}.sql")]) == 0, name
         out = capsys.readouterr().out
         assert out.startswith("round trip ok:"), name
+
+
+def test_roundtrip_takes_no_simplify_flag(sql_file, capsys):
+    assert run(["roundtrip", "--no-simplify", sql_file(SOME_LIKED_DRINK)]) == 2
+    assert "unrecognized arguments: --no-simplify" in capsys.readouterr().err
 
 
 def test_roundtrip_generated_queries(sql_file, capsys):

@@ -3,15 +3,17 @@ import itertools
 import pytest
 
 from sqldiagram import (
+    LogicTree,
+    Predicate,
     Quantifier,
     build_logic_tree,
     evaluate,
     lt_equal,
-    lt_from_json,
     lt_to_json,
     lt_to_sql,
     parse,
     resolve_scopes,
+    simplify_forall,
 )
 from sqldiagram.errors import MalformedSubqueryError
 from sqldiagram.fixtures import (
@@ -23,6 +25,8 @@ from sqldiagram.fixtures import (
     STUDENTS_ONLY_ART,
     VALID_QUERIES,
 )
+from sqldiagram.logic import make_node
+from sqldiagram.sqlast import ColumnRef
 
 
 def lower(sql):
@@ -42,6 +46,12 @@ def test_nested_not_exists_lowering():
     assert likes.quantifier is Quantifier.NOT_EXISTS
     assert likes.tables == (("L", "Likes"),)
     assert [p.text() for p in likes.predicates] == ["F.person = L.person", "L.drink = S.drink"]
+
+
+def test_lowering_keeps_the_parsed_comparisons():
+    ast = resolve_scopes(parse("SELECT T.a FROM Tab T WHERE T.a = 3 AND T.a < T.b"))
+    lt = build_logic_tree(ast)
+    assert {id(p) for p in lt.root.predicates} == {id(p) for p in ast.where_clause}
 
 
 def test_minimal_query_lowering():
@@ -152,13 +162,6 @@ def test_modulo_renaming_respects_constant_kinds():
     assert not lt_equal(num, string, modulo_renaming=True)
 
 
-def test_json_round_trip_on_fixtures():
-    for name, sql in VALID_QUERIES.items():
-        lt = lower(sql)
-        again = lt_from_json(lt_to_json(lt))
-        assert again == lt, name
-
-
 def test_json_quantifier_labels():
     text = lt_to_json(lower(ONLY_LIKED_DRINKS))
     assert text.count('"NOT_EXISTS"') == 2
@@ -173,12 +176,40 @@ def test_lt_to_sql_round_trips_through_pipeline():
 
 
 def test_lt_to_sql_unwinds_forall():
-    from sqldiagram import simplify_forall
-
     lt = lower(ONLY_LIKED_DRINKS)
     sql = lt_to_sql(simplify_forall(lt))
-    assert "EXISTS" in sql and "ALL" not in sql
+    assert sql == (
+        "SELECT F.person FROM Frequents F WHERE NOT EXISTS (SELECT * FROM Serves S "
+        "WHERE F.bar = S.bar AND NOT EXISTS (SELECT * FROM Likes L "
+        "WHERE F.person = L.person AND L.drink = S.drink))")
     assert lower(sql) == lt
+
+
+def _join(lhs, op, rhs):
+    return Predicate(ColumnRef(*lhs.split(".")), op, ColumnRef(*rhs.split(".")))
+
+
+def _forall_under_forall(leaves):
+    mid = make_node([("B", "Tb")], [_join("B.y", "=", "A.x")], Quantifier.FOR_ALL, leaves)
+    top = make_node([("A", "Ta")], [_join("A.x", "=", "T.a")], Quantifier.FOR_ALL, [mid])
+    root = make_node([("T", "Tab")], [], Quantifier.ROOT, [top])
+    return LogicTree(root=root, select_list=(ColumnRef("T", "a"),))
+
+
+def test_lt_to_sql_unwinds_forall_under_forall():
+    leaf = make_node([("C", "Tc")], [_join("C.z", "<", "B.y")], Quantifier.EXISTS)
+    assert lt_to_sql(_forall_under_forall([leaf])) == (
+        "SELECT T.a FROM Tab T WHERE NOT EXISTS (SELECT * FROM Ta A WHERE A.x = T.a "
+        "AND NOT EXISTS (SELECT * FROM Tb B WHERE A.x = B.y "
+        "AND NOT EXISTS (SELECT * FROM Tc C WHERE B.y > C.z)))")
+
+
+def test_lt_to_sql_rejects_forall_without_one_child():
+    leaves = [make_node([(alias, "Tc")], [_join(f"{alias}.z", "<", "B.y")], Quantifier.EXISTS)
+              for alias in ("C", "D")]
+    for kids in ([], leaves):
+        with pytest.raises(ValueError, match="forall node must have exactly one child"):
+            lt_to_sql(_forall_under_forall(kids))
 
 
 def test_build_logic_tree_requires_resolution():
