@@ -30,7 +30,6 @@ from .errors import (
     UnknownAliasError,
     UnsupportedFeatureError,
 )
-from .evaluate import evaluate
 from .logic import (
     MAX_DEPTH,
     LogicTree,
@@ -70,7 +69,6 @@ __all__ = [
     "AmbiguousColumnError", "DegenerateQueryError", "InvalidDiagramError",
     "MalformedSubqueryError", "SqlDiagramError", "SqlSyntaxError",
     "UnknownAliasError", "UnsupportedFeatureError",
-    "evaluate",
     "MAX_DEPTH", "LogicTree", "LtNode", "Predicate", "Quantifier", "ValidationReport",
     "Violation", "ViolationKind", "build_logic_tree", "check_nondegenerate", "lt_equal",
     "lt_to_json", "lt_to_sql", "render_trc", "simplify_forall",

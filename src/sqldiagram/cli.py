@@ -170,8 +170,28 @@ def _cmd_check(args) -> int:
 def _cmd_recover(args) -> int:
     diagram = diagram_from_json(_read_input(args.input))
     assignment = recover_depths(diagram_to_graph(diagram))
+    mismatch = _structure_mismatch(diagram, assignment)
+    if mismatch:
+        print(f"error: {mismatch}", file=sys.stderr)
+        return 1
     _write_output(args, assignment.to_json())
     return 0
+
+
+def _structure_mismatch(diagram, recovered) -> str | None:
+    """The first group whose depth or parent, as the diagram records it,
+    differs from the recovered structure, or None when all agree."""
+    for group in diagram.groups:
+        if recovered.depths[group.id] != group.depth:
+            return (f"group {group.id} recovered at depth {recovered.depths[group.id]}, "
+                    f"expected {group.depth}")
+    parent_of = {group.id: group.parent for group in diagram.groups}
+    for gid in recovered.depths:
+        parent_gid = recovered.parents.get(gid)
+        if parent_of[gid] != parent_gid:
+            where = f"under {parent_gid}" if parent_gid else "as the root"
+            return f"group {gid} recovered {where}"
+    return None
 
 
 def _cmd_roundtrip(args) -> int:
@@ -179,21 +199,11 @@ def _cmd_roundtrip(args) -> int:
     # Recovery reads nothing that the forall rewrite changes.
     diagram = _validated_diagram(lt, simplified=True)
     graph = diagram_to_graph(diagram)
-    recovered = recover_depths(graph)
-
     # Each group records its query block's depth and parent in the source.
-    for group in diagram.groups:
-        if recovered.depths[group.id] != group.depth:
-            print(f"round trip failed: group {group.id} recovered at depth "
-                  f"{recovered.depths[group.id]}, expected {group.depth}",
-                  file=sys.stderr)
-            return 1
-    parent_of = {group.id: group.parent for group in diagram.groups}
-    for gid, parent_gid in recovered.parents.items():
-        if parent_of[gid] != parent_gid:
-            print(f"round trip failed: group {gid} recovered under {parent_gid}",
-                  file=sys.stderr)
-            return 1
+    mismatch = _structure_mismatch(diagram, recover_depths(graph))
+    if mismatch:
+        print(f"round trip failed: {mismatch}", file=sys.stderr)
+        return 1
     oracle = brute_force_depths(graph)
     if len(oracle) != 1:
         print(f"round trip failed: {len(oracle)} consistent structures exist",

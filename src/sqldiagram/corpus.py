@@ -1,4 +1,4 @@
-"""Seeded random corpus of non-degenerate Logic Trees and databases.
+"""Seeded random corpus of non-degenerate Logic Trees over a fixed schema.
 
 The generator builds trees that satisfy the validity rules by construction:
 every predicate references a local attribute, every nested block either
@@ -105,15 +105,3 @@ def random_logic_tree(rng: random.Random, *, max_nodes: int = 8) -> LogicTree:
                    for attr in sorted(SCHEMA[table])[:rng.randint(1, 2)])
     return LogicTree(root=root, select_list=select)
 
-
-def random_database(rng: random.Random, lt: LogicTree, *, max_rows: int = 2,
-                    domain: tuple[int, ...] = (0, 1, 2)) -> dict[str, list[dict[str, int]]]:
-    """A random instance for every table name the tree mentions."""
-    tables = sorted({table for _, node, _ in lt.walk() for _, table in node.tables})
-    db = {}
-    for table in tables:
-        rows = []
-        for _ in range(rng.randint(0, max_rows)):
-            rows.append({attr: rng.choice(domain) for attr in SCHEMA[table]})
-        db[table] = rows
-    return db

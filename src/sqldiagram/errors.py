@@ -69,7 +69,9 @@ class DegenerateQueryError(SqlDiagramError):
 
 
 class InvalidDiagramError(SqlDiagramError):
-    """A diagram graph admits no consistent depth assignment."""
+    """A diagram that cannot be read back: a repeated group id or table alias,
+    an edge endpoint or SELECT link that names no table box, or a group graph
+    that admits no consistent depth assignment within MAX_DEPTH."""
 
     exit_code = 1
 

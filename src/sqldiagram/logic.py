@@ -148,9 +148,11 @@ def _single_column(subquery: QueryAst) -> ColumnRef:
 # ---------------------------------------------------------------------------
 # Validation (non-degeneracy and depth)
 
-# The deepest nesting that structure recovery reads back from a diagram: its
-# path classification and decomposition (recovery.recover_depths) are written
-# for exactly this many levels, so deeper blocks are reported DEPTH_EXCEEDED.
+# The deepest nesting that structure recovery reads back from a diagram, and
+# the bound is tight: one level deeper, one diagram can draw two queries.  The
+# 5-group path g1->g2, g2->g0, g3->g1, g3->g4, g4->g2 (root g0) has no
+# structure of depth 3 or less and two of depth 4, in which g1 and g4 swap.
+# Deeper blocks are reported DEPTH_EXCEEDED.
 MAX_DEPTH = 3
 
 
@@ -175,12 +177,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    depth_ok: bool
     violations: tuple[Violation, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def depth_ok(self) -> bool:
+        return not any(v.kind is ViolationKind.DEPTH_EXCEEDED for v in self.violations)
 
 
 def check_nondegenerate(lt: LogicTree) -> ValidationReport:
@@ -209,9 +214,7 @@ def check_nondegenerate(lt: LogicTree) -> ValidationReport:
                     violations.append(Violation(ViolationKind.CONNECTED_SUBQUERIES, path))
         if len(path) > MAX_DEPTH:
             violations.append(Violation(ViolationKind.DEPTH_EXCEEDED, path))
-
-    depth_ok = not any(v.kind is ViolationKind.DEPTH_EXCEEDED for v in violations)
-    return ValidationReport(depth_ok=depth_ok, violations=tuple(violations))
+    return ValidationReport(violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

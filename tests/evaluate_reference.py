@@ -1,18 +1,22 @@
 """Direct first-order evaluation of Logic Trees over tiny database instances.
 
-This is the semantic oracle used by the test-suite: a query's result set is
+This is the semantic oracle of the test-suite: a query's result set is
 computed by brute-force enumeration of bindings, with set semantics and
 two-valued logic.  A database is a mapping from table name to a sequence of
-rows (attribute -> value dicts).
+rows (attribute -> value dicts).  It is the reference for simplify_forall,
+whose rewrite lt_to_sql prints back and so cannot check; SQLite checks it in
+turn (test_sqlite_differential.py).
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from typing import Mapping, Sequence
 
-from .logic import LogicTree, LtNode, Predicate, Quantifier
-from .sqlast import ColumnRef, Constant
+from sqldiagram.corpus import SCHEMA
+from sqldiagram.logic import LogicTree, LtNode, Predicate, Quantifier
+from sqldiagram.sqlast import ColumnRef, Constant
 
 Row = Mapping[str, object]
 Database = Mapping[str, Sequence[Row]]
@@ -94,3 +98,16 @@ def compare(lhs: object, op: str, rhs: object) -> bool:
     if op == ">=":
         return lhs >= rhs
     raise ValueError(f"unknown operator {op!r}")
+
+
+def random_database(rng: random.Random, lt: LogicTree, *, max_rows: int = 2,
+                    domain: tuple[int, ...] = (0, 1, 2)) -> dict[str, list[dict[str, int]]]:
+    """A random instance, over corpus.SCHEMA, of every table name the tree mentions."""
+    tables = sorted({table for _, node, _ in lt.walk() for _, table in node.tables})
+    db = {}
+    for table in tables:
+        rows = []
+        for _ in range(rng.randint(0, max_rows)):
+            rows.append({attr: rng.choice(domain) for attr in SCHEMA[table]})
+        db[table] = rows
+    return db

@@ -23,7 +23,6 @@ from sqldiagram import (
     diagram_isomorphic,
     diagram_to_graph,
     emit_dot,
-    evaluate,
     lt_equal,
     parse,
     reading_order,
@@ -32,7 +31,7 @@ from sqldiagram import (
     simplify_forall,
 )
 from sqldiagram.cli import run
-from sqldiagram.corpus import random_database, random_logic_tree
+from sqldiagram.corpus import random_logic_tree
 from sqldiagram.errors import InvalidDiagramError
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
@@ -44,6 +43,7 @@ from sqldiagram.fixtures import (
     VALID_QUERIES,
 )
 
+from evaluate_reference import evaluate, random_database
 from graphs import make_graph
 
 

@@ -8,6 +8,7 @@ from sqldiagram.corpus import random_logic_tree
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
     OWL_SELECTION_BURIED,
+    SAILORS_ONLY_RED,
     SOME_LIKED_DRINK,
     UNIQUE_BEER_SET,
     VALID_QUERIES,
@@ -165,6 +166,23 @@ def test_recover_repeated_table_alias_exits_1(sql_file, tmp_path, capsys, into):
     capsys.readouterr()
     assert run(["recover", str(diagram_path)]) == 1
     assert capsys.readouterr().err == f"error: table alias {box['alias']!r} is repeated\n"
+
+
+@pytest.mark.parametrize("group, fields, error", [
+    (2, {"depth": 7, "parent": None}, "group g2_1 recovered at depth 2, expected 7"),
+    (2, {"parent": "g0_1"}, "group g2_1 recovered under g1_1"),
+    (0, {"parent": "g1_1"}, "group g0_1 recovered as the root"),
+], ids=["depth", "parent", "root_parent"])
+def test_recover_rejects_a_declared_structure_it_does_not_recover(
+        sql_file, tmp_path, capsys, group, fields, error):
+    diagram_path = tmp_path / "diagram.json"
+    run(["viz", "--format", "json", sql_file(SAILORS_ONLY_RED), "-o", str(diagram_path)])
+    doc = json.loads(diagram_path.read_text())
+    doc["groups"][group].update(fields)
+    diagram_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["recover", str(diagram_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_roundtrip_fixture_queries(sql_file, capsys):

@@ -11,8 +11,10 @@ from sqldiagram import (
     parse,
     resolve_scopes,
 )
-from sqldiagram.corpus import random_database, random_logic_tree
+from sqldiagram.corpus import random_logic_tree
 from sqldiagram.logic import Quantifier
+
+from evaluate_reference import random_database
 
 
 def test_generated_trees_are_valid():

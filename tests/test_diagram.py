@@ -19,7 +19,6 @@ from sqldiagram import (
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.diagram import AttributeRow, SelectionRow
 from sqldiagram.errors import DegenerateQueryError
-from sqldiagram.evaluate import compare
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
     OWL_SELECTION_BURIED,
@@ -32,6 +31,8 @@ from sqldiagram.logic import Predicate
 from sqldiagram.sqlast import ColumnRef
 
 import pytest
+
+from evaluate_reference import compare
 
 
 def diagram_of(sql, **kwargs):

@@ -7,7 +7,6 @@ from sqldiagram import (
     Predicate,
     Quantifier,
     build_logic_tree,
-    evaluate,
     lt_equal,
     lt_to_json,
     lt_to_sql,
@@ -27,6 +26,8 @@ from sqldiagram.fixtures import (
 )
 from sqldiagram.logic import make_node
 from sqldiagram.sqlast import ColumnRef
+
+from evaluate_reference import evaluate
 
 
 def lower(sql):

@@ -2,7 +2,6 @@ import pytest
 
 from sqldiagram import build_logic_tree, lt_to_sql, parse, print_sql, resolve_scopes
 from sqldiagram.errors import SqlSyntaxError, UnsupportedFeatureError
-from sqldiagram.evaluate import constant_value
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
     ONLY_RED_VARIANTS,
@@ -17,6 +16,8 @@ from sqldiagram.sqlast import (
     InSubquery,
     QuantifiedComparison,
 )
+
+from evaluate_reference import constant_value
 
 
 def test_conjunctive_query_shape():

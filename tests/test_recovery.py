@@ -501,3 +501,44 @@ def test_oracle_labels_one_branch_at_a_time():
         survivors = brute_force_depths(g)
         assert time.perf_counter() - start < 1.0
         assert survivors == [recover_depths(g)]
+
+
+# -- the depth bound is tight ------------------------------------------------
+#
+# One level past MAX_DEPTH a diagram can draw two queries.  Each witness below
+# admits exactly two structures of depth 4 and none within the bound.
+
+_DEPTH4_WITNESSES = [
+    (["n0", "n1", "n2", "n3", "n4"],
+     [("n1", "n4"), ("n2", "n4"), ("n3", "n1"), ("n3", "n2"), ("n4", "n0")], "n0"),
+    (["g0", "g1", "g2", "g3", "g4"],  # a 5-group path in which g1 and g4 can swap
+     [("g1", "g2"), ("g2", "g0"), ("g3", "g1"), ("g3", "g4"), ("g4", "g2")], "g0"),
+]
+
+
+@pytest.mark.parametrize("ids, edges, root", _DEPTH4_WITNESSES, ids=["n0", "path"])
+def test_depth4_witness_draws_two_queries(ids, edges, root):
+    g = make_graph(ids, edges, root)
+    structures = enumerate_depths(g, max_depth=4)
+    assert len(structures) == 2
+    assert all(max(s.depths.values()) == 4 for s in structures)
+    assert enumerate_depths(g, max_depth=3) == []
+    assert brute_force_depths(g) == []
+    with pytest.raises(InvalidDiagramError):
+        recover_depths(g)
+
+
+def test_no_structure_within_the_bound_has_a_rival_at_depth4():
+    # A seeded 1/32 of the 2^20 edge sets on five labelled groups: wherever
+    # the bounded oracle finds structures, depth 4 adds none.
+    ids = ["n0", "n1", "n2", "n3", "n4"]
+    pairs = list(itertools.permutations(ids, 2))
+    kept = 0
+    for mask in random.Random(7).sample(range(1 << len(pairs)), 1 << 15):
+        g = make_graph(ids, [p for i, p in enumerate(pairs) if mask >> i & 1], "n0")
+        survivors = brute_force_depths(g)
+        if survivors:
+            kept += 1
+            assert (sorted(s.to_json() for s in enumerate_depths(g, max_depth=4))
+                    == sorted(s.to_json() for s in survivors)), sorted(g.edges)
+    assert kept >= 50

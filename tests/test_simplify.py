@@ -3,14 +3,15 @@ import random
 from sqldiagram import (
     Quantifier,
     build_logic_tree,
-    evaluate,
     parse,
     render_trc,
     resolve_scopes,
     simplify_forall,
 )
-from sqldiagram.corpus import random_database, random_logic_tree
+from sqldiagram.corpus import random_logic_tree
 from sqldiagram.fixtures import ONLY_LIKED_DRINKS, UNIQUE_BEER_SET
+
+from evaluate_reference import evaluate, random_database
 
 
 def lower(sql):
