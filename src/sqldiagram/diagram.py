@@ -330,34 +330,46 @@ def _edge_json(src: tuple[str, str], dst: tuple[str, str], directed: bool,
 
 
 def diagram_from_json(text: str) -> Diagram:
+    """The diagram whose canonical JSON, as diagram_to_json writes it, is
+    `text`.  A malformed document raises ValueError, KeyError or TypeError,
+    which the CLI prints as `malformed input (...)` with exit code 2, or
+    IndexError for an empty edge end or a one-item SELECT link.  Equal rows
+    may be one shared object."""
     doc = json.loads(text)
-    groups = tuple(
-        TableGroup(
-            id=g["id"], quantifier=Quantifier(g["quantifier"]), depth=g["depth"],
-            parent=g["parent"],
-            tables=tuple(
-                TableBox(alias=t["alias"], table_name=t["table_name"],
-                         rows=tuple(_row_from_dict(r) for r in t["rows"]))
-                for t in g["tables"]))
-        for g in doc["groups"])
-    join_edges = []
-    links = []
+    quantifiers, attribute_rows = {}, {}  # one value per name, see _shared
+    groups = tuple([
+        TableGroup(g["id"], _shared(quantifiers, g["quantifier"], Quantifier), g["depth"],
+                   g["parent"],
+                   tuple([TableBox(t["alias"], t["table_name"],
+                                   tuple([_row_from_dict(r, attribute_rows) for r in t["rows"]]))
+                          for t in g["tables"]]))
+        for g in doc["groups"]])
+    join_edges, links = [], []
     for e in doc["edges"]:
         if e["from"][0] == SELECT_BOX_ID:
             links.append((e["to"][0], e["to"][1]))
         else:
-            join_edges.append(Edge(src=tuple(e["from"]), dst=tuple(e["to"]),
-                                   directed=e["directed"], label=e["label"]))
-    select_box = SelectBox(rows=tuple(doc["select_box"]["rows"]), links=tuple(links))
-    return Diagram(groups=groups, edges=tuple(join_edges), select_box=select_box)
+            join_edges.append(Edge(tuple(e["from"]), tuple(e["to"]), e["directed"], e["label"]))
+    select_box = SelectBox(tuple(doc["select_box"]["rows"]), tuple(links))
+    return Diagram(groups, tuple(join_edges), select_box)
 
 
-def _row_from_dict(doc: dict) -> Row:
+def _row_from_dict(doc: dict, attribute_rows: dict[str, AttributeRow]) -> Row:
     if "op" in doc:
-        return SelectionRow(attribute=doc["attribute"], op=doc["op"],
-                            constant=Constant(kind=doc["constant"]["kind"],
-                                              literal=doc["constant"]["literal"]))
-    return AttributeRow(attribute=doc["attribute"])
+        return SelectionRow(doc["attribute"], doc["op"],
+                            Constant(doc["constant"]["kind"], doc["constant"]["literal"]))
+    return _shared(attribute_rows, doc["attribute"], AttributeRow)
+
+
+def _shared(made: dict, key, make):
+    """made[key], made by `make` on first use, or anew for an unhashable key."""
+    try:
+        return made[key]
+    except KeyError:
+        value = made[key] = make(key)
+    except TypeError:
+        value = make(key)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Example queries over three toy schemas, used by the test-suite and docs.
 
-Bar scene:  Likes(drinker, beer), Frequents(person, bar), Serves(bar, drink).
+Bar scene:  Likes(drinker, beer) in UNIQUE_BEER_SET, Likes(person, drink) in
+            SOME_LIKED_DRINK and ONLY_LIKED_DRINKS, Frequents(person, bar),
+            Serves(bar, drink).
 Sailors:    Sailor(sid, sname, ...), Reserves(sid, bid, day), Boat(bid, bname, color).
 Students:   Student(sid, sname), Takes(sid, cid, semester), Class(cid, cname, department).
 Actors:     Actor(aid, aname), Casts(aid, mid, role), Movie(mid, mname, director).

@@ -49,13 +49,15 @@ from .logic import MAX_DEPTH
 @dataclass(frozen=True)
 class DiagramGraph:
     """Group-level graph: group ids, directed cross-group edges and the root
-    group.  Successor and predecessor lists are built once, on construction."""
+    group.  Successor and predecessor lists, and each group's neighbours,
+    are built once, on construction."""
 
     nodes: tuple[str, ...]  # sorted
     edges: frozenset[tuple[str, str]]
     root_id: str
     _succ: dict[str, list[str]] = field(init=False, repr=False, compare=False)
     _pred: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _adjacent: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
@@ -66,27 +68,28 @@ class DiagramGraph:
             pred.setdefault(dst, []).append(src)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
+        object.__setattr__(self, "_adjacent", {node: (*succ.get(node, ()), *pred.get(node, ()))
+                                               for node in succ.keys() | pred.keys()})
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         """Successors, then predecessors."""
-        return (*self._succ.get(node_id, ()), *self._pred.get(node_id, ()))
+        return self._adjacent.get(node_id, ())
 
     def weakly_connected_components(self, ids: set[str]) -> list[set[str]]:
         """Components of the subgraph induced by `ids`, ordered by least member."""
-        seen: set[str] = set()
+        adjacent, unseen = self._adjacent, set(ids)
         components = []
         for seed in sorted(ids):
-            if seed in seen:
+            if seed not in unseen:
                 continue
-            component = {seed}
-            frontier = [seed]
+            unseen.discard(seed)
+            component, frontier = {seed}, [seed]
             while frontier:
-                current = frontier.pop()
-                for other in self.neighbors(current):
-                    if other in ids and other not in component:
+                for other in adjacent.get(frontier.pop(), ()):
+                    if other in unseen:
+                        unseen.discard(other)
                         component.add(other)
                         frontier.append(other)
-            seen |= component
             components.append(component)
         return components
 
@@ -203,10 +206,12 @@ def recover_depths(g: DiagramGraph) -> DepthAssignment:
     root = g.root_id
     if root not in g.nodes:
         raise InvalidDiagramError(f"root {root} missing from graph", "recovery")
-    if len(g.weakly_connected_components(set(g.nodes))) != 1:
+    components = g.weakly_connected_components(set(g.nodes) - {root})
+    joined = set(g.neighbors(root))
+    if any(joined.isdisjoint(below) for below in components):
         raise InvalidDiagramError("graph is not weakly connected", "recovery")
     depths, parents = {root: 0}, {}
-    stack = [([root], below) for below in g.weakly_connected_components(set(g.nodes) - {root})]
+    stack = [([root], below) for below in components]
     while stack:
         chain, below = stack.pop()
         if len(chain) > MAX_DEPTH:
@@ -214,7 +219,8 @@ def recover_depths(g: DiagramGraph) -> DepthAssignment:
         top = next_group(g, chain, below)
         depths[top], parents[top] = len(chain), chain[-1]
         below.discard(top)
-        stack.extend((chain + [top], rest) for rest in g.weakly_connected_components(below))
+        if below:
+            stack.extend((chain + [top], rest) for rest in g.weakly_connected_components(below))
     assignment = DepthAssignment(depths=depths, parents=parents)
     _validate_assignment(g, assignment)
     return assignment

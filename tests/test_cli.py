@@ -132,6 +132,32 @@ def test_recover_malformed_json_exits_2(sql_file, capsys):
     assert run(["recover", sql_file("{not json", name="bad.json")]) == 2
 
 
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda doc: doc.update(groups=5), "'int' object is not iterable"),
+    (lambda doc: doc["groups"][1].update(quantifier="exists"),
+     "'exists' is not a valid Quantifier"),
+    (lambda doc: doc["groups"][1].update(quantifier=["x"]), "['x'] is not a valid Quantifier"),
+    # the group's id is read before its tables
+    (lambda doc: (doc["groups"][1].pop("id"), doc["groups"][1]["tables"][0].pop("alias")),
+     "'id'"),
+    (lambda doc: doc["edges"][0].update({"from": ["X"]}),
+     "not enough values to unpack (expected 2, got 1)"),
+    # the group's quantifier is read before its tables
+    (lambda doc: (doc["groups"][1].pop("quantifier"), doc["groups"][1].update(tables=3)),
+     "'quantifier'"),
+], ids=["groups_int", "quantifier_unknown", "quantifier_list", "id_and_alias_missing",
+        "edge_from_short", "quantifier_missing_tables_int"])
+def test_recover_malformed_diagram_prints_one_line(sql_file, tmp_path, capsys, mutate, reason):
+    diagram_path = tmp_path / "diagram.json"
+    run(["viz", "--format", "json", sql_file(UNIQUE_BEER_SET), "-o", str(diagram_path)])
+    doc = json.loads(diagram_path.read_text())
+    mutate(doc)
+    diagram_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["recover", str(diagram_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: malformed input ({reason})\n")
+
+
 def test_recover_invalid_diagram_exits_1(sql_file, tmp_path, capsys):
     diagram_path = tmp_path / "diagram.json"
     run(["viz", "--format", "json", sql_file(UNIQUE_BEER_SET), "-o", str(diagram_path)])

@@ -27,8 +27,8 @@ from sqldiagram.fixtures import (
     UNIQUE_BEER_SET,
     VALID_QUERIES,
 )
-from sqldiagram.logic import Predicate
-from sqldiagram.sqlast import ColumnRef
+from sqldiagram.logic import LogicTree, Predicate, make_node
+from sqldiagram.sqlast import ColumnRef, Constant
 
 import pytest
 
@@ -281,10 +281,47 @@ def test_group_tree_isomorphic_to_logic_tree_on_corpus():
                     assert group.parent == by_alias_group[parent.aliases[0]].id
 
 
-def test_json_round_trip_identity():
+def _wide_tree(k):
+    """A root with k NOT EXISTS children, each with two children of its own
+    (3k + 1 groups), drawn from few table and attribute names, so most rows
+    repeat an attribute name seen before."""
+    def col(alias, attribute):
+        return ColumnRef(alias=alias, attribute=attribute)
+
+    children = []
+    for i in range(k):
+        grandchildren = [
+            make_node([(f"G{i}x{j}", "S")],
+                      [Predicate(col(f"G{i}x{j}", "a"), ("=", "<")[j], col(f"C{i}", "b")),
+                       Predicate(col(f"G{i}x{j}", "c"), "=",
+                                 Constant(kind="string", literal=f"é'{i % 7}"))],
+                      (Quantifier.EXISTS, Quantifier.NOT_EXISTS)[j])
+            for j in range(2)]
+        children.append(make_node([(f"C{i}", "R")],
+                                  [Predicate(col(f"C{i}", "b"), "<>", col("W", "a"))],
+                                  Quantifier.NOT_EXISTS, grandchildren))
+    root = make_node([("W", "R")], [], Quantifier.ROOT, children)
+    return LogicTree(root=root, select_list=(col("W", "a"),))
+
+
+def _round_trip_inputs():
     for name, sql in VALID_QUERIES.items():
-        d = diagram_of(sql)
-        assert diagram_from_json(diagram_to_json(d)) == d, name
+        yield name, diagram_of(sql)
+    rng = random.Random(12)
+    for i in range(200):
+        yield f"random{i}", build_diagram(random_logic_tree(rng), simplified=i % 2 == 0)
+    yield "wide301", build_diagram(_wide_tree(100))
+
+
+def test_json_round_trip_identity():
+    sizes = []
+    for name, d in _round_trip_inputs():
+        text = diagram_to_json(d)
+        back = diagram_from_json(text)
+        assert back == d, name
+        assert diagram_to_json(back) == text, name
+        sizes.append(len(d.groups))
+    assert len(sizes) == 213 and max(sizes) == 301
 
 
 def test_json_counts_unique_set():
@@ -322,9 +359,6 @@ def test_isomorphism_is_not_fooled_by_quantifiers():
 def _relabel(lt):
     """Consistent renaming of every alias, table, attribute and constant."""
     from dataclasses import replace
-
-    from sqldiagram.logic import LogicTree, Predicate, make_node
-    from sqldiagram.sqlast import ColumnRef, Constant
 
     aliases, tables, attrs, consts = {}, {}, {}, {}
 

@@ -341,10 +341,34 @@ def test_unconnected_subquery_graph_rejected():
         recover_depths(g)
 
 
+# name -> (group ids, edges, root, the message recover_depths raises)
+_FAILING_GRAPHS = {
+    "root_missing": (["a", "b"], [("a", "b")], "r", "root r missing from graph"),
+    "disconnected": (["r", "a", "b"], [("r", "a")], "r", "graph is not weakly connected"),
+    # connectivity is checked before any component is labeled, so the
+    # component below r where x joins both y and z does not answer first
+    "disconnected_before_several_direct": (
+        ["r", "d", "x", "y", "z"], [("r", "x"), ("x", "y"), ("x", "z"), ("y", "z")], "r",
+        "graph is not weakly connected"),
+    "several_direct": (["r", "a", "b"], [("r", "a"), ("r", "b"), ("a", "b")], "r",
+                       "r joins several groups of one subquery"),
+    "no_mediated": (["r", "a"], [("a", "r")], "r",
+                    "no single group below r joins it through its children"),
+    "too_deep": (["r", "a", "b", "c", "d"], [("r", "a"), ("a", "b"), ("b", "c"), ("c", "d")],
+                 "r", "groups are nested deeper than 3"),
+    "arrow_contradiction": (["r", "a", "b"], [("r", "a"), ("a", "b"), ("b", "a")], "r",
+                            "edge directions contradict the depth labeling"),
+    "subquery_not_connected": (["r", "a", "b", "c"], [("a", "b"), ("b", "r"), ("a", "c")], "r",
+                               "connected-subquery property fails"),
+}
+
+
 def test_error_names_the_failing_stage():
-    with pytest.raises(InvalidDiagramError) as exc:
-        recover_depths(make_graph(["r", "a", "b"], [("r", "a")], "r"))
-    assert exc.value.stage == "recovery"
+    for name, (ids, edges, root, message) in _FAILING_GRAPHS.items():
+        with pytest.raises(InvalidDiagramError) as exc:
+            recover_depths(make_graph(ids, edges, root))
+        assert exc.value.stage == "recovery", name
+        assert str(exc.value) == f"recovery: {message}", name
 
 
 # -- differential test against the oracle ---------------------------------------------
