@@ -48,7 +48,6 @@ from .logic import (
     simplify_forall,
 )
 from .parser import parse
-from .printer import print_sql
 from .recovery import (
     DepthAssignment,
     DiagramGraph,
@@ -60,6 +59,7 @@ from .recovery import (
     recover_depths,
 )
 from .scopes import resolve_scopes
+from .sqlast import print_sql
 
 __all__ = [
     "Diagram", "ReadingOrder", "arrow_points", "build_diagram", "count_elements",

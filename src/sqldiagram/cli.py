@@ -7,12 +7,14 @@ recovered structure, compared against the source) and metrics (element and
 word counts).
 
 Exit codes: 0 success, 1 validation failure (degenerate query, invalid
-diagram, failed round trip), 2 parse or usage error.
+diagram, failed round trip), 2 parse, usage or I/O error, including a failed
+renderer.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import subprocess
@@ -43,6 +45,7 @@ from .scopes import resolve_scopes
 RENDERER_ENV = "SQLDIAGRAM_RENDERER"
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqldiagram",
@@ -120,24 +123,26 @@ def _cmd_viz(args) -> int:
     if args.format == "json":
         _write_output(args, diagram_to_json(diagram))
         return 0
-    dot_text = emit_dot(diagram)
-    _write_output(args, dot_text)
-    if args.render:
-        _render(args, dot_text)
-    return 0
+    _write_output(args, emit_dot(diagram))
+    return _render(args) if args.render else 0
 
 
-def _render(args, dot_text: str) -> None:
+def _render(args) -> int:
+    """Run the external renderer on the DOT file just written."""
     renderer = os.environ.get(RENDERER_ENV)
     if not renderer or shutil.which(renderer) is None:
         print(f"warning: no renderer available (set ${RENDERER_ENV}); skipping render",
               file=sys.stderr)
-        return
+        return 0
     if not args.output:
         print("warning: --render needs --output to name the rendered file", file=sys.stderr)
-        return
+        return 0
     target = os.path.splitext(args.output)[0] + "." + args.render
-    subprocess.run([renderer, f"-T{args.render}", args.output, "-o", target], check=True)
+    status = subprocess.run([renderer, f"-T{args.render}", args.output, "-o", target]).returncode
+    if status:
+        print(f"error: renderer {renderer} exited with status {status}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_lt(args) -> int:
@@ -168,13 +173,18 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    diagram = diagram_from_json(_read_input(args.input))
-    assignment = recover_depths(diagram_to_graph(diagram))
-    mismatch = _structure_mismatch(diagram, assignment)
-    if mismatch:
-        print(f"error: {mismatch}", file=sys.stderr)
-        return 1
-    _write_output(args, assignment.to_json())
+    text = _read_input(args.input)
+    try:
+        diagram = diagram_from_json(text)
+        assignment = recover_depths(diagram_to_graph(diagram))
+        mismatch = _structure_mismatch(diagram, assignment)
+        if mismatch:
+            print(f"error: {mismatch}", file=sys.stderr)
+            return 1
+        _write_output(args, assignment.to_json())
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:  # see diagram_from_json
+        print(f"error: malformed input ({exc})", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -247,9 +257,6 @@ def run(argv: list[str]) -> int:
         return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as exc:  # malformed JSON and similar
-        print(f"error: malformed input ({exc})", file=sys.stderr)
         return 2
 
 

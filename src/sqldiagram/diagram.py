@@ -23,10 +23,7 @@ from .logic import (
     LogicTree,
     Predicate,
     Quantifier,
-    _json_array,
-    _json_str,
-    _json_str_or_null,
-    _Relabeling,
+    _Relabeling,  # goes once diagram_isomorphic adapts lt_equal (ROADMAP item 2)
     check_nondegenerate,
     simplify_forall,
 )
@@ -283,6 +280,25 @@ def count_words(sql_text: str) -> int:
 # Canonical JSON
 
 
+# `indent` makes json.dumps fall back to its pure-Python encoder, so the
+# canonical document is written field by field in the layout it would
+# give; string leaves still go through its C string encoder.
+_json_str = json.encoder.encode_basestring
+
+
+def _json_str_or_null(value: str | None) -> str:
+    return "null" if value is None else _json_str(value)
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2) does
+    with the closing bracket on a line indented by `pad`."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
 def diagram_to_json(d: Diagram) -> str:
     """Canonical JSON of a diagram: the bytes json.dumps(doc, indent=2,
     ensure_ascii=False) gives for it, plus a newline."""
@@ -331,10 +347,9 @@ def _edge_json(src: tuple[str, str], dst: tuple[str, str], directed: bool,
 
 def diagram_from_json(text: str) -> Diagram:
     """The diagram whose canonical JSON, as diagram_to_json writes it, is
-    `text`.  A malformed document raises ValueError, KeyError or TypeError,
-    which the CLI prints as `malformed input (...)` with exit code 2, or
-    IndexError for an empty edge end or a one-item SELECT link.  Equal rows
-    may be one shared object."""
+    `text`.  A malformed document raises ValueError, LookupError, TypeError
+    or RecursionError, which the CLI prints as `malformed input (...)` with
+    exit code 2.  Equal rows may be one shared object."""
     doc = json.loads(text)
     quantifiers, attribute_rows = {}, {}  # one value per name, see _shared
     groups = tuple([

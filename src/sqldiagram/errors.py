@@ -9,49 +9,44 @@ class SqlDiagramError(Exception):
     exit_code = 2  # the CLI's exit status: 2 unreadable input, 1 failed validation
 
 
-class SqlSyntaxError(SqlDiagramError):
+class PositionedError(SqlDiagramError):
+    """An error at a place in the SQL text; line 0 means it has none."""
+
+    def __init__(self, message: str, line: int = 0, column: int = 0, detail: str = ""):
+        self.line = line
+        self.column = column
+        at = f" at line {line}:{column}" if line else ""
+        super().__init__(message + at + detail)
+
+
+class SqlSyntaxError(PositionedError):
     """Input text does not match the supported SQL fragment."""
 
     def __init__(self, message: str, line: int, column: int, expected: str | None = None):
-        self.line = line
-        self.column = column
         self.expected = expected
-        detail = f"{message} at line {line}:{column}"
-        if expected:
-            detail += f" (expected {expected})"
-        super().__init__(detail)
+        super().__init__(message, line, column, f" (expected {expected})" if expected else "")
 
 
-class UnsupportedFeatureError(SqlDiagramError):
+class UnsupportedFeatureError(PositionedError):
     """Syntactically recognisable SQL that the fragment deliberately excludes."""
 
     def __init__(self, feature: str, line: int, column: int):
         self.feature = feature
-        self.line = line
-        self.column = column
-        super().__init__(f"unsupported feature {feature} at line {line}:{column}")
+        super().__init__(f"unsupported feature {feature}", line, column)
 
 
-class UnknownAliasError(SqlDiagramError):
+class UnknownAliasError(PositionedError):
     """A column reference names an alias that is not in its scope chain."""
 
     def __init__(self, alias: str, attribute: str, line: int = 0, column: int = 0):
         self.alias = alias
         self.attribute = attribute
-        self.line = line
-        self.column = column
-        at = f" at line {line}:{column}" if line else ""
-        super().__init__(f"unknown table alias {alias!r} in {alias}.{attribute}{at}")
+        super().__init__(f"unknown table alias {alias!r} in {alias}.{attribute}", line, column)
 
 
-class AmbiguousColumnError(SqlDiagramError):
+class AmbiguousColumnError(PositionedError):
     """An unqualified column could belong to more than one in-scope table, or
     one FROM clause declares an alias twice (which has no position)."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        self.line = line
-        self.column = column
-        super().__init__(f"{message} at line {line}:{column}" if line else message)
 
 
 class MalformedSubqueryError(SqlDiagramError):

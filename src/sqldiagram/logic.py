@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import MalformedSubqueryError
-from .printer import print_sql
 from .sqlast import (
     COMPLEMENT_OP,
     FLIPPED_OP,
@@ -31,6 +30,7 @@ from .sqlast import (
     QuantifiedComparison,
     QueryAst,
     TableRef,
+    print_sql,
 )
 
 
@@ -399,53 +399,23 @@ class _Relabeling:
 # JSON serialization
 
 
-# `indent` makes json.dumps fall back to its pure-Python encoder, so the
-# canonical documents are written field by field in the layout it would
-# give; string leaves still go through its C string encoder.
-_json_str = json.encoder.encode_basestring
-
-
-def _json_str_or_null(value: str | None) -> str:
-    return "null" if value is None else _json_str(value)
-
-
-def _json_array(items: list[str], pad: str) -> str:
-    """A JSON array of encoded items, laid out as json.dumps(indent=2) does
-    with the closing bracket on a line indented by `pad`."""
-    if not items:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
-
-
 def lt_to_json(lt: LogicTree) -> str:
-    """Canonical JSON of a Logic Tree: the bytes json.dumps(doc, indent=2,
-    ensure_ascii=False) gives for it, plus a newline."""
-    select = _json_array([_json_str(col.sql()) for col in lt.select_list], "  ")
-    return _node_json(lt.root, "", f',\n  "select_list": {select}') + "\n"
+    """Canonical JSON of a Logic Tree, plus a newline."""
+    doc = _node_doc(lt.root)
+    doc["select_list"] = [col.sql() for col in lt.select_list]
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _node_json(node: LtNode, pad: str, tail: str = "") -> str:
-    inner = pad + "  "
-    deeper = inner + "  "
-    tables = _json_array([_json_array([_json_str(alias), _json_str(table)], deeper)
-                          for alias, table in node.tables], inner)
-    predicates = _json_array([_pred_json(p, deeper) for p in node.predicates], inner)
-    children = _json_array([_node_json(c, deeper) for c in node.children], inner)
-    return (f'{{\n{inner}"tables": {tables},\n{inner}"predicates": {predicates},\n'
-            f'{inner}"quantifier": {_json_str(node.quantifier.value)},\n'
-            f'{inner}"children": {children}{tail}\n{pad}}}')
-
-
-def _pred_json(pred: Predicate, pad: str) -> str:
-    inner = pad + "  "
-    if isinstance(pred.rhs, ColumnRef):
-        rhs = _json_str(pred.rhs.sql())
-    else:
-        rhs = (f'{{\n{inner}  "kind": {_json_str(pred.rhs.kind)},\n'
-               f'{inner}  "literal": {_json_str(pred.rhs.literal)}\n{inner}}}')
-    return (f'{{\n{inner}"lhs": {_json_str(pred.lhs.sql())},\n{inner}"op": {_json_str(pred.op)},\n'
-            f'{inner}"rhs": {rhs}\n{pad}}}')
+def _node_doc(node: LtNode) -> dict:
+    return {
+        "tables": node.tables,  # json.dumps writes tuples as arrays
+        "predicates": [{"lhs": p.lhs.sql(), "op": p.op,
+                        "rhs": p.rhs.sql() if isinstance(p.rhs, ColumnRef)
+                        else {"kind": p.rhs.kind, "literal": p.rhs.literal}}
+                       for p in node.predicates],
+        "quantifier": node.quantifier.value,
+        "children": [_node_doc(child) for child in node.children],
+    }
 
 
 # ---------------------------------------------------------------------------

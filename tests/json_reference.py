@@ -1,9 +1,12 @@
 """Reference JSON writers for differential tests.
 
-These are the earlier `diagram_to_json` and `lt_to_json`: they build the
-document as dicts and lists and hand it to `json.dumps(indent=2,
-ensure_ascii=False)`.  The package writes the same bytes field by field;
-every test that compares the two calls these.
+Both build the document as dicts and lists and hand it to
+`json.dumps(indent=2, ensure_ascii=False)`.  The diagram half is the earlier
+`diagram_to_json`, which the package now writes field by field.  The
+package's `lt_to_json` also goes through `json.dumps`, so the logic-tree half
+pins the document's shape with code written apart from it: field
+names, their order and how each predicate side is spelled.  Every test that
+compares the two calls these.
 """
 
 import json

@@ -71,6 +71,17 @@ def test_viz_render_invokes_external_renderer(sql_file, tmp_path, monkeypatch):
     assert f"-Tsvg {target} -o {rendered}" in rendered.read_text()
 
 
+def test_viz_failing_renderer_prints_one_line(sql_file, tmp_path, capsys, monkeypatch):
+    stub = tmp_path / "failing-dot"
+    stub.write_text("#!/bin/sh\nexit 3\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("SQLDIAGRAM_RENDERER", str(stub))
+    target = tmp_path / "out.dot"
+    assert run(["viz", sql_file(SOME_LIKED_DRINK), "-o", str(target), "--render", "svg"]) == 2
+    assert capsys.readouterr() == ("", f"error: renderer {stub} exited with status 3\n")
+    assert target.read_text().startswith("digraph ")
+
+
 def test_lt_json(sql_file, capsys):
     assert run(["lt", sql_file(ONLY_LIKED_DRINKS)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -145,8 +156,12 @@ def test_recover_malformed_json_exits_2(sql_file, capsys):
     # the group's quantifier is read before its tables
     (lambda doc: (doc["groups"][1].pop("quantifier"), doc["groups"][1].update(tables=3)),
      "'quantifier'"),
+    (lambda doc: doc["edges"][0].update({"from": []}), "list index out of range"),
+    (lambda doc: next(e for e in doc["edges"] if e["from"][0] == "SELECT").update(to=["x"]),
+     "list index out of range"),
 ], ids=["groups_int", "quantifier_unknown", "quantifier_list", "id_and_alias_missing",
-        "edge_from_short", "quantifier_missing_tables_int"])
+        "edge_from_short", "quantifier_missing_tables_int", "edge_from_empty",
+        "select_link_short"])
 def test_recover_malformed_diagram_prints_one_line(sql_file, tmp_path, capsys, mutate, reason):
     diagram_path = tmp_path / "diagram.json"
     run(["viz", "--format", "json", sql_file(UNIQUE_BEER_SET), "-o", str(diagram_path)])
@@ -156,6 +171,14 @@ def test_recover_malformed_diagram_prints_one_line(sql_file, tmp_path, capsys, m
     capsys.readouterr()
     assert run(["recover", str(diagram_path)]) == 2
     assert capsys.readouterr() == ("", f"error: malformed input ({reason})\n")
+
+
+def test_recover_deeply_nested_json_prints_one_line(sql_file, capsys):
+    assert run(["recover", sql_file("[" * 100000, name="deep.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: malformed input (maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 def test_recover_invalid_diagram_exits_1(sql_file, tmp_path, capsys):

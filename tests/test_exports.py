@@ -1,11 +1,17 @@
-"""The package's export list names only what the package defines, and importing
-the package loads no module that only tests and benchmarks read."""
+"""The package's export list names only what the package defines, importing
+the package loads no module that only tests and benchmarks read, and each
+module keeps its private names to itself."""
 
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import sqldiagram
+
+PACKAGE = Path(sqldiagram.__file__).parent
 
 
 def test_every_export_resolves():
@@ -26,3 +32,20 @@ def test_import_loads_no_test_support_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    private = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("sqldiagram")):
+                private.update((path.name, alias.name) for alias in node.names
+                               if alias.name.startswith("_"))
+    # diagram_isomorphic still searches with lt_equal's renaming engine.
+    assert private == {("diagram.py", "_Relabeling")}
+
+
+def test_sql_printer_lives_with_the_ast():
+    assert importlib.util.find_spec("sqldiagram.printer") is None
+    assert sqldiagram.print_sql.__module__ == "sqldiagram.sqlast"
