@@ -194,7 +194,7 @@ def _structure_mismatch(diagram, recovered) -> str | None:
     for group in diagram.groups:
         if recovered.depths[group.id] != group.depth:
             return (f"group {group.id} recovered at depth {recovered.depths[group.id]}, "
-                    f"expected {group.depth}")
+                    f"expected {group.depth!r}")
     parent_of = {group.id: group.parent for group in diagram.groups}
     for gid in recovered.depths:
         parent_gid = recovered.parents.get(gid)

@@ -49,8 +49,9 @@ class AmbiguousColumnError(PositionedError):
     one FROM clause declares an alias twice (which has no position)."""
 
 
-class MalformedSubqueryError(SqlDiagramError):
-    """An IN/ANY/ALL subquery whose select list is not exactly one column."""
+class MalformedSubqueryError(PositionedError):
+    """An IN/ANY/ALL subquery whose select list is not exactly one column,
+    placed at the column to the left of IN, ANY or ALL."""
 
 
 class DegenerateQueryError(SqlDiagramError):

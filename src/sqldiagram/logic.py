@@ -1,13 +1,15 @@
 """Logic Tree: the canonical semantic form of a query.
 
 Each node is one query block: its tables, its conjunctive predicates and
-the quantifier applied to them.  Lowering maps the subquery operators to
-quantifiers (EXISTS -> exists, NOT EXISTS / NOT IN / op ALL -> not-exists,
-IN / op ANY -> exists with an extra equality or comparison against the
-subquery's single select column).  FOR_ALL never comes out of lowering;
-it is introduced only by simplify_forall, which rewrites a not-exists
-node with a single not-exists child into forall/exists.  A predicate is
-the parser's own sqlast.Comparison; lt_to_sql prints through print_sql.
+the quantifier applied to them.  [NOT] EXISTS (S) lowers to an exists
+(not-exists) child.  Every quantified comparison `[NOT] x op ANY|ALL (S)`,
+x [NOT] IN (S) being [NOT] x = ANY (S), lowers by one rule: the child is
+not-exists exactly when negated != (mode == "ALL"), and it gains the link
+`x op c` to S's one select column c, op complemented under ALL.  FOR_ALL
+never comes out of lowering; simplify_forall alone brings it in, rewriting a
+not-exists node with a single not-exists child into forall/exists.  A
+predicate is the parser's own sqlast.Comparison; lt_to_sql prints through
+print_sql.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .sqlast import (
     Comparison as Predicate,  # a comparison whose operands are fully qualified
     Constant,
     Exists,
-    InSubquery,
-    QuantifiedComparison,
     QueryAst,
     TableRef,
     print_sql,
@@ -114,35 +114,19 @@ def _lower_block(block: QueryAst, quantifier: Quantifier,
         elif isinstance(pred, Exists):
             q = Quantifier.NOT_EXISTS if pred.negated else Quantifier.EXISTS
             children.append(_lower_block(pred.subquery, q, ()))
-        elif isinstance(pred, InSubquery):
-            q = Quantifier.NOT_EXISTS if pred.negated else Quantifier.EXISTS
-            link = Predicate(lhs=_qualified(pred.column), op="=",
-                             rhs=_single_column(pred.subquery))
+        else:  # the one rule for ANY and ALL; see the module docstring
+            column, every = _qualified(pred.column), pred.mode == "ALL"
+            select_list = pred.subquery.select_list
+            if len(select_list) != 1:
+                raise MalformedSubqueryError(
+                    f"IN/ANY/ALL subquery must select exactly one column, got "
+                    f"{len(select_list) or 'SELECT *'}", column.line, column.column)
+            link = Predicate(lhs=column, op=COMPLEMENT_OP[pred.op] if every else pred.op,
+                             rhs=select_list[0])
+            q = Quantifier.NOT_EXISTS if pred.negated != every else Quantifier.EXISTS
             children.append(_lower_block(pred.subquery, q, (link,)))
-        elif isinstance(pred, QuantifiedComparison):
-            if pred.mode == "ANY":
-                q = Quantifier.EXISTS
-                op = pred.op
-            else:  # ALL: no binding may violate, so negate both quantifier and operator
-                q = Quantifier.NOT_EXISTS
-                op = COMPLEMENT_OP[pred.op]
-            if pred.negated:
-                q = Quantifier.EXISTS if q is Quantifier.NOT_EXISTS else Quantifier.NOT_EXISTS
-            link = Predicate(lhs=_qualified(pred.column), op=op,
-                             rhs=_single_column(pred.subquery))
-            children.append(_lower_block(pred.subquery, q, (link,)))
-        else:
-            raise TypeError(f"unknown predicate node {pred!r}")
     tables = [(ref.alias, ref.table_name) for ref in block.from_list]
     return make_node(tables, predicates, quantifier, children)
-
-
-def _single_column(subquery: QueryAst) -> ColumnRef:
-    if len(subquery.select_list) != 1:
-        raise MalformedSubqueryError(
-            f"IN/ANY/ALL subquery must select exactly one column, got "
-            f"{len(subquery.select_list) or 'SELECT *'}")
-    return subquery.select_list[0]
 
 
 # ---------------------------------------------------------------------------

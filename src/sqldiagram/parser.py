@@ -5,6 +5,9 @@ Keywords are case-insensitive, identifiers preserve their case; `--` and
 outside the fragment is rejected explicitly: recognisable but unsupported
 constructs (OR, GROUP BY, aggregates, ...) raise UnsupportedFeatureError,
 everything else raises SqlSyntaxError with line/column information.
+
+A predicate reads its optional leading NOT once.  `x [NOT] IN (S)` parses
+to the node of `[NOT] x = ANY (S)`: QuantifiedComparison(negated, x, "=", "ANY", S).
 """
 
 from __future__ import annotations
@@ -14,13 +17,11 @@ from typing import NamedTuple
 
 from .errors import SqlSyntaxError, UnsupportedFeatureError
 from .sqlast import (
-    COMPARE_OPS,
     FLIPPED_OP,
     ColumnRef,
     Comparison,
     Constant,
     Exists,
-    InSubquery,
     PredicateAst,
     QuantifiedComparison,
     QueryAst,
@@ -257,25 +258,18 @@ class _Parser:
 
     def _parse_predicate(self, depth: int) -> PredicateAst:
         tok = self._peek()
-        if tok.kind == "KEYWORD" and tok.text == "NOT":
+        negated = tok.kind == "KEYWORD" and tok.text == "NOT"
+        if negated:
             self._advance()
-            if self._match("KEYWORD", "EXISTS"):
-                return Exists(negated=True, subquery=self._parse_parenthesized_query(depth))
-            column = self._parse_column_ref()
-            op = self._expect("OP", expected="a comparison operator").text
-            mode_tok = self._peek()
-            if mode_tok.kind == "KEYWORD" and mode_tok.text in ("ANY", "ALL"):
-                self._advance()
-                sub = self._parse_parenthesized_query(depth)
-                return QuantifiedComparison(negated=True, column=column, op=op,
-                                            mode=mode_tok.text, subquery=sub)
-            raise SqlSyntaxError(
-                f"unexpected {mode_tok.text!r} after NOT comparison",
-                mode_tok.line, mode_tok.column, "ANY or ALL")
+            tok = self._peek()
         if tok.kind == "KEYWORD" and tok.text == "EXISTS":
             self._advance()
-            return Exists(negated=False, subquery=self._parse_parenthesized_query(depth))
-        if self._at_constant():
+            return Exists(negated=negated, subquery=self._parse_parenthesized_query(depth))
+        if negated:
+            # NOT x op ANY|ALL (S); x [NOT] IN (S) takes no leading NOT
+            column = self._parse_column_ref()
+            op = self._expect("OP", expected="a comparison operator").text
+        elif self._at_constant():
             # constant-first comparison: normalise to put the column on the left
             constant = self._parse_constant()
             op = self._expect("OP", expected="a comparison operator").text
@@ -287,22 +281,25 @@ class _Parser:
             column = self._parse_column_ref()
             self._reject_arithmetic()
             return Comparison(lhs=column, op=FLIPPED_OP[op], rhs=constant)
-        column = self._parse_column_ref()
-        self._reject_arithmetic()
-        if self._match("KEYWORD", "NOT"):
-            self._expect("KEYWORD", "IN")
-            return InSubquery(negated=True, column=column, subquery=self._parse_parenthesized_query(depth))
-        if self._match("KEYWORD", "IN"):
-            return InSubquery(negated=False, column=column, subquery=self._parse_parenthesized_query(depth))
-        op_tok = self._expect("OP", expected="a comparison operator, IN or NOT IN")
-        if op_tok.text not in COMPARE_OPS:
-            raise SqlSyntaxError(f"unknown operator {op_tok.text!r}", op_tok.line, op_tok.column)
+        else:
+            column = self._parse_column_ref()
+            self._reject_arithmetic()
+            if self._match("KEYWORD", "NOT"):
+                negated = True
+                self._expect("KEYWORD", "IN")
+            if negated or self._match("KEYWORD", "IN"):  # [NOT] x = ANY (S)
+                return QuantifiedComparison(negated, column, "=", "ANY",
+                                            self._parse_parenthesized_query(depth))
+            op = self._expect("OP", expected="a comparison operator, IN or NOT IN").text
         nxt = self._peek()
         if nxt.kind == "KEYWORD" and nxt.text in ("ANY", "ALL"):
             self._advance()
-            sub = self._parse_parenthesized_query(depth)
-            return QuantifiedComparison(negated=False, column=column, op=op_tok.text,
-                                        mode=nxt.text, subquery=sub)
+            return QuantifiedComparison(negated, column, op, nxt.text,
+                                        self._parse_parenthesized_query(depth))
+        if negated:
+            raise SqlSyntaxError(
+                f"unexpected {nxt.text!r} after NOT comparison", nxt.line, nxt.column,
+                "ANY or ALL")
         if nxt.kind == "LPAREN":
             raise SqlSyntaxError(
                 "scalar subquery comparison is not part of the fragment",
@@ -312,7 +309,7 @@ class _Parser:
         else:
             rhs = self._parse_column_ref()
         self._reject_arithmetic()
-        return Comparison(lhs=column, op=op_tok.text, rhs=rhs)
+        return Comparison(lhs=column, op=op, rhs=rhs)
 
     def _at_constant(self) -> bool:
         """A string, a number, or a sign directly before a number."""

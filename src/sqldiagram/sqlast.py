@@ -2,9 +2,12 @@
 
 A query is a SELECT list, a FROM list and a WHERE clause, which is the
 tuple of its conjuncts (empty without WHERE).  Predicates are comparisons
-(join or selection) or EXISTS / IN / quantified subqueries with optional
-negation.  There is deliberately no conjunction or disjunction node, no
-grouping and no arithmetic.  Comparison is also the logic tree's predicate
+(join or selection), [NOT] EXISTS subqueries, or quantified comparisons
+`[NOT] x op ANY|ALL (S)`.  As in the SQL standard, `x IN (S)` is
+`x = ANY (S)` and `x NOT IN (S)` is `NOT x = ANY (S)`: both parse to the
+same QuantifiedComparison, and print_sql writes an `= ANY` node as IN.
+There is deliberately no conjunction or disjunction node, no grouping and
+no arithmetic.  Comparison is also the logic tree's predicate
 (logic.Predicate), and its text() is the one place SQL spells a comparison.
 """
 
@@ -100,13 +103,6 @@ class Exists:
 
 
 @dataclass(frozen=True)
-class InSubquery:
-    negated: bool
-    column: ColumnRef
-    subquery: "QueryAst"
-
-
-@dataclass(frozen=True)
 class QuantifiedComparison:
     negated: bool
     column: ColumnRef
@@ -115,7 +111,7 @@ class QuantifiedComparison:
     subquery: "QueryAst"
 
 
-PredicateAst = Comparison | Exists | InSubquery | QuantifiedComparison
+PredicateAst = Comparison | Exists | QuantifiedComparison
 
 
 @dataclass(frozen=True)
@@ -142,13 +138,10 @@ def print_sql(ast: QueryAst) -> str:
 def _predicate(pred: PredicateAst) -> str:
     if isinstance(pred, Comparison):
         return pred.text()
+    not_ = "NOT " if pred.negated else ""
+    sub = f"({print_sql(pred.subquery)})"
     if isinstance(pred, Exists):
-        keyword = "NOT EXISTS" if pred.negated else "EXISTS"
-        return f"{keyword} ({print_sql(pred.subquery)})"
-    if isinstance(pred, InSubquery):
-        keyword = "NOT IN" if pred.negated else "IN"
-        return f"{pred.column.sql()} {keyword} ({print_sql(pred.subquery)})"
-    if isinstance(pred, QuantifiedComparison):
-        prefix = "NOT " if pred.negated else ""
-        return f"{prefix}{pred.column.sql()} {pred.op} {pred.mode} ({print_sql(pred.subquery)})"
-    raise TypeError(f"unknown predicate node {pred!r}")
+        return f"{not_}EXISTS {sub}"
+    if pred.op == "=" and pred.mode == "ANY":  # x [NOT] IN (S)
+        return f"{pred.column.sql()} {not_}IN {sub}"
+    return f"{not_}{pred.column.sql()} {pred.op} {pred.mode} {sub}"

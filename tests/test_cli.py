@@ -221,7 +221,8 @@ def test_recover_repeated_table_alias_exits_1(sql_file, tmp_path, capsys, into):
     (2, {"depth": 7, "parent": None}, "group g2_1 recovered at depth 2, expected 7"),
     (2, {"parent": "g0_1"}, "group g2_1 recovered under g1_1"),
     (0, {"parent": "g1_1"}, "group g0_1 recovered as the root"),
-], ids=["depth", "parent", "root_parent"])
+    (0, {"depth": "0"}, "group g0_1 recovered at depth 0, expected '0'"),
+], ids=["depth", "parent", "root_parent", "depth_as_string"])
 def test_recover_rejects_a_declared_structure_it_does_not_recover(
         sql_file, tmp_path, capsys, group, fields, error):
     diagram_path = tmp_path / "diagram.json"
@@ -368,3 +369,13 @@ def test_nesting_past_the_limit_is_a_positioned_error(sql_file, capsys):
     for command in ("viz", "lt", "trc", "check", "metrics", "roundtrip"):
         assert run([command, path]) == 2, command
         assert capsys.readouterr().err == message, command
+
+
+@pytest.mark.parametrize("select, got", [("S.b, S.c", "2"), ("*", "SELECT *")],
+                         ids=["two_columns", "star"])
+def test_malformed_subquery_names_the_column_before_in(sql_file, capsys, select, got):
+    path = sql_file(f"SELECT T.a FROM T WHERE T.a IN (SELECT {select} FROM S)")
+    assert run(["lt", path]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: IN/ANY/ALL subquery must select exactly one column, got {got} "
+            "at line 1:25\n")

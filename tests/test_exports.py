@@ -1,15 +1,17 @@
 """The package's export list names only what the package defines, importing
 the package loads no module that only tests and benchmarks read, and each
-module keeps its private names to itself."""
+module keeps its private names to itself.  IN has no AST node of its own."""
 
 import ast
 import importlib.util
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import sqldiagram
+from sqldiagram import sqlast
 
 PACKAGE = Path(sqldiagram.__file__).parent
 
@@ -49,3 +51,9 @@ def test_no_module_imports_a_private_name_of_a_sibling():
 def test_sql_printer_lives_with_the_ast():
     assert importlib.util.find_spec("sqldiagram.printer") is None
     assert sqldiagram.print_sql.__module__ == "sqldiagram.sqlast"
+
+
+def test_in_has_no_node_of_its_own():
+    # x IN (S) parses to the node of x = ANY (S)
+    assert typing.get_args(sqlast.PredicateAst) == (
+        sqlast.Comparison, sqlast.Exists, sqlast.QuantifiedComparison)

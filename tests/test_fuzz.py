@@ -3,14 +3,16 @@
 Random Logic Trees are rendered as SQL, with their constants respelled as
 signed numbers, exponents and strings with escaped quotes.  Printing and
 re-parsing must give the same AST, and so must the same SQL with comments
-between its tokens.  Dropping, duplicating or swapping one token of that SQL
-must make every command end in exit 0, 1 or 2 with a diagnostic, never with
-an exception.  Deleting, replacing or duplicating one field of a diagram's
-JSON must make `recover` end the same way.
+between its tokens.  Dropping, duplicating or swapping one token of that SQL,
+or of a query with an IN, ANY or ALL subquery, must make every command end
+in exit 0, 1 or 2 with a diagnostic, never with an exception.  Deleting,
+replacing or duplicating one field of a diagram's JSON must make `recover`
+end the same way.
 """
 
 import copy
 import io
+import itertools
 import json
 import random
 import re
@@ -19,8 +21,9 @@ from sqldiagram import (build_diagram, build_logic_tree, diagram_to_json, lt_to_
                         print_sql, resolve_scopes)
 from sqldiagram.cli import run
 from sqldiagram.corpus import random_logic_tree
-from sqldiagram.fixtures import VALID_QUERIES
+from sqldiagram.fixtures import ONLY_RED_NOT_ANY, ONLY_RED_NOT_IN, VALID_QUERIES
 from sqldiagram.parser import tokenize
+from sqldiagram.sqlast import COMPARE_OPS
 
 SEED = 4242
 TREES = 250
@@ -35,6 +38,16 @@ COMMANDS = (["viz"], ["viz", "--format", "json"], ["lt"], ["trc"], ["check"],
 DIAGRAM_TREES = 20
 DIAGRAM_MUTANTS = 1500
 REPLACEMENTS = (None, 0, -1, 1.5, True, "", "x", [], ["x"], {})
+
+# lt_to_sql prints no IN, ANY or ALL, so these forms are seeded by hand:
+# x [NOT] IN (S) and [NOT] x op ANY|ALL (S) for each operator.
+SUBQUERY_SEEDS = (
+    ONLY_RED_NOT_IN, ONLY_RED_NOT_ANY,
+    *(f"SELECT T.a FROM T WHERE T.a {not_}IN (SELECT S.b FROM S WHERE S.c <> T.c)"
+      for not_ in ("", "NOT ")),
+    *(f"SELECT T.a FROM T WHERE {not_}T.a {op} {mode} (SELECT S.b FROM S WHERE S.c <> T.c)"
+      for not_ in ("", "NOT ") for op in COMPARE_OPS for mode in ("ANY", "ALL")),
+)
 
 
 def _lower(sql):
@@ -86,8 +99,8 @@ def test_printed_sql_parses_back_to_the_same_ast():
 def test_one_token_mutations_end_in_a_diagnostic(monkeypatch, capsys):
     rng = random.Random(SEED + 1)
     codes = set()
-    for _ in range(MUTATED_TREES):
-        sql = _generated_sql(rng)
+    generated = (_generated_sql(rng) for _ in range(MUTATED_TREES))
+    for sql in itertools.chain(generated, SUBQUERY_SEEDS):
         for _ in range(3):
             mutant = _mutant(rng, sql)
             monkeypatch.setattr("sys.stdin", io.StringIO(mutant))

@@ -83,6 +83,39 @@ def test_all_lowering_complements_operator():
     assert [p.text() for p in child.predicates] == ["S.b >= T.a"]  # T.a <= S.b normalized
 
 
+E, N = Quantifier.EXISTS, Quantifier.NOT_EXISTS
+
+# Each subquery form's child quantifier and link operator (None: no link),
+# written out by hand: A.x op ALL complements op, and a leading NOT flips
+# the quantifier.
+LOWERING = {
+    "EXISTS": (E, None), "NOT EXISTS": (N, None),
+    "A.x IN": (E, "="), "A.x NOT IN": (N, "="),
+    "A.x < ANY": (E, "<"), "NOT A.x < ANY": (N, "<"),
+    "A.x <= ANY": (E, "<="), "NOT A.x <= ANY": (N, "<="),
+    "A.x = ANY": (E, "="), "NOT A.x = ANY": (N, "="),
+    "A.x <> ANY": (E, "<>"), "NOT A.x <> ANY": (N, "<>"),
+    "A.x >= ANY": (E, ">="), "NOT A.x >= ANY": (N, ">="),
+    "A.x > ANY": (E, ">"), "NOT A.x > ANY": (N, ">"),
+    "A.x < ALL": (N, ">="), "NOT A.x < ALL": (E, ">="),
+    "A.x <= ALL": (N, ">"), "NOT A.x <= ALL": (E, ">"),
+    "A.x = ALL": (N, "<>"), "NOT A.x = ALL": (E, "<>"),
+    "A.x <> ALL": (N, "="), "NOT A.x <> ALL": (E, "="),
+    "A.x >= ALL": (N, "<"), "NOT A.x >= ALL": (E, "<"),
+    "A.x > ALL": (N, "<="), "NOT A.x > ALL": (E, "<="),
+}
+
+
+def test_each_subquery_form_lowers_to_its_quantifier_and_link():
+    assert len(LOWERING) == 28
+    for form, (quantifier, op) in LOWERING.items():
+        select = "*" if form.endswith("EXISTS") else "B.y"
+        lt = lower(f"SELECT A.x FROM Tab A WHERE {form} (SELECT {select} FROM S B)")
+        (child,) = lt.root.children
+        links = [] if op is None else [f"A.x {op} B.y"]  # A.x sorts before B.y
+        assert (child.quantifier, [p.text() for p in child.predicates]) == (quantifier, links), form
+
+
 def _all_instances(attrs, domain, max_rows):
     """Every set-semantics instance of one table with the given attributes."""
     all_rows = [dict(zip(attrs, combo)) for combo in itertools.product(domain, repeat=len(attrs))]

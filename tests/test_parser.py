@@ -9,11 +9,11 @@ from sqldiagram.fixtures import (
     VALID_QUERIES,
 )
 from sqldiagram.sqlast import (
+    COMPARE_OPS,
     ColumnRef,
     Comparison,
     Constant,
     Exists,
-    InSubquery,
     QuantifiedComparison,
 )
 
@@ -121,10 +121,17 @@ def test_in_and_quantified_forms():
                 "AND T.a > ALL (SELECT S.b FROM S) "
                 "AND NOT T.a = ANY (SELECT S.b FROM S)")
     preds = ast.where_clause
-    assert isinstance(preds[0], InSubquery) and preds[0].negated
+    assert isinstance(preds[0], QuantifiedComparison) and preds[0].negated
+    assert preds[0].op == "=" and preds[0].mode == "ANY"
     assert isinstance(preds[1], QuantifiedComparison) and preds[1].mode == "ALL"
     assert isinstance(preds[2], QuantifiedComparison)
     assert preds[2].negated and preds[2].mode == "ANY" and preds[2].op == "="
+
+
+def test_not_in_is_negated_equal_any():
+    not_in = parse("SELECT T.a FROM T WHERE T.a NOT IN (SELECT S.b FROM S)")
+    assert parse("SELECT T.a FROM T WHERE NOT T.a = ANY (SELECT S.b FROM S)") == not_in
+    assert print_sql(not_in) == "SELECT T.a FROM T WHERE T.a NOT IN (SELECT S.b FROM S)"
 
 
 def test_trailing_semicolon_accepted():
@@ -136,9 +143,20 @@ ALL_AND_ANY = ("SELECT S.sname FROM Sailor S WHERE S.rating > ALL"
                "(SELECT R.sid FROM Reserves R WHERE R.bid IN (SELECT B.bid FROM Boat B)))")
 
 
+# [NOT] EXISTS, x [NOT] IN, and [NOT] x op ANY|ALL for each of the six operators.
+SUBQUERY_FORMS = [
+    *(f"{not_}EXISTS (SELECT * FROM S WHERE S.b = T.a)" for not_ in ("", "NOT ")),
+    *(f"T.a {not_}IN (SELECT S.b FROM S)" for not_ in ("", "NOT ")),
+    *(f"{not_}T.a {op} {mode} (SELECT S.b FROM S)"
+      for not_ in ("", "NOT ") for op in COMPARE_OPS for mode in ("ANY", "ALL")),
+]
+
+
 def test_print_parse_round_trip_on_fixture_corpus():
+    assert len(SUBQUERY_FORMS) == 28
     corpus = {**VALID_QUERIES, "all_and_any": ALL_AND_ANY,
-              **{f"only_red_{i}": sql for i, sql in enumerate(ONLY_RED_VARIANTS)}}
+              **{f"only_red_{i}": sql for i, sql in enumerate(ONLY_RED_VARIANTS)},
+              **{form: f"SELECT T.a FROM T WHERE {form}" for form in SUBQUERY_FORMS}}
     for name, sql in corpus.items():
         first = parse(sql)
         assert parse(print_sql(first)) == first, name

@@ -27,7 +27,8 @@ from sqldiagram.fixtures import (
     OWL_SELECTION_BURIED,
     VALID_QUERIES,
 )
-from sqldiagram.sqlast import COMPARE_OPS, ColumnRef, Comparison, Exists, InSubquery, QuantifiedComparison
+from sqldiagram.parser import tokenize
+from sqldiagram.sqlast import COMPARE_OPS, ColumnRef, Comparison, Exists, QuantifiedComparison
 
 from evaluate_reference import constant_value, evaluate, random_database
 
@@ -70,18 +71,19 @@ def _textbook(block):
             pred = Exists(negated=(pred.mode == "ALL") != pred.negated,
                           subquery=replace(sub, select_list=(),
                                            where_clause=sub.where_clause + (test,)))
-        elif isinstance(pred, (Exists, InSubquery)):
+        elif isinstance(pred, Exists):
             pred = replace(pred, subquery=_textbook(pred.subquery))
         where.append(pred)
     return replace(block, where_clause=tuple(where))
 
 
 def sqlite_text(sql: str) -> str:
-    """The query as SQLite reads it: the text itself, or, when it has an
-    ANY or ALL subquery, its parse printed back in the textbook meaning."""
-    ast = parse(sql)
-    textbook = _textbook(ast)
-    return sql if textbook == ast else print_sql(textbook)
+    """The query as SQLite reads it: the text itself, or, when it spells
+    ANY or ALL, its parse printed back in the textbook meaning.  IN parses
+    to the node of `= ANY`, so the keywords, not the AST, decide."""
+    if not any(tok.kind == "KEYWORD" and tok.text in ("ANY", "ALL") for tok in tokenize(sql)):
+        return sql
+    return print_sql(_textbook(parse(sql)))
 
 
 @contextlib.contextmanager
