@@ -1,10 +1,9 @@
 """Command-line interface.
 
-Commands: viz (SQL -> DOT or JSON diagram), lt (SQL -> logic tree JSON),
-trc (SQL -> tuple calculus text), check (SQL -> validation report),
-recover (diagram JSON -> depth assignment), roundtrip (SQL -> diagram ->
-recovered structure, compared against the source) and metrics (element and
-word counts).
+`_COMMANDS` is the registry: each entry declares one command's name, body,
+help text and whether it takes --no-simplify, and the argument parser is
+built from it.  `run` reads the input once and hands the text to the body;
+the SQL commands lower it through `_logic_tree`.
 
 Exit codes: 0 success, 1 validation failure (degenerate query, invalid
 diagram, failed round trip), 2 parse, usage or I/O error, including a failed
@@ -19,6 +18,8 @@ import os
 import shutil
 import subprocess
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .diagram import (
     build_diagram,
@@ -43,47 +44,6 @@ from .recovery import brute_force_depths, diagram_to_graph, recover_depths
 from .scopes import resolve_scopes
 
 RENDERER_ENV = "SQLDIAGRAM_RENDERER"
-
-
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sqldiagram",
-        description="Translate nested conjunctive SQL into logic-based diagrams.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, simplify=True):
-        p.add_argument("input", nargs="?", default="-",
-                       help="input file, or - for standard input (default)")
-        p.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-        if simplify:
-            p.add_argument("--no-simplify", action="store_true",
-                           help="keep the raw not-exists form instead of forall boxes")
-
-    viz = sub.add_parser("viz", help="SQL to diagram (DOT or JSON)")
-    add_common(viz)
-    viz.add_argument("--format", choices=("dot", "json"), default="dot")
-    viz.add_argument("--render", metavar="FMT",
-                     help=f"also run the external renderer named by ${RENDERER_ENV}")
-
-    lt = sub.add_parser("lt", help="SQL to logic tree JSON")
-    add_common(lt)
-
-    trc = sub.add_parser("trc", help="SQL to tuple calculus text")
-    add_common(trc)
-
-    check = sub.add_parser("check", help="validate a query")
-    add_common(check, simplify=False)
-
-    recover = sub.add_parser("recover", help="diagram JSON to depth assignment JSON")
-    add_common(recover, simplify=False)
-
-    roundtrip = sub.add_parser("roundtrip", help="build a diagram, recover it, compare")
-    add_common(roundtrip, simplify=False)
-
-    metrics = sub.add_parser("metrics", help="element and word counts")
-    add_common(metrics)
-    return parser
 
 
 def _read_input(source: str) -> str:
@@ -117,9 +77,8 @@ def _validated_diagram(lt, simplified: bool):
     return build_diagram(lt, simplified=simplified, allow_invalid=True)
 
 
-def _cmd_viz(args) -> int:
-    lt = _logic_tree(_read_input(args.input))
-    diagram = _validated_diagram(lt, not args.no_simplify)
+def _cmd_viz(args, text: str) -> int:
+    diagram = _validated_diagram(_logic_tree(text), not args.no_simplify)
     if args.format == "json":
         _write_output(args, diagram_to_json(diagram))
         return 0
@@ -145,46 +104,37 @@ def _render(args) -> int:
     return 0
 
 
-def _cmd_lt(args) -> int:
-    lt = _logic_tree(_read_input(args.input))
+def _cmd_tree(render, args, text: str) -> int:
+    """`lt` and `trc`: the logic tree, printed by `render`."""
+    lt = _logic_tree(text)
     if not args.no_simplify:
         lt = simplify_forall(lt)
-    _write_output(args, lt_to_json(lt))
+    _write_output(args, render(lt))
     return 0
 
 
-def _cmd_trc(args) -> int:
-    lt = _logic_tree(_read_input(args.input))
-    if not args.no_simplify:
-        lt = simplify_forall(lt)
-    _write_output(args, render_trc(lt) + "\n")
-    return 0
-
-
-def _cmd_check(args) -> int:
-    lt = _logic_tree(_read_input(args.input))
-    report = check_nondegenerate(lt)
+def _cmd_check(args, text: str) -> int:
+    report = check_nondegenerate(_logic_tree(text))
     if report.ok:
         _write_output(args, "ok: query is non-degenerate and within the depth bound\n")
         return 0
-    lines = [f"violation: {v}" for v in report.violations]
-    _write_output(args, "\n".join(lines) + "\n")
+    _write_output(args, "".join(f"violation: {v}\n" for v in report.violations))
     return 1
 
 
-def _cmd_recover(args) -> int:
-    text = _read_input(args.input)
+def _cmd_recover(args, text: str) -> int:
     try:
         diagram = diagram_from_json(text)
-        assignment = recover_depths(diagram_to_graph(diagram))
-        mismatch = _structure_mismatch(diagram, assignment)
-        if mismatch:
-            print(f"error: {mismatch}", file=sys.stderr)
-            return 1
-        _write_output(args, assignment.to_json())
+        graph = diagram_to_graph(diagram)
     except (ValueError, LookupError, TypeError, RecursionError) as exc:  # see diagram_from_json
         print(f"error: malformed input ({exc})", file=sys.stderr)
         return 2
+    assignment = recover_depths(graph)
+    mismatch = _structure_mismatch(diagram, assignment)
+    if mismatch:
+        print(f"error: {mismatch}", file=sys.stderr)
+        return 1
+    _write_output(args, assignment.to_json())
     return 0
 
 
@@ -204,10 +154,9 @@ def _structure_mismatch(diagram, recovered) -> str | None:
     return None
 
 
-def _cmd_roundtrip(args) -> int:
-    lt = _logic_tree(_read_input(args.input))
+def _cmd_roundtrip(args, text: str) -> int:
     # Recovery reads nothing that the forall rewrite changes.
-    diagram = _validated_diagram(lt, simplified=True)
+    diagram = _validated_diagram(_logic_tree(text), simplified=True)
     graph = diagram_to_graph(diagram)
     # Each group records its query block's depth and parent in the source.
     mismatch = _structure_mismatch(diagram, recover_depths(graph))
@@ -224,24 +173,51 @@ def _cmd_roundtrip(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    sql_text = _read_input(args.input)
-    lt = _logic_tree(sql_text)
-    diagram = _validated_diagram(lt, not args.no_simplify)
+def _cmd_metrics(args, text: str) -> int:
+    diagram = _validated_diagram(_logic_tree(text), not args.no_simplify)
     _write_output(args, f"elements: {count_elements(diagram)}\n"
-                        f"words: {count_words(sql_text)}\n")
+                        f"words: {count_words(text)}\n")
     return 0
 
 
+class _Command(NamedTuple):
+    body: Callable[[argparse.Namespace, str], int]  # (parsed arguments, input text) -> exit code
+    help: str
+    simplify: bool  # takes --no-simplify
+
+
+# The one place a command is declared; `--help` lists them in this order.
 _COMMANDS = {
-    "viz": _cmd_viz,
-    "lt": _cmd_lt,
-    "trc": _cmd_trc,
-    "check": _cmd_check,
-    "recover": _cmd_recover,
-    "roundtrip": _cmd_roundtrip,
-    "metrics": _cmd_metrics,
+    "viz": _Command(_cmd_viz, "SQL to diagram (DOT or JSON)", True),
+    "lt": _Command(functools.partial(_cmd_tree, lt_to_json), "SQL to logic tree JSON", True),
+    "trc": _Command(functools.partial(_cmd_tree, lambda lt: render_trc(lt) + "\n"),
+                    "SQL to tuple calculus text", True),
+    "check": _Command(_cmd_check, "validate a query", False),
+    "recover": _Command(_cmd_recover, "diagram JSON to depth assignment JSON", False),
+    "roundtrip": _Command(_cmd_roundtrip, "build a diagram, recover it, compare", False),
+    "metrics": _Command(_cmd_metrics, "element and word counts", True),
 }
+
+
+@functools.cache  # built once per process; parse_args leaves it unchanged
+def _build_arg_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sqldiagram",
+        description="Translate nested conjunctive SQL into logic-based diagrams.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("input", nargs="?", default="-",
+                       help="input file, or - for standard input (default)")
+        p.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
+        if command.simplify:
+            p.add_argument("--no-simplify", action="store_true",
+                           help="keep the raw not-exists form instead of forall boxes")
+        if name == "viz":
+            p.add_argument("--format", choices=("dot", "json"), default="dot")
+            p.add_argument("--render", metavar="FMT",
+                           help=f"also run the external renderer named by ${RENDERER_ENV}")
+    return parser
 
 
 def run(argv: list[str]) -> int:
@@ -251,7 +227,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].body(args, _read_input(args.input))
     except SqlDiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -46,7 +46,7 @@ class UnknownAliasError(PositionedError):
 
 class AmbiguousColumnError(PositionedError):
     """An unqualified column could belong to more than one in-scope table, or
-    one FROM clause declares an alias twice (which has no position)."""
+    one FROM clause declares an alias twice (placed at the second alias)."""
 
 
 class MalformedSubqueryError(PositionedError):

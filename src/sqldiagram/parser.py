@@ -235,14 +235,13 @@ class _Parser:
         return tuple(tables)
 
     def _parse_table_ref(self) -> TableRef:
-        name = self._expect("IDENT", expected="a table name")
+        name = alias = self._expect("IDENT", expected="a table name")
         if self._match("KEYWORD", "AS"):
             alias = self._expect("IDENT", expected="a table alias")
-            return TableRef(table_name=name.text, alias=alias.text)
-        if self._check("IDENT"):
+        elif self._check("IDENT"):
             alias = self._advance()
-            return TableRef(table_name=name.text, alias=alias.text)
-        return TableRef(table_name=name.text, alias=name.text)
+        return TableRef(table_name=name.text, alias=alias.text,
+                        line=alias.line, column=alias.column)
 
     def _parse_conjunction(self, depth: int) -> tuple[PredicateAst, ...]:
         parts = [self._parse_predicate(depth)]

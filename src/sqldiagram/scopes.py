@@ -56,7 +56,8 @@ def _collect_declarations(block: QueryAst, out: list[str]) -> None:
     for ref in block.from_list:
         if ref.alias in local:
             raise AmbiguousColumnError(
-                f"alias {ref.alias!r} is declared twice in the same FROM clause")
+                f"alias {ref.alias!r} is declared twice in the same FROM clause",
+                ref.line, ref.column)
         local.add(ref.alias)
         out.append(ref.alias)
     for pred in block.where_clause:

@@ -51,6 +51,9 @@ class ColumnRef:
 class TableRef:
     table_name: str
     alias: str  # equals table_name when the query gave no alias
+    # source position of the alias (or of the table name without one)
+    line: int = field(default=0, compare=False, repr=False)
+    column: int = field(default=0, compare=False, repr=False)
 
     def sql(self) -> str:
         if self.alias == self.table_name:

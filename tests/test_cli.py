@@ -16,6 +16,8 @@ from sqldiagram.fixtures import (
 from sqldiagram.logic import lt_to_sql
 from sqldiagram.parser import MAX_NESTING_DEPTH
 
+COMMANDS = ("viz", "lt", "trc", "check", "recover", "roundtrip", "metrics")
+
 
 @pytest.fixture
 def sql_file(tmp_path):
@@ -124,6 +126,15 @@ def test_unsupported_feature_exits_2(sql_file, capsys):
     assert "OR" in capsys.readouterr().err
 
 
+def test_duplicate_alias_is_a_positioned_error(sql_file, capsys):
+    assert run(["lt", sql_file("SELECT T.a FROM T, S T")]) == 2
+    assert capsys.readouterr().err == (
+        "error: alias 'T' is declared twice in the same FROM clause at line 1:22\n")
+    assert run(["lt", sql_file("SELECT T.a FROM T, T")]) == 2
+    assert capsys.readouterr().err == (
+        "error: alias 'T' is declared twice in the same FROM clause at line 1:20\n")
+
+
 def test_missing_file_exits_2(capsys):
     assert run(["viz", "/nonexistent/query.sql"]) == 2
 
@@ -179,6 +190,19 @@ def test_recover_deeply_nested_json_prints_one_line(sql_file, capsys):
     assert out == ""
     assert err.startswith("error: malformed input (maximum recursion depth exceeded")
     assert err.count("\n") == 1
+
+
+def test_recover_does_not_print_a_fault_in_recovery_as_malformed_input(
+        sql_file, tmp_path, monkeypatch):
+    diagram_path = tmp_path / "diagram.json"
+    run(["viz", "--format", "json", sql_file(UNIQUE_BEER_SET), "-o", str(diagram_path)])
+
+    def faulty_recover_depths(graph):
+        raise KeyError("fault")
+
+    monkeypatch.setattr("sqldiagram.cli.recover_depths", faulty_recover_depths)
+    with pytest.raises(KeyError, match="fault"):
+        run(["recover", str(diagram_path)])
 
 
 def test_recover_invalid_diagram_exits_1(sql_file, tmp_path, capsys):
@@ -242,9 +266,49 @@ def test_roundtrip_fixture_queries(sql_file, capsys):
         assert out.startswith("round trip ok:"), name
 
 
-def test_roundtrip_takes_no_simplify_flag(sql_file, capsys):
-    assert run(["roundtrip", "--no-simplify", sql_file(SOME_LIKED_DRINK)]) == 2
-    assert "unrecognized arguments: --no-simplify" in capsys.readouterr().err
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_simplify_flag(sql_file, capsys, command):
+    # roundtrip: recovery reads nothing that the forall rewrite changes
+    code = run([command, "--no-simplify", sql_file(SOME_LIKED_DRINK)])
+    if command in ("viz", "lt", "trc", "metrics"):
+        assert code == 0
+        assert capsys.readouterr().err == ""
+    else:
+        assert code == 2
+        assert "unrecognized arguments: --no-simplify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("option", [["--format", "json"], ["--render", "svg"]],
+                         ids=["format", "render"])
+def test_format_and_render_belong_to_viz(sql_file, tmp_path, capsys, monkeypatch,
+                                         command, option):
+    monkeypatch.delenv("SQLDIAGRAM_RENDERER", raising=False)
+    code = run([command, sql_file(SOME_LIKED_DRINK), *option, "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if command == "viz":
+        assert code == 0
+        assert "unrecognized" not in err
+    else:
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+def test_help_lists_the_commands_in_order(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "{viz,lt,trc,check,recover,roundtrip,metrics}" in out
+    listed = [line.split(None, 1) for line in out.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == [
+        ["viz", "SQL to diagram (DOT or JSON)"],
+        ["lt", "SQL to logic tree JSON"],
+        ["trc", "SQL to tuple calculus text"],
+        ["check", "validate a query"],
+        ["recover", "diagram JSON to depth assignment JSON"],
+        ["roundtrip", "build a diagram, recover it, compare"],
+        ["metrics", "element and word counts"],
+    ]
 
 
 def test_roundtrip_generated_queries(sql_file, capsys):
@@ -307,7 +371,7 @@ def test_roundtrip_runs_the_oracle_above_twelve_groups(sql_file, capsys):
 
 def test_no_command_takes_max_depth(sql_file, capsys):
     path = sql_file(SOME_LIKED_DRINK)
-    for command in ("viz", "lt", "trc", "check", "recover", "roundtrip", "metrics"):
+    for command in COMMANDS:
         assert run([command, "--max-depth", "3", path]) == 2, command
         assert "unrecognized arguments: --max-depth" in capsys.readouterr().err, command
 
