@@ -51,9 +51,7 @@ from .parser import parse
 from .recovery import (
     DepthAssignment,
     DiagramGraph,
-    PathFamily,
     brute_force_depths,
-    classify_path_pattern,
     diagram_to_graph,
     next_group,
     recover_depths,
@@ -73,7 +71,7 @@ __all__ = [
     "Violation", "ViolationKind", "build_logic_tree", "check_nondegenerate", "lt_equal",
     "lt_to_json", "lt_to_sql", "render_trc", "simplify_forall",
     "parse", "print_sql",
-    "DepthAssignment", "DiagramGraph", "PathFamily", "brute_force_depths",
-    "classify_path_pattern", "diagram_to_graph", "next_group", "recover_depths",
+    "DepthAssignment", "DiagramGraph", "brute_force_depths", "diagram_to_graph",
+    "next_group", "recover_depths",
     "resolve_scopes",
 ]

@@ -59,12 +59,6 @@ class TableBox:
     table_name: str
     rows: tuple[Row, ...]
 
-    def row_index(self, attribute: str) -> int:
-        for i, row in enumerate(self.rows):
-            if isinstance(row, AttributeRow) and row.attribute == attribute:
-                return i
-        raise KeyError(f"{self.alias}.{attribute} has no row")
-
 
 @dataclass(frozen=True)
 class TableGroup:

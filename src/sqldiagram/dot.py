@@ -47,6 +47,13 @@ def _select_label(d: Diagram) -> str:
     return "".join(lines)
 
 
+# The style lines of each boxed group's cluster; other groups draw no cluster.
+_CLUSTER_STYLE = {
+    Quantifier.NOT_EXISTS: ('style="rounded,dashed";',),
+    Quantifier.FOR_ALL: ('style="rounded";', "peripheries=2;"),
+}
+
+
 def emit_dot(d: Diagram) -> str:
     out: list[str] = []
     out.append("digraph query_diagram {")
@@ -56,30 +63,26 @@ def emit_dot(d: Diagram) -> str:
     for group in d.groups:
         node_lines = [f't_{box.alias} [label=<{_box_label(box)}>];'
                       for box in group.tables]
-        if group.quantifier is Quantifier.NOT_EXISTS:
+        if group.boxed:
             out.append(f"  subgraph cluster_{group.id} {{")
-            out.append('    style="rounded,dashed";')
-            out.extend(f"    {line}" for line in node_lines)
-            out.append("  }")
-        elif group.quantifier is Quantifier.FOR_ALL:
-            out.append(f"  subgraph cluster_{group.id} {{")
-            out.append('    style="rounded";')
-            out.append("    peripheries=2;")
-            out.extend(f"    {line}" for line in node_lines)
+            out.extend(f"    {line}" for line in (*_CLUSTER_STYLE[group.quantifier],
+                                                  *node_lines))
             out.append("  }")
         else:
             out.extend(f"  {line}" for line in node_lines)
 
-    boxes = {box.alias: box for box in d.boxes()}
+    # An edge end attaches to the first row of its attribute.
+    port: dict[tuple[str, str], str] = {}
+    for box in d.boxes():
+        for i, row in enumerate(box.rows):
+            if isinstance(row, AttributeRow):
+                port.setdefault((box.alias, row.attribute), f"t_{box.alias}:p_{i}")
     for edge in d.edges:
-        src = f"t_{edge.src[0]}:p_{boxes[edge.src[0]].row_index(edge.src[1])}"
-        dst = f"t_{edge.dst[0]}:p_{boxes[edge.dst[0]].row_index(edge.dst[1])}"
         attrs = ["dir=forward" if edge.directed else "dir=none"]
         if edge.label is not None:
             attrs.append(f'label="{_escape(edge.label)}"')
-        out.append(f"  {src} -> {dst} [{', '.join(attrs)}];")
-    for i, (alias, attribute) in enumerate(d.select_box.links):
-        dst = f"t_{alias}:p_{boxes[alias].row_index(attribute)}"
-        out.append(f"  t_{SELECT_BOX_ID}:p_{i} -> {dst} [dir=none];")
+        out.append(f"  {port[edge.src]} -> {port[edge.dst]} [{', '.join(attrs)}];")
+    for i, link in enumerate(d.select_box.links):
+        out.append(f"  t_{SELECT_BOX_ID}:p_{i} -> {port[link]} [dir=none];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -23,9 +23,10 @@ edge classes are
     A: 0->1   B: 1->2   C: 2->0   D: 2->3   E: 3->1   F: 3->0
 
 The direct rule reads A, B and D; the mediated rule finds n1 through B and
-C when A is absent, and n2 through D and E when B is absent.
-classify_path_pattern names the three families: A and B, A but not B, and
-not A.
+C when A is absent, and n2 through D and E when B is absent.  The three
+path families are the rule sequences next_group applies: A and B is the
+direct rule at depths 1 and 2, A but not B is direct then mediated, and
+not A is mediated at depth 1.
 
 brute_force_depths is the independent oracle: a backtracking search over
 depth labelings and parent trees for those that obey three rules: the
@@ -39,7 +40,6 @@ import json
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .diagram import Diagram, arrow_points
 from .errors import InvalidDiagramError
@@ -125,12 +125,6 @@ def diagram_to_graph(d: Diagram) -> DiagramGraph:
     if len(roots) != 1:
         raise InvalidDiagramError(f"SELECT box links into {len(roots)} groups, expected 1")
     return DiagramGraph(nodes=nodes, edges=frozenset(edges), root_id=roots[0])
-
-
-class PathFamily(Enum):
-    AB = "A,B"
-    A_NOT_B = "A,not-B"
-    NOT_A = "not-A"
 
 
 @dataclass(frozen=True)
@@ -224,19 +218,6 @@ def recover_depths(g: DiagramGraph) -> DepthAssignment:
     assignment = DepthAssignment(depths=depths, parents=parents)
     _validate_assignment(g, assignment)
     return assignment
-
-
-def classify_path_pattern(g: DiagramGraph) -> tuple[PathFamily, DepthAssignment]:
-    """Family and depth labeling of a graph that recovers to a path: one
-    group at each depth."""
-    assignment = recover_depths(g)
-    path = sorted(assignment.depths, key=assignment.depths.get)
-    if len(set(assignment.depths.values())) != len(path):
-        raise InvalidDiagramError("depth labeling is not a path", "path-classification")
-    a = len(path) < 2 or (path[0], path[1]) in g.edges
-    b = len(path) < 3 or (path[1], path[2]) in g.edges
-    family = PathFamily.AB if a and b else PathFamily.A_NOT_B if a else PathFamily.NOT_A
-    return family, assignment
 
 
 # -- independent oracle --------------------------------------------------------

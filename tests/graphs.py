@@ -1,4 +1,5 @@
-"""Group graphs built from bare ids, and the reference oracle, for recovery tests."""
+"""Group graphs built from bare ids, the path family of a recovered path and
+the reference oracle, for recovery tests."""
 
 import itertools
 
@@ -10,6 +11,18 @@ def make_graph(ids, edges, root_id: str) -> DiagramGraph:
     """A DiagramGraph from node ids and (src, dst) edge pairs."""
     return DiagramGraph(nodes=tuple(ids), edges=frozenset(tuple(e) for e in edges),
                         root_id=root_id)
+
+
+def path_family(g: DiagramGraph, assignment: DepthAssignment) -> str:
+    """The family of a recovered path, one group at each depth, read off its
+    edges: is edge A (depth 0 to 1) present, and is edge B (1 to 2)?  "A,B"
+    is the direct rule at depths 1 and 2, "A,not-B" direct then mediated,
+    "not-A" mediated at depth 1."""
+    path = sorted(assignment.depths, key=assignment.depths.get)
+    assert [assignment.depths[node] for node in path] == list(range(len(path)))
+    a = len(path) < 2 or (path[0], path[1]) in g.edges
+    b = len(path) < 3 or (path[1], path[2]) in g.edges
+    return "A,B" if a and b else "A,not-B" if a else "not-A"
 
 
 def enumerate_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignment]:

@@ -6,10 +6,8 @@ from collections import Counter
 import pytest
 
 from sqldiagram import (
-    PathFamily,
     brute_force_depths,
     build_diagram,
-    classify_path_pattern,
     diagram_to_graph,
     next_group,
     parse,
@@ -22,7 +20,7 @@ from sqldiagram.fixtures import ONLY_LIKED_DRINKS, UNIQUE_BEER_SET, VALID_QUERIE
 from sqldiagram.logic import build_logic_tree
 from sqldiagram.recovery import _connected_subqueries_ok, _edges_consistent, _scope_ok
 
-from graphs import enumerate_depths, make_graph
+from graphs import enumerate_depths, make_graph, path_family
 
 
 def graph_of(sql):
@@ -47,53 +45,55 @@ def below_root(g):
     return [g.root_id], set(g.nodes) - {g.root_id}
 
 
-# -- classification ------------------------------------------------------------
+# -- path families --------------------------------------------------------------
 
 
 def test_classify_family_ab():
-    family, assignment = classify_path_pattern(path_graph({"A", "B", "D"}))
-    assert family is PathFamily.AB
+    g = path_graph({"A", "B", "D"})
+    assignment = recover_depths(g)
+    assert path_family(g, assignment) == "A,B"
     assert assignment.depths == {"r": 0, "n1": 1, "n2": 2, "n3": 3}
     assert assignment.parents == {"n1": "r", "n2": "n1", "n3": "n2"}
 
 
 def test_classify_family_a_not_b():
-    family, assignment = classify_path_pattern(path_graph({"A", "D", "E"}))
-    assert family is PathFamily.A_NOT_B
+    g = path_graph({"A", "D", "E"})
+    assignment = recover_depths(g)
+    assert path_family(g, assignment) == "A,not-B"
     assert assignment.depths == {"r": 0, "n1": 1, "n2": 2, "n3": 3}
 
 
 def test_classify_family_not_a():
-    family, assignment = classify_path_pattern(path_graph({"B", "C", "D"}))
-    assert family is PathFamily.NOT_A
+    g = path_graph({"B", "C", "D"})
+    assignment = recover_depths(g)
+    assert path_family(g, assignment) == "not-A"
     assert assignment.depths == {"r": 0, "n1": 1, "n2": 2, "n3": 3}
 
 
 def test_classify_two_node_graph():
-    _, assignment = classify_path_pattern(make_graph(["r", "x"], [("r", "x")], "r"))
+    assignment = recover_depths(make_graph(["r", "x"], [("r", "x")], "r"))
     assert assignment.depths == {"r": 0, "x": 1}
     assert assignment.parents == {"x": "r"}
 
 
 def test_classify_single_node():
-    _, assignment = classify_path_pattern(make_graph(["r"], [], "r"))
-    assert assignment.depths == {"r": 0}
+    assert recover_depths(make_graph(["r"], [], "r")).depths == {"r": 0}
 
 
 def test_classify_rejects_missing_mandatory_edge():
     with pytest.raises(InvalidDiagramError):
-        classify_path_pattern(path_graph({"A", "B"}))  # D absent in a 4-node path
+        recover_depths(path_graph({"A", "B"}))  # D absent in a 4-node path
     with pytest.raises(InvalidDiagramError):
-        classify_path_pattern(path_graph({"A", "D"}))  # B absent and E absent
+        recover_depths(path_graph({"A", "D"}))  # B absent and E absent
     with pytest.raises(InvalidDiagramError):
-        classify_path_pattern(path_graph({"B", "D"}))  # A absent and C absent
+        recover_depths(path_graph({"B", "D"}))  # A absent and C absent
 
 
 def test_path_pattern_census_16_patterns_8_4_4():
     """Exhaustive enumeration over the 64 edge subsets: exactly 16 label as
     the canonical depth-3 path, split 8 / 4 / 4 across the families."""
     true_depths = {"r": 0, "n1": 1, "n2": 2, "n3": 3}
-    per_family = {PathFamily.AB: 0, PathFamily.A_NOT_B: 0, PathFamily.NOT_A: 0}
+    per_family = {"A,B": 0, "A,not-B": 0, "not-A": 0}
     recognized = 0
     for bits in itertools.product((False, True), repeat=6):
         present = {c for c, keep in zip("ABCDEF", bits) if keep}
@@ -101,23 +101,24 @@ def test_path_pattern_census_16_patterns_8_4_4():
         valid = ("D" in present
                  and ("A" in present or {"B", "C"} <= present)
                  and ("B" in present or "E" in present))
+        g = path_graph(present)
         try:
-            family, assignment = classify_path_pattern(path_graph(present))
+            assignment = recover_depths(g)
             classified = assignment.depths == true_depths
         except InvalidDiagramError:
             classified = False
         assert classified == valid, present
         if classified:
             recognized += 1
-            per_family[family] += 1
+            per_family[path_family(g, assignment)] += 1
             # each valid pattern is unambiguous: the oracle finds exactly it
             survivors = brute_force_depths(path_graph(present))
             assert len(survivors) == 1
             assert survivors[0].depths == true_depths
     assert recognized == 16
-    assert per_family[PathFamily.AB] == 8
-    assert per_family[PathFamily.A_NOT_B] == 4
-    assert per_family[PathFamily.NOT_A] == 4
+    assert per_family["A,B"] == 8
+    assert per_family["A,not-B"] == 4
+    assert per_family["not-A"] == 4
 
 
 # -- decompositions --------------------------------------------------------------
@@ -136,8 +137,9 @@ def test_decompose_depth0_splits_root_subtrees():
     whole = recover_depths(_two_branch_root_graph())
     for prefix, edges in (("x", _X_BRANCH), ("y", _Y_BRANCH)):
         ids = ["r"] + [f"{prefix}{i}" for i in (1, 2, 3)]
-        family, assignment = classify_path_pattern(make_graph(ids, edges, "r"))
-        assert family is PathFamily.NOT_A
+        g = make_graph(ids, edges, "r")
+        assignment = recover_depths(g)
+        assert path_family(g, assignment) == "not-A"
         assert sorted(assignment.depths.values()) == [0, 1, 2, 3]
         assert assignment.depths == {n: whole.depths[n] for n in ids}
 
