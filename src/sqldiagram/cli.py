@@ -81,6 +81,9 @@ def _cmd_viz(args, text: str) -> int:
     diagram = _validated_diagram(_logic_tree(text), not args.no_simplify)
     if args.format == "json":
         _write_output(args, diagram_to_json(diagram))
+        if args.render:
+            print("warning: --render applies only to DOT output; skipping render",
+                  file=sys.stderr)
         return 0
     _write_output(args, emit_dot(diagram))
     return _render(args) if args.render else 0

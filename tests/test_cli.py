@@ -73,6 +73,23 @@ def test_viz_render_invokes_external_renderer(sql_file, tmp_path, monkeypatch):
     assert f"-Tsvg {target} -o {rendered}" in rendered.read_text()
 
 
+def test_viz_json_render_warns_and_writes_only_the_json(sql_file, tmp_path, capsys,
+                                                        monkeypatch):
+    stub = tmp_path / "fake-dot"
+    stub.write_text("#!/bin/sh\necho \"$@\" > \"$4\"\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("SQLDIAGRAM_RENDERER", str(stub))
+    source = sql_file(SOME_LIKED_DRINK)
+    assert run(["viz", "--format", "json", source]) == 0
+    expected = capsys.readouterr().out
+    target = tmp_path / "out.json"
+    assert run(["viz", "--format", "json", source, "-o", str(target), "--render", "svg"]) == 0
+    assert capsys.readouterr() == (
+        "", "warning: --render applies only to DOT output; skipping render\n")
+    assert not (tmp_path / "out.svg").exists()
+    assert target.read_text(encoding="utf-8") == expected
+
+
 def test_viz_failing_renderer_prints_one_line(sql_file, tmp_path, capsys, monkeypatch):
     stub = tmp_path / "failing-dot"
     stub.write_text("#!/bin/sh\nexit 3\n")
