@@ -26,21 +26,10 @@ _MAX_CHILDREN = 3
 _MAX_TABLES = 2
 
 
-class _Budget:
-    def __init__(self, nodes: int):
-        self.remaining = nodes
-
-    def take(self) -> bool:
-        if self.remaining <= 0:
-            return False
-        self.remaining -= 1
-        return True
-
-
 def random_logic_tree(rng: random.Random, *, max_nodes: int = 8) -> LogicTree:
     """A random valid Logic Tree using exists/not-exists quantifiers only."""
     counter = [0]
-    budget = _Budget(max_nodes - 1)
+    remaining = max(max_nodes - 1, 0)  # nodes still to place below the root
 
     def fresh_tables() -> list[tuple[str, str]]:
         tables = []
@@ -66,15 +55,15 @@ def random_logic_tree(rng: random.Random, *, max_nodes: int = 8) -> LogicTree:
 
     def gen(depth: int, ancestors: list[list[tuple[str, str]]],
             forced_targets: list[tuple[str, str]], quantifier: Quantifier) -> LtNode:
+        nonlocal remaining
         tables = fresh_tables()
         predicates = [join_pred(rng.choice(tables), target) for target in forced_targets]
 
         wanted_children = 0
         if depth < MAX_DEPTH:
             wanted_children = rng.choice((0, 0, 1, 1, 2, _MAX_CHILDREN))
-        n_children = 0
-        while n_children < wanted_children and budget.take():
-            n_children += 1
+        n_children = min(wanted_children, remaining)
+        remaining -= n_children
 
         parent_tables = ancestors[-1] if ancestors else None
         mediated = False
