@@ -1,9 +1,11 @@
-"""Group graphs built from bare ids, the path family of a recovered path and
-the reference oracle, for recovery tests."""
+"""Group graphs built from bare ids, the path family of a recovered path,
+every small query and the reference oracle, for recovery tests."""
 
 import itertools
 
-from sqldiagram import DepthAssignment, DiagramGraph
+from sqldiagram import DepthAssignment, DiagramGraph, LogicTree, Predicate, Quantifier
+from sqldiagram.logic import make_node
+from sqldiagram.sqlast import ColumnRef
 from sqldiagram.recovery import _connected_subqueries_ok, _edges_consistent, _scope_ok
 
 
@@ -23,6 +25,50 @@ def path_family(g: DiagramGraph, assignment: DepthAssignment) -> str:
     a = len(path) < 2 or (path[0], path[1]) in g.edges
     b = len(path) < 3 or (path[1], path[2]) in g.edges
     return "A,B" if a and b else "A,not-B" if a else "not-A"
+
+
+def ordered_trees(max_nodes: int, max_depth: int = 3):
+    """Every ordered rooted tree of up to `max_nodes` nodes and depth at most
+    `max_depth`, as its parent list in pre-order: node 0 is the root (parent
+    None), and each later node hangs below a node on the path from the node
+    before it up to the root."""
+    def grow(parents, depths):
+        yield tuple(parents)
+        if len(parents) == max_nodes:
+            return
+        node = len(parents) - 1
+        while node is not None:
+            if depths[node] < max_depth:
+                yield from grow(parents + [node], depths + [depths[node] + 1])
+            node = parents[node]
+    yield from grow([None], [0])
+
+
+def small_queries(max_groups: int):
+    """Every query of depth at most 3 with up to `max_groups` blocks, one table
+    per block and any subset of the equi-joins from a block to its ancestors.
+    Block i reads table T as alias t<i>; nested blocks are NOT EXISTS.  Depths
+    fix each join's direction and the scope rule allows only joins to
+    ancestors, so these draw every group graph a supported query can."""
+    for parents in ordered_trees(max_groups):
+        ancestors = [()]
+        for parent in parents[1:]:
+            ancestors.append((parent, *ancestors[parent]))
+        for joins in itertools.product(*(itertools.product((False, True), repeat=len(up))
+                                         for up in ancestors)):
+            root = _block(0, parents, [[up for up, join in zip(ups, picks) if join]
+                                       for ups, picks in zip(ancestors, joins)])
+            yield LogicTree(root=root, select_list=(ColumnRef(alias="t0", attribute="x"),))
+
+
+def _block(i: int, parents, joined):
+    """Block i of a small query; `joined[i]` lists the blocks it joins."""
+    column = ColumnRef(alias=f"t{i}", attribute="x")
+    predicates = [Predicate(lhs=column, op="=", rhs=ColumnRef(alias=f"t{up}", attribute="x"))
+                  for up in joined[i]]
+    children = [_block(k, parents, joined) for k, p in enumerate(parents) if p == i]
+    quantifier = Quantifier.ROOT if i == 0 else Quantifier.NOT_EXISTS
+    return make_node([(f"t{i}", "T")], predicates, quantifier, children)
 
 
 def enumerate_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignment]:
