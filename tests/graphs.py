@@ -3,10 +3,11 @@ every small query and the reference oracle, for recovery tests."""
 
 import itertools
 
-from sqldiagram import DepthAssignment, DiagramGraph, LogicTree, Predicate, Quantifier
+from sqldiagram import (MAX_DEPTH, DepthAssignment, DiagramGraph, LogicTree, Predicate,
+                        Quantifier)
 from sqldiagram.logic import make_node
-from sqldiagram.sqlast import ColumnRef
 from sqldiagram.recovery import _connected_subqueries_ok, _edges_consistent, _scope_ok
+from sqldiagram.sqlast import ColumnRef
 
 
 def make_graph(ids, edges, root_id: str) -> DiagramGraph:
@@ -27,9 +28,9 @@ def path_family(g: DiagramGraph, assignment: DepthAssignment) -> str:
     return "A,B" if a and b else "A,not-B" if a else "not-A"
 
 
-def ordered_trees(max_nodes: int, max_depth: int = 3):
+def ordered_trees(max_nodes: int):
     """Every ordered rooted tree of up to `max_nodes` nodes and depth at most
-    `max_depth`, as its parent list in pre-order: node 0 is the root (parent
+    MAX_DEPTH, as its parent list in pre-order: node 0 is the root (parent
     None), and each later node hangs below a node on the path from the node
     before it up to the root."""
     def grow(parents, depths):
@@ -38,18 +39,19 @@ def ordered_trees(max_nodes: int, max_depth: int = 3):
             return
         node = len(parents) - 1
         while node is not None:
-            if depths[node] < max_depth:
+            if depths[node] < MAX_DEPTH:
                 yield from grow(parents + [node], depths + [depths[node] + 1])
             node = parents[node]
     yield from grow([None], [0])
 
 
 def small_queries(max_groups: int):
-    """Every query of depth at most 3 with up to `max_groups` blocks, one table
-    per block and any subset of the equi-joins from a block to its ancestors.
-    Block i reads table T as alias t<i>; nested blocks are NOT EXISTS.  Depths
-    fix each join's direction and the scope rule allows only joins to
-    ancestors, so these draw every group graph a supported query can."""
+    """Every query of depth at most MAX_DEPTH with up to `max_groups` blocks,
+    one table per block and any subset of the equi-joins from a block to its
+    ancestors.  Block i reads table T as alias t<i>; nested blocks are NOT
+    EXISTS.  Depths fix each join's direction and the scope rule allows only
+    joins to ancestors, so these draw every group graph a supported query
+    can."""
     for parents in ordered_trees(max_groups):
         ancestors = [()]
         for parent in parents[1:]:
