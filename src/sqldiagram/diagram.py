@@ -83,16 +83,12 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class SelectBox:
-    rows: tuple[str, ...]  # attribute labels, select-list order
-    links: tuple[tuple[str, str], ...]  # one (alias, attribute) per row
-
-
-@dataclass(frozen=True)
 class Diagram:
     groups: tuple[TableGroup, ...]  # canonical pre-order
     edges: tuple[Edge, ...]  # join edges, canonical order
-    select_box: SelectBox
+    # one (alias, attribute) link per SELECT row, in select-list order; each
+    # row's label is its link's attribute
+    select_box: tuple[tuple[str, str], ...]
 
     def boxes(self) -> list[TableBox]:
         return [box for group in self.groups for box in group.tables]
@@ -177,8 +173,7 @@ def build_diagram(lt: LogicTree, simplified: bool = True, *,
     edges = [orient_inequality(pred, depths) for pred in join_predicates]
     edges.sort(key=lambda e: (e.src, e.dst, e.label or ""))
 
-    select_box = SelectBox(rows=tuple(col.attribute for col in lt.select_list),
-                           links=tuple((col.alias, col.attribute) for col in lt.select_list))
+    select_box = tuple((col.alias, col.attribute) for col in lt.select_list)
     return Diagram(groups=tuple(groups), edges=tuple(edges), select_box=select_box)
 
 
@@ -204,35 +199,24 @@ class ReadingOrder:
 
 def reading_order(d: Diagram) -> ReadingOrder:
     """Depth-first traversal of the groups from the SELECT box, following
-    arrows, with restarts at unvisited groups that have no unvisited
-    incoming edge."""
+    arrows (directed cross-group edges) only, with restarts at unvisited
+    groups that have no unvisited incoming arrow."""
     order = {group.id: i for i, group in enumerate(d.groups)}
     group_of = {box.alias: group.id for group in d.groups for box in group.tables}
-    out_edges: dict[str, list[str]] = {gid: [] for gid in order}
+    out_edges: dict[str, set[str]] = {gid: set() for gid in order}
     in_edges: dict[str, set[str]] = {gid: set() for gid in order}
     for edge in d.edges:
         src, dst = group_of[edge.src[0]], group_of[edge.dst[0]]
-        if src == dst:
-            continue
-        if edge.directed:
-            if dst not in out_edges[src]:
-                out_edges[src].append(dst)
+        if edge.directed and src != dst:
+            out_edges[src].add(dst)
             in_edges[dst].add(src)
-        else:
-            # undirected cross-group edges are traversable either way
-            if dst not in out_edges[src]:
-                out_edges[src].append(dst)
-            if src not in out_edges[dst]:
-                out_edges[dst].append(src)
-    for targets in out_edges.values():
-        targets.sort(key=order.__getitem__)
 
     root = d.groups[0].id
     steps: list[tuple] = [("select", SELECT_BOX_ID), ("enter", root)]
     visited = {root}
 
     def dfs(gid: str) -> None:
-        for target in out_edges[gid]:
+        for target in sorted(out_edges[gid], key=order.__getitem__):
             if target not in visited:
                 visited.add(target)
                 steps.append(("follow", gid, target))
@@ -259,8 +243,8 @@ def count_elements(d: Diagram) -> int:
     """Fixed counting rule: boxes + rows + edges (incl. select links) +
     edge labels + quantifier bounding boxes + the SELECT box."""
     boxes = len(d.boxes())
-    rows = sum(len(box.rows) for box in d.boxes()) + len(d.select_box.rows)
-    edges = len(d.edges) + len(d.select_box.links)
+    rows = sum(len(box.rows) for box in d.boxes()) + len(d.select_box)
+    edges = len(d.edges) + len(d.select_box)
     labels = sum(1 for e in d.edges if e.label is not None)
     quantifier_boxes = sum(1 for g in d.groups if g.boxed)
     return boxes + 1 + rows + edges + labels + quantifier_boxes
@@ -304,9 +288,8 @@ def diagram_to_json(d: Diagram) -> str:
         f'      "tables": {_json_array([_box_json(box) for box in g.tables], " " * 6)}\n    }}'
         for g in d.groups]
     edges = [_edge_json(e.src, e.dst, e.directed, e.label) for e in d.edges]
-    edges += [_edge_json((SELECT_BOX_ID, row), target, False, None)
-              for row, target in zip(d.select_box.rows, d.select_box.links)]
-    select_rows = _json_array([_json_str(row) for row in d.select_box.rows], "    ")
+    edges += [_edge_json((SELECT_BOX_ID, link[1]), link, False, None) for link in d.select_box]
+    select_rows = _json_array([_json_str(attribute) for _, attribute in d.select_box], "    ")
     return (f'{{\n  "groups": {_json_array(groups, "  ")},\n'
             f'  "edges": {_json_array(edges, "  ")},\n'
             f'  "select_box": {{\n    "rows": {select_rows}\n  }}\n}}\n')
@@ -343,7 +326,8 @@ def diagram_from_json(text: str) -> Diagram:
     """The diagram whose canonical JSON, as diagram_to_json writes it, is
     `text`.  A malformed document raises ValueError, LookupError, TypeError
     or RecursionError, which the CLI prints as `malformed input (...)` with
-    exit code 2.  Equal rows may be one shared object."""
+    exit code 2; so does a select_box whose rows are not the attributes its
+    SELECT edges link.  Equal rows may be one shared object."""
     doc = json.loads(text)
     quantifiers, attribute_rows = {}, {}  # one value per name, see _shared
     groups = tuple([
@@ -359,8 +343,10 @@ def diagram_from_json(text: str) -> Diagram:
             links.append((e["to"][0], e["to"][1]))
         else:
             join_edges.append(Edge(tuple(e["from"]), tuple(e["to"]), e["directed"], e["label"]))
-    select_box = SelectBox(tuple(doc["select_box"]["rows"]), tuple(links))
-    return Diagram(groups, tuple(join_edges), select_box)
+    rows, linked = doc["select_box"]["rows"], [attribute for _, attribute in links]
+    if rows != linked:
+        raise ValueError(f"select_box rows {rows!r} are not the linked attributes {linked!r}")
+    return Diagram(groups, tuple(join_edges), tuple(links))
 
 
 def _row_from_dict(doc: dict, attribute_rows: dict[str, AttributeRow]) -> Row:
@@ -398,7 +384,7 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
     """
     if len(a.groups) != len(b.groups) or len(a.edges) != len(b.edges):
         return False
-    if len(a.select_box.rows) != len(b.select_box.rows):
+    if len(a.select_box) != len(b.select_box):
         return False
     kids_a = _children_index(a)
     kids_b = _children_index(b)
@@ -441,12 +427,8 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
         edges_a = sorted(canon(translate(e.src), translate(e.dst), e.directed, e.label)
                          for e in a.edges)
         edges_b = sorted(canon(e.src, e.dst, e.directed, e.label) for e in b.edges)
-        if edges_a != edges_b:
-            return False
-        if [translate(link) for link in a.select_box.links] != list(b.select_box.links):
-            return False
-        rows_a = [mapping.forward.get(("attr", r)) for r in a.select_box.rows]
-        return rows_a == list(b.select_box.rows)
+        return (edges_a == edges_b
+                and [translate(link) for link in a.select_box] == list(b.select_box))
 
     root_a = next(g for g in a.groups if g.parent is None)
     root_b = next(g for g in b.groups if g.parent is None)

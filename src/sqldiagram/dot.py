@@ -23,28 +23,23 @@ def _escape(text: str) -> str:
             .replace('"', "&quot;"))
 
 
+def _table(header: str, background: str, font: str, cells) -> str:
+    """An HTML table label: the header in its colours, then one row with
+    port p_i per (text, highlighted) cell."""
+    lines = ['<TABLE BORDER="0" CELLBORDER="1" CELLSPACING="0">',
+             f'<TR><TD BGCOLOR="{background}">'
+             f'<FONT COLOR="{font}">{_escape(header)}</FONT></TD></TR>']
+    for i, (text, highlighted) in enumerate(cells):
+        fill = ' BGCOLOR="yellow"' if highlighted else ""
+        lines.append(f'<TR><TD PORT="p_{i}"{fill}>{_escape(text)}</TD></TR>')
+    lines.append("</TABLE>")
+    return "".join(lines)
+
+
 def _box_label(box: TableBox) -> str:
     header = box.table_name if box.alias == box.table_name else f"{box.alias}: {box.table_name}"
-    lines = ['<TABLE BORDER="0" CELLBORDER="1" CELLSPACING="0">']
-    lines.append('<TR><TD BGCOLOR="black">'
-                 f'<FONT COLOR="white">{_escape(header)}</FONT></TD></TR>')
-    for i, row in enumerate(box.rows):
-        if isinstance(row, AttributeRow):
-            lines.append(f'<TR><TD PORT="p_{i}">{_escape(row.label())}</TD></TR>')
-        else:
-            lines.append(f'<TR><TD PORT="p_{i}" BGCOLOR="yellow">'
-                         f'{_escape(row.label())}</TD></TR>')
-    lines.append("</TABLE>")
-    return "".join(lines)
-
-
-def _select_label(d: Diagram) -> str:
-    lines = ['<TABLE BORDER="0" CELLBORDER="1" CELLSPACING="0">']
-    lines.append('<TR><TD BGCOLOR="lightgrey"><FONT COLOR="black">SELECT</FONT></TD></TR>')
-    for i, label in enumerate(d.select_box.rows):
-        lines.append(f'<TR><TD PORT="p_{i}">{_escape(label)}</TD></TR>')
-    lines.append("</TABLE>")
-    return "".join(lines)
+    return _table(header, "black", "white",
+                  [(row.label(), not isinstance(row, AttributeRow)) for row in box.rows])
 
 
 # The style lines of each boxed group's cluster; other groups draw no cluster.
@@ -59,7 +54,9 @@ def emit_dot(d: Diagram) -> str:
     out.append("digraph query_diagram {")
     out.append("  rankdir=LR;")
     out.append('  node [shape=none, fontname="Helvetica"];')
-    out.append(f'  t_{SELECT_BOX_ID} [label=<{_select_label(d)}>];')
+    select_label = _table("SELECT", "lightgrey", "black",
+                          [(attribute, False) for _, attribute in d.select_box])
+    out.append(f'  t_{SELECT_BOX_ID} [label=<{select_label}>];')
     for group in d.groups:
         node_lines = [f't_{box.alias} [label=<{_box_label(box)}>];'
                       for box in group.tables]
@@ -82,7 +79,7 @@ def emit_dot(d: Diagram) -> str:
         if edge.label is not None:
             attrs.append(f'label="{_escape(edge.label)}"')
         out.append(f"  {port[edge.src]} -> {port[edge.dst]} [{', '.join(attrs)}];")
-    for i, link in enumerate(d.select_box.links):
+    for i, link in enumerate(d.select_box):
         out.append(f"  t_{SELECT_BOX_ID}:p_{i} -> {port[link]} [dir=none];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -117,7 +117,7 @@ def diagram_to_graph(d: Diagram) -> DiagramGraph:
             raise InvalidDiagramError(
                 f"undirected edge between distinct groups {src} and {dst}")
         edges.add((src, dst))
-    select_aliases = {alias for alias, _ in d.select_box.links}
+    select_aliases = {alias for alias, _ in d.select_box}
     unknown = sorted(select_aliases - group_of.keys())
     if unknown:
         raise InvalidDiagramError(f"SELECT box links to unknown table {unknown[0]!r}")

@@ -168,38 +168,31 @@ def _graph_doc(spec: str) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _set(path: tuple, value):
-    """An edit that sets the field at `path` of a diagram document."""
-    def edit(doc):
-        *parents, last = path
-        for key in parents:
-            doc = doc[key]
-        doc[last] = value
-    return edit
-
-
-# Hand edits of the sailors_no_red diagram: groups g0_1 (box S), g1_1 (R)
-# and g2_1 (B) on one path, edges R.bid -> B.bid and S.sid -> R.sid, then
-# the SELECT link to S.sname.
+# Hand edits of the sailors_no_red diagram, each a list of (path, value)
+# replacements: groups g0_1 (box S), g1_1 (R) and g2_1 (B) on one path,
+# edges R.bid -> B.bid and S.sid -> R.sid, then the SELECT link to S.sname.
 FIXTURE_EDITS = {
-    "group-id": [_set(("groups", 2, "id"), "g1_1")],
-    "alias": [_set(("groups", 2, "tables", 0, "alias"), "R")],
-    "endpoint": [_set(("edges", 0, "to", 0), "X")],
-    "undirected": [_set(("edges", 0, "directed"), False)],
-    "select-unknown": [_set(("edges", 2, "to", 0), "X")],
-    "select-none": [_set(("edges", 2, "from", 0), "S"), _set(("select_box", "rows"), [])],
-    "parent": [_set(("groups", 2, "parent"), "g0_1")],
-    "root-parent": [_set(("groups", 0, "parent"), "g1_1")],
-    "rows": [_set(("select_box", "rows"), ["sid"])],
+    "group-id": [(("groups", 2, "id"), "g1_1")],
+    "alias": [(("groups", 2, "tables", 0, "alias"), "R")],
+    "endpoint": [(("edges", 0, "to", 0), "X")],
+    "undirected": [(("edges", 0, "directed"), False)],
+    "select-unknown": [(("edges", 2, "to", 0), "X")],
+    "select-none": [(("edges", 2, "from", 0), "S"), (("select_box", "rows"), [])],
+    "parent": [(("groups", 2, "parent"), "g0_1")],
+    "root-parent": [(("groups", 0, "parent"), "g1_1")],
+    "rows": [(("select_box", "rows"), ["sid"])],
 }
 
 
 def _fixture_edits(doc: str) -> list[tuple[str, str]]:
     copies = []
-    for name, edits in FIXTURE_EDITS.items():
+    for name, replacements in FIXTURE_EDITS.items():
         edited = json.loads(doc)
-        for edit in edits:
-            edit(edited)
+        for (*parents, last), value in replacements:
+            field = edited
+            for key in parents:
+                field = field[key]
+            field[last] = value
         copies.append((name, json.dumps(edited, indent=2, ensure_ascii=False) + "\n"))
     return copies
 

@@ -1,5 +1,6 @@
 """Group graphs built from bare ids, the path family of a recovered path,
-every small query and the reference oracle, for recovery tests."""
+every small query (or a seeded sample of them) and the reference oracle,
+for recovery tests."""
 
 import itertools
 
@@ -28,9 +29,9 @@ def path_family(g: DiagramGraph, assignment: DepthAssignment) -> str:
     return "A,B" if a and b else "A,not-B" if a else "not-A"
 
 
-def ordered_trees(max_nodes: int):
+def ordered_trees(max_nodes: int, max_depth: int = MAX_DEPTH):
     """Every ordered rooted tree of up to `max_nodes` nodes and depth at most
-    MAX_DEPTH, as its parent list in pre-order: node 0 is the root (parent
+    `max_depth`, as its parent list in pre-order: node 0 is the root (parent
     None), and each later node hangs below a node on the path from the node
     before it up to the root."""
     def grow(parents, depths):
@@ -39,38 +40,84 @@ def ordered_trees(max_nodes: int):
             return
         node = len(parents) - 1
         while node is not None:
-            if depths[node] < MAX_DEPTH:
+            if depths[node] < max_depth:
                 yield from grow(parents + [node], depths + [depths[node] + 1])
             node = parents[node]
     yield from grow([None], [0])
 
 
-def small_queries(max_groups: int):
-    """Every query of depth at most MAX_DEPTH with up to `max_groups` blocks,
-    one table per block and any subset of the equi-joins from a block to its
-    ancestors.  Block i reads table T as alias t<i>; nested blocks are NOT
-    EXISTS.  Depths fix each join's direction and the scope rule allows only
-    joins to ancestors, so these draw every group graph a supported query
-    can."""
+def ancestors(parents) -> list[tuple[int, ...]]:
+    """Each node's ancestors, nearest first; their number is its depth."""
+    chains = [()]
+    for parent in parents[1:]:
+        chains.append((parent, *chains[parent]))
+    return chains
+
+
+def small_queries(max_groups: int, two_tables: bool = False):
+    """Every query of depth at most MAX_DEPTH with up to `max_groups` blocks
+    and any subset of the equi-joins from a block to its ancestors.
+    Block i reads table T as alias t<i>; nested blocks are NOT EXISTS.  With
+    `two_tables` it also reads U as u<i>, joined to t<i> inside the block,
+    and its joins to ancestors start at u<i>.  Depths fix each join's
+    direction and the scope rule allows only joins to ancestors, so these
+    draw every group graph a supported query can."""
     for parents in ordered_trees(max_groups):
-        ancestors = [()]
-        for parent in parents[1:]:
-            ancestors.append((parent, *ancestors[parent]))
-        for joins in itertools.product(*(itertools.product((False, True), repeat=len(up))
-                                         for up in ancestors)):
-            root = _block(0, parents, [[up for up, join in zip(ups, picks) if join]
-                                       for ups, picks in zip(ancestors, joins)])
-            yield LogicTree(root=root, select_list=(ColumnRef(alias="t0", attribute="x"),))
+        chains = ancestors(parents)
+        for picks in itertools.product(*(itertools.product((False, True), repeat=len(up))
+                                         for up in chains)):
+            yield _query(parents, [[up for up, join in zip(ups, chosen) if join]
+                                   for ups, chosen in zip(chains, picks)], two_tables)
 
 
-def _block(i: int, parents, joined):
+def sampled_queries(rng, trees, count: int):
+    """`count` queries drawn with replacement from those small_queries makes
+    on `trees` (parent lists as ordered_trees yields them), each equally
+    likely."""
+    chains = [ancestors(parents) for parents in trees]
+    weights = [2 ** sum(map(len, c)) for c in chains]
+    for i in rng.choices(range(len(trees)), weights=weights, k=count):
+        yield _query(trees[i], [[up for up in ups if rng.random() < 0.5] for ups in chains[i]])
+
+
+def _query(parents, joined, two_tables: bool = False) -> LogicTree:
+    root = _block(0, parents, joined, two_tables)
+    return LogicTree(root=root, select_list=(ColumnRef(alias="t0", attribute="x"),))
+
+
+def _block(i: int, parents, joined, two_tables: bool):
     """Block i of a small query; `joined[i]` lists the blocks it joins."""
     column = ColumnRef(alias=f"t{i}", attribute="x")
-    predicates = [Predicate(lhs=column, op="=", rhs=ColumnRef(alias=f"t{up}", attribute="x"))
-                  for up in joined[i]]
-    children = [_block(k, parents, joined) for k, p in enumerate(parents) if p == i]
+    tables, predicates = [(f"t{i}", "T")], []
+    if two_tables:
+        tables.append((f"u{i}", "U"))
+        predicates.append(Predicate(lhs=ColumnRef(alias=f"u{i}", attribute="y"), op="=",
+                                    rhs=ColumnRef(alias=f"t{i}", attribute="y")))
+        column = ColumnRef(alias=f"u{i}", attribute="x")
+    predicates += [Predicate(lhs=column, op="=", rhs=ColumnRef(alias=f"t{up}", attribute="x"))
+                   for up in joined[i]]
+    children = [_block(k, parents, joined, two_tables) for k, p in enumerate(parents) if p == i]
     quantifier = Quantifier.ROOT if i == 0 else Quantifier.NOT_EXISTS
-    return make_node([(f"t{i}", "T")], predicates, quantifier, children)
+    return make_node(tables, predicates, quantifier, children)
+
+
+def misplaced_joins(lt: LogicTree):
+    """Every query made from `lt` by moving one predicate of a block into
+    one of its child blocks, where it touches no local alias (a
+    LOCAL_ATTRIBUTES violation).  Its diagram draws the same edge between
+    the same two groups."""
+    def moved(node):
+        for i, child in enumerate(node.children):
+            others = node.children[:i] + node.children[i + 1:]
+            for pred in node.predicates:
+                host = make_node(child.tables, (*child.predicates, pred), child.quantifier,
+                                 child.children)
+                rest = [p for p in node.predicates if p != pred]
+                yield make_node(node.tables, rest, node.quantifier, (*others, host))
+            for deeper in moved(child):
+                yield make_node(node.tables, node.predicates, node.quantifier, (*others, deeper))
+    for root in moved(lt.root):
+        yield LogicTree(root=root, select_list=lt.select_list)
 
 
 def enumerate_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignment]:

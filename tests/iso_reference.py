@@ -42,7 +42,7 @@ class Relabeling:
 def reference_isomorphic(a: Diagram, b: Diagram) -> bool:
     if len(a.groups) != len(b.groups) or len(a.edges) != len(b.edges):
         return False
-    if len(a.select_box.rows) != len(b.select_box.rows):
+    if len(a.select_box) != len(b.select_box):
         return False
 
     kids_a = _children_index(a)
@@ -125,10 +125,10 @@ def reference_isomorphic(a: Diagram, b: Diagram) -> bool:
         edges_b = sorted(canon(e.src, e.dst, e.directed, e.label) for e in b.edges)
         if edges_a != edges_b:
             return False
-        if [translate(link) for link in a.select_box.links] != list(b.select_box.links):
+        if [translate(link) for link in a.select_box] != list(b.select_box):
             return False
-        rows_a = [mapping.forward.get(("attr", r)) for r in a.select_box.rows]
-        return rows_a == list(b.select_box.rows)
+        rows_a = [mapping.forward.get(("attr", attribute)) for _, attribute in a.select_box]
+        return rows_a == [attribute for _, attribute in b.select_box]
 
     root_a = next(g for g in a.groups if g.parent is None)
     root_b = next(g for g in b.groups if g.parent is None)

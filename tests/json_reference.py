@@ -31,8 +31,8 @@ def diagram_to_dict(d: Diagram) -> dict:
         {"from": list(e.src), "to": list(e.dst), "directed": e.directed, "label": e.label}
         for e in d.edges
     ]
-    for row_label, target in zip(d.select_box.rows, d.select_box.links):
-        edges.append({"from": [SELECT_BOX_ID, row_label], "to": list(target),
+    for alias, attribute in d.select_box:
+        edges.append({"from": [SELECT_BOX_ID, attribute], "to": [alias, attribute],
                       "directed": False, "label": None})
     return {
         "groups": [
@@ -50,7 +50,7 @@ def diagram_to_dict(d: Diagram) -> dict:
             for g in d.groups
         ],
         "edges": edges,
-        "select_box": {"rows": list(d.select_box.rows)},
+        "select_box": {"rows": [attribute for _, attribute in d.select_box]},
     }
 
 

@@ -102,7 +102,7 @@ def test_criterion_02_unique_set_pipeline():
         ("L5", "L1", None, True),
         ("L5", "L6", None, True),
         ("L6", "L2", None, True)}
-    assert d.select_box.links == (("L1", "drinker"),)
+    assert d.select_box == (("L1", "drinker"),)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _passed(2, f"unique-set query: tree, forall rewrite and arrow-rule edge set "

@@ -90,6 +90,21 @@ def test_viz_json_render_warns_and_writes_only_the_json(sql_file, tmp_path, caps
     assert target.read_text(encoding="utf-8") == expected
 
 
+def test_viz_render_without_output_warns_and_prints_the_dot(sql_file, tmp_path, capsys,
+                                                             monkeypatch):
+    stub = tmp_path / "fake-dot"
+    stub.write_text("#!/bin/sh\necho \"$@\" > \"$4\"\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("SQLDIAGRAM_RENDERER", str(stub))
+    source = sql_file(SOME_LIKED_DRINK)
+    assert run(["viz", source]) == 0
+    expected = capsys.readouterr().out
+    assert run(["viz", source, "--render", "svg"]) == 0
+    assert capsys.readouterr() == (
+        expected, "warning: --render needs --output to name the rendered file\n")
+    assert list(tmp_path.glob("*.svg")) == []
+
+
 def test_viz_failing_renderer_prints_one_line(sql_file, tmp_path, capsys, monkeypatch):
     stub = tmp_path / "failing-dot"
     stub.write_text("#!/bin/sh\nexit 3\n")

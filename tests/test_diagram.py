@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 from sqldiagram import (
@@ -23,6 +24,7 @@ from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
     OWL_SELECTION_BURIED,
     PATTERN_GRID,
+    SAILORS_NO_RED,
     SOME_LIKED_DRINK,
     UNIQUE_BEER_SET,
     VALID_QUERIES,
@@ -105,7 +107,7 @@ def test_conjunctive_diagram():
     assert all(not g.boxed for g in d.groups)
     assert len(d.edges) == 3
     assert all(not e.directed and e.label is None for e in d.edges)
-    assert d.select_box.links == (("F", "person"),)
+    assert d.select_box == (("F", "person"),)
 
 
 def test_nested_diagram_groups_and_styles():
@@ -136,7 +138,7 @@ def test_unique_set_diagram_edges():
         ("L6", "L2"): None,
     }
     assert all(e.directed for e in d.edges)
-    assert d.select_box.links == (("L1", "drinker"),)
+    assert d.select_box == (("L1", "drinker"),)
 
 
 def test_row_ordering_and_selection_rows():
@@ -161,7 +163,7 @@ def test_minimal_diagram():
     d = diagram_of("SELECT T.a FROM Tab T")
     assert len(d.boxes()) == 1
     assert d.edges == ()
-    assert d.select_box.rows == ("a",)
+    assert d.select_box == (("T", "a"),)
     assert count_elements(d) == 5  # 2 boxes + 2 rows + 1 link
 
 
@@ -324,9 +326,15 @@ def test_json_round_trip_identity():
     assert len(sizes) == 213 and max(sizes) == 301
 
 
-def test_json_counts_unique_set():
-    import json
+@pytest.mark.parametrize("rows", [["sid"], ["sname", "sname"], "sname", 5])
+def test_json_select_rows_must_be_the_linked_attributes(rows):
+    doc = json.loads(diagram_to_json(diagram_of(SAILORS_NO_RED)))
+    doc["select_box"]["rows"] = rows
+    with pytest.raises(ValueError, match="are not the linked attributes"):
+        diagram_from_json(json.dumps(doc))
 
+
+def test_json_counts_unique_set():
     doc = json.loads(diagram_to_json(diagram_of(UNIQUE_BEER_SET)))
     assert len(doc["groups"]) == 6
     assert len(doc["edges"]) == 8  # seven joins plus the select link
@@ -397,6 +405,21 @@ def test_isomorphism_under_random_relabeling():
         if previous is not None and len(previous.groups) != len(original.groups):
             assert not diagram_isomorphic(previous, original)
         previous = original
+
+
+def test_reading_order_does_not_follow_an_undirected_edge_between_groups():
+    # sibling blocks joined to each other, which the scope rule keeps out of
+    # every query: the edge between their groups is undirected, not an arrow
+    a, b, c = (ColumnRef(alias=alias, attribute="k") for alias in "ABC")
+    root = make_node([("A", "TA")], [], Quantifier.ROOT, [
+        make_node([("B", "TB")], [Predicate(lhs=b, op="=", rhs=a)], Quantifier.NOT_EXISTS),
+        make_node([("C", "TC")], [Predicate(lhs=c, op="=", rhs=b)], Quantifier.NOT_EXISTS)])
+    d = build_diagram(LogicTree(root=root, select_list=(a,)), allow_invalid=True)
+    (undirected,) = [e for e in d.edges if not e.directed]
+    assert (undirected.src[0], undirected.dst[0]) == ("B", "C")
+    assert reading_order(d).steps == (
+        ("select", "SELECT"), ("enter", "g0_1"), ("follow", "g0_1", "g1_1"),
+        ("enter", "g1_1"), ("restart", "g1_2"), ("enter", "g1_2"))
 
 
 def test_reading_order_falls_back_deterministically_on_source_free_cycle():

@@ -68,7 +68,7 @@ def test_edge_statements_and_labels():
     for name, sql in VALID_QUERIES.items():
         d = diagram_of(sql)
         text = emit_dot(d)
-        assert text.count(" -> ") == len(d.edges) + len(d.select_box.links), name
+        assert text.count(" -> ") == len(d.edges) + len(d.select_box), name
         labeled = sum(1 for e in d.edges if e.label is not None)
         assert text.count("label=\"") == labeled, name
 

@@ -20,10 +20,11 @@ from sqldiagram import (
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.errors import InvalidDiagramError
 from sqldiagram.fixtures import ONLY_LIKED_DRINKS, UNIQUE_BEER_SET, VALID_QUERIES
-from sqldiagram.logic import build_logic_tree
+from sqldiagram.logic import ViolationKind, build_logic_tree
 from sqldiagram.recovery import _connected_subqueries_ok, _edges_consistent, _scope_ok
 
-from graphs import enumerate_depths, make_graph, path_family, small_queries
+from graphs import (ancestors, enumerate_depths, make_graph, misplaced_joins, ordered_trees,
+                    path_family, sampled_queries, small_queries)
 
 
 def graph_of(sql):
@@ -427,6 +428,22 @@ def test_recovery_matches_oracle_on_mutated_generated_graphs():
         checked += 1
 
 
+def _verdicts(lt) -> tuple[bool, bool, bool]:
+    """Whether the query passes the tree check, whether recovery returns its
+    own structure, and whether the oracle finds that structure and nothing
+    else."""
+    diagram = build_diagram(lt, simplified=False, allow_invalid=True)
+    truth = DepthAssignment(
+        depths={group.id: group.depth for group in diagram.groups},
+        parents={group.id: group.parent for group in diagram.groups if group.parent})
+    g = diagram_to_graph(diagram)
+    try:
+        recovered = recover_depths(g) == truth
+    except InvalidDiagramError:
+        recovered = False
+    return check_nondegenerate(lt).ok, recovered, brute_force_depths(g) == [truth]
+
+
 def test_tree_check_recovery_and_oracle_agree_on_every_small_query():
     """From the SQL side: on every query of small_queries(5) the tree check
     passes exactly when recovery returns the query's own structure and the
@@ -436,20 +453,74 @@ def test_tree_check_recovery_and_oracle_agree_on_every_small_query():
     slow for this suite."""
     queries = valid = 0
     for lt in small_queries(5):
-        diagram = build_diagram(lt, simplified=False, allow_invalid=True)
-        truth = DepthAssignment(
-            depths={group.id: group.depth for group in diagram.groups},
-            parents={group.id: group.parent for group in diagram.groups if group.parent})
-        g = diagram_to_graph(diagram)
-        try:
-            recovered = recover_depths(g) == truth
-        except InvalidDiagramError:
-            recovered = False
-        ok = check_nondegenerate(lt).ok
-        assert ok == recovered == (brute_force_depths(g) == [truth]), lt_to_sql(lt)
+        ok, recovered, unique = _verdicts(lt)
+        assert ok == recovered == unique, lt_to_sql(lt)
         queries += 1
         valid += ok
     assert (queries, valid) == (1863, 216)
+
+
+def test_three_way_agreement_with_two_tables_per_group():
+    """Every block of small_queries(5) also reads a second table, joined to
+    the first inside the block, and joins its ancestors from it.  The
+    intra-group edges add nothing to the group graph, so the verdicts agree
+    and the counts are those of one table per block."""
+    counts = Counter(_verdicts(lt) for lt in small_queries(5, two_tables=True))
+    assert counts == {(True, True, True): 216, (False, False, False): 1647}
+
+
+def test_a_misplaced_join_draws_the_diagram_of_the_query_it_came_from():
+    """A join moved from its block into a child block touches no local alias
+    there, and the tree check reports LOCAL_ATTRIBUTES.  The diagram cannot
+    show which block holds a predicate: it draws the same edge, so recovery
+    and the oracle give the verdicts of the query the join came from, and
+    those agree with that query's tree check."""
+    moved = 0
+    for lt in small_queries(5):
+        ok = check_nondegenerate(lt).ok
+        for variant in misplaced_joins(lt):
+            kinds = {v.kind for v in check_nondegenerate(variant).violations}
+            assert ViolationKind.LOCAL_ATTRIBUTES in kinds, lt_to_sql(variant)
+            assert _verdicts(variant) == (False, ok, ok), lt_to_sql(variant)
+            moved += 1
+    assert moved == 3268
+
+
+def test_three_way_agreement_on_a_sample_of_six_group_queries():
+    """A fixed seeded sample of the queries with exactly 6 groups, drawn
+    uniformly; the whole set (21 792 queries) takes about 8 s."""
+    trees = [parents for parents in ordered_trees(6) if len(parents) == 6]
+    valid = 0
+    for lt in sampled_queries(random.Random(6), trees, 2500):
+        ok, recovered, unique = _verdicts(lt)
+        assert ok == recovered == unique, lt_to_sql(lt)
+        valid += ok
+    assert valid == 161
+
+
+def test_depth_4_queries_recover_only_to_what_the_oracle_finds():
+    """On a fixed seeded sample of queries of up to 6 groups with a block at
+    depth 4, recovery either raises or returns a structure of depth 3 or
+    less that the oracle also returns.  Each query it returns one for also
+    breaks the connected-subquery rule, which `roundtrip` rejects first.  So
+    `roundtrip` never reports a depth-4 query as recovered wrongly: of every
+    query of up to 7 groups that breaks only the depth bound (57 520), none
+    recovers."""
+    trees = [parents for parents in ordered_trees(6, max_depth=4)
+             if max(map(len, ancestors(parents))) == 4]
+    raised = returned = 0
+    for lt in sampled_queries(random.Random(4), trees, 3000):
+        g = diagram_to_graph(build_diagram(lt, simplified=False, allow_invalid=True))
+        try:
+            recovered = recover_depths(g)
+        except InvalidDiagramError:
+            raised += 1
+            continue
+        assert recovered in brute_force_depths(g), lt_to_sql(lt)
+        kinds = {v.kind for v in check_nondegenerate(lt).violations}
+        assert ViolationKind.CONNECTED_SUBQUERIES in kinds, lt_to_sql(lt)
+        returned += 1
+    assert (raised, returned) == (2973, 27)
 
 
 # -- the backtracking oracle against the reference enumerator --------------------------
