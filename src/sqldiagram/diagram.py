@@ -327,7 +327,9 @@ def diagram_from_json(text: str) -> Diagram:
     `text`.  A malformed document raises ValueError, LookupError, TypeError
     or RecursionError, which the CLI prints as `malformed input (...)` with
     exit code 2; so does a select_box whose rows are not the attributes its
-    SELECT edges link.  Equal rows may be one shared object."""
+    SELECT edges link, or a SELECT edge that does not run from the row of
+    the attribute it links, or is directed or labelled.  Equal rows may be
+    one shared object."""
     doc = json.loads(text)
     quantifiers, attribute_rows = {}, {}  # one value per name, see _shared
     groups = tuple([
@@ -341,6 +343,9 @@ def diagram_from_json(text: str) -> Diagram:
     for e in doc["edges"]:
         if e["from"][0] == SELECT_BOX_ID:
             links.append((e["to"][0], e["to"][1]))
+            if e["from"][1] != e["to"][1] or e["directed"] is not False or e["label"] is not None:
+                raise ValueError(f"SELECT edge to {e['to']!r} must run undirected and "
+                                 f"unlabelled from {[SELECT_BOX_ID, e['to'][1]]!r}")
         else:
             join_edges.append(Edge(tuple(e["from"]), tuple(e["to"]), e["directed"], e["label"]))
     rows, linked = doc["select_box"]["rows"], [attribute for _, attribute in links]

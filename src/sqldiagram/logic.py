@@ -18,6 +18,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import is_
 
 from .errors import MalformedSubqueryError
 from .sqlast import (
@@ -209,7 +210,9 @@ def simplify_forall(lt: LogicTree) -> LogicTree:
     """Rewrite not-exists over a single not-exists child into forall/exists.
 
     Applied top-down to a fixpoint, so in a chain the outermost pair rewrites
-    first.  Tables, predicates and tree shape are untouched.
+    first.  Tables, predicates and tree shape are untouched, and every
+    subtree the rewrite leaves unchanged is the input's own node: the root
+    itself when no rewrite applies.
     """
     return LogicTree(root=_simplify(lt.root), select_list=lt.select_list)
 
@@ -219,8 +222,11 @@ def _simplify(node: LtNode) -> LtNode:
             and len(node.children) == 1
             and node.children[0].quantifier is Quantifier.NOT_EXISTS):
         child = replace(node.children[0], quantifier=Quantifier.EXISTS)
-        node = replace(node, quantifier=Quantifier.FOR_ALL, children=(child,))
-    return replace(node, children=tuple(_simplify(c) for c in node.children))
+        return replace(node, quantifier=Quantifier.FOR_ALL, children=(_simplify(child),))
+    children = tuple(_simplify(c) for c in node.children)
+    if all(map(is_, children, node.children)):
+        return node
+    return replace(node, children=children)
 
 
 # ---------------------------------------------------------------------------

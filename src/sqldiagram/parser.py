@@ -141,16 +141,20 @@ class _Parser:
         return tok.kind == kind and (text is None or tok.text == text)
 
     def _match(self, kind: str, text: str | None = None) -> Token | None:
-        if self._check(kind, text):
-            return self._advance()
-        return None
+        tok = self._tokens[self._pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            return None
+        if kind != "EOF":
+            self._pos += 1
+        return tok
 
     def _expect(self, kind: str, text: str | None = None, expected: str | None = None) -> Token:
-        tok = self._peek()
-        if self._check(kind, text):
-            return self._advance()
-        shown = expected or text or kind
-        raise SqlSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column, shown)
+        tok = self._match(kind, text)
+        if tok is None:
+            tok = self._tokens[self._pos]
+            raise SqlSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column,
+                                 expected or text or kind)
+        return tok
 
     def _unsupported(self, feature: str, tok: Token):
         raise UnsupportedFeatureError(feature, tok.line, tok.column)

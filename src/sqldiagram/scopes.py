@@ -9,13 +9,16 @@ Renaming follows document order: the FROM aliases of every block, read
 root first and each block before its subqueries, form one list.  The first
 declaration of a name keeps it; a later one is renamed with a numeric
 suffix.  Rewriting walks the blocks in the same order and takes each
-block's final names from that list.
+block's final names from that list.  It returns the input's own nodes
+wherever it renames and qualifies nothing: the whole AST when nothing
+changes, else new nodes only on the paths down to what changed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import replace
+from operator import is_
 
 from .errors import AmbiguousColumnError, UnknownAliasError
 from .sqlast import (
@@ -25,7 +28,6 @@ from .sqlast import (
     Exists,
     PredicateAst,
     QueryAst,
-    TableRef,
 )
 
 
@@ -77,23 +79,36 @@ def _rewrite_block(block: QueryAst, chain: list[dict[str, str]],
                 raise AmbiguousColumnError(
                     f"unqualified column {ref.attribute!r} with {len(visible)} tables in scope",
                     ref.line, ref.column)
-            return ColumnRef(alias=visible[0], attribute=ref.attribute,
-                             line=ref.line, column=ref.column)
-        for scope in reversed(chain):
-            if ref.alias in scope:
-                return ColumnRef(alias=scope[ref.alias], attribute=ref.attribute,
-                                 line=ref.line, column=ref.column)
-        raise UnknownAliasError(ref.alias, ref.attribute, ref.line, ref.column)
+            alias = visible[0]
+        else:
+            for scope in reversed(chain):
+                if ref.alias in scope:
+                    alias = scope[ref.alias]
+                    break
+            else:
+                raise UnknownAliasError(ref.alias, ref.attribute, ref.line, ref.column)
+        return ref if alias == ref.alias else replace(ref, alias=alias)
 
     def rewrite_pred(pred: PredicateAst) -> PredicateAst:
         if isinstance(pred, Comparison):
+            # the right operand first, so that it is the one an error names
             rhs = pred.rhs if isinstance(pred.rhs, Constant) else resolve_ref(pred.rhs)
-            return Comparison(lhs=resolve_ref(pred.lhs), op=pred.op, rhs=rhs)
-        column = {} if isinstance(pred, Exists) else {"column": resolve_ref(pred.column)}
-        return replace(pred, **column, subquery=_rewrite_block(pred.subquery, chain, finals))
+            lhs = resolve_ref(pred.lhs)
+            if lhs is pred.lhs and rhs is pred.rhs:
+                return pred
+            return Comparison(lhs=lhs, op=pred.op, rhs=rhs)
+        parts = {} if isinstance(pred, Exists) else {"column": resolve_ref(pred.column)}
+        parts["subquery"] = _rewrite_block(pred.subquery, chain, finals)
+        if all(getattr(pred, name) is part for name, part in parts.items()):
+            return pred
+        return replace(pred, **parts)
 
-    from_list = tuple(
-        TableRef(table_name=ref.table_name, alias=local[ref.alias]) for ref in block.from_list)
+    from_list = block.from_list
+    if any(alias != final for alias, final in local.items()):
+        from_list = tuple(replace(ref, alias=local[ref.alias]) for ref in from_list)
     where = tuple(rewrite_pred(pred) for pred in block.where_clause)
     select_list = tuple(resolve_ref(col) for col in block.select_list)
+    if from_list is block.from_list and all(
+            map(is_, where + select_list, block.where_clause + block.select_list)):
+        return block
     return QueryAst(select_list=select_list, from_list=from_list, where_clause=where)

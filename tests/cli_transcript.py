@@ -41,7 +41,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.jsonl"
 SEED = 16
 GENERATED = 60
 MUTANTS = 300
-NESTING = 5000
+NESTING = 20000
 
 FIELDS = ("input", "argv", "code", "stdout", "stderr")  # one JSON array per line
 FORMS = (["viz"], ["viz", "--no-simplify"], ["viz", "--format", "json"], ["lt"],
@@ -181,6 +181,9 @@ FIXTURE_EDITS = {
     "parent": [(("groups", 2, "parent"), "g0_1")],
     "root-parent": [(("groups", 0, "parent"), "g1_1")],
     "rows": [(("select_box", "rows"), ["sid"])],
+    "select-from": [(("edges", 2, "from", 1), "sid")],
+    "select-directed": [(("edges", 2, "directed"), True)],
+    "select-label": [(("edges", 2, "label"), "<")],
 }
 
 

@@ -334,6 +334,16 @@ def test_json_select_rows_must_be_the_linked_attributes(rows):
         diagram_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("from", ["SELECT", "sid"]), ("directed", True), ("directed", 0), ("label", "<")])
+def test_json_select_edge_must_be_an_undirected_unlabelled_row_link(field, value):
+    doc = json.loads(diagram_to_json(diagram_of(SAILORS_NO_RED)))
+    (edge,) = [e for e in doc["edges"] if e["from"][0] == "SELECT"]
+    edge[field] = value
+    with pytest.raises(ValueError, match="SELECT edge to"):
+        diagram_from_json(json.dumps(doc))
+
+
 def test_json_counts_unique_set():
     doc = json.loads(diagram_to_json(diagram_of(UNIQUE_BEER_SET)))
     assert len(doc["groups"]) == 6

@@ -7,15 +7,35 @@ from sqldiagram import lt_to_sql, parse, print_sql, resolve_scopes
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.errors import AmbiguousColumnError, UnknownAliasError
 from sqldiagram.fixtures import ONLY_LIKED_DRINKS, VALID_QUERIES
-from sqldiagram.sqlast import Exists
+from sqldiagram.sqlast import ColumnRef, Comparison, Exists, QueryAst, TableRef
+
+
+def _nodes(ast, path=""):
+    """(path, node) for every block, table, column, predicate and operand, in
+    document order; a subquery's path extends its predicate's."""
+    yield path, ast
+    yield from ((f"{path}/from{i}", t) for i, t in enumerate(ast.from_list))
+    yield from ((f"{path}/select{i}", c) for i, c in enumerate(ast.select_list))
+    for i, pred in enumerate(ast.where_clause):
+        at = f"{path}/where{i}"
+        yield at, pred
+        if isinstance(pred, Comparison):
+            yield f"{at}/lhs", pred.lhs
+            yield f"{at}/rhs", pred.rhs
+            continue
+        if not isinstance(pred, Exists):
+            yield f"{at}/column", pred.column
+        yield from _nodes(pred.subquery, f"{at}/sub")
 
 
 def _blocks(ast):
     """Every query block, each before its subqueries, in document order."""
-    yield ast
-    for pred in ast.where_clause:
-        if hasattr(pred, "subquery"):
-            yield from _blocks(pred.subquery)
+    return [node for _, node in _nodes(ast) if isinstance(node, QueryAst)]
+
+
+def _positions(ast):
+    return [(path, node.line, node.column) for path, node in _nodes(ast)
+            if isinstance(node, (ColumnRef, TableRef))]
 
 
 def _aliases(ast):
@@ -109,7 +129,7 @@ def test_rename_suffix_skips_taken_names():
 def test_idempotent_on_fixture_corpus():
     for name, sql in VALID_QUERIES.items():
         once = resolve_scopes(parse(sql))
-        assert resolve_scopes(once) == once, name
+        assert resolve_scopes(once) is once, name
 
 
 def test_table_multiset_per_block_unchanged():
@@ -153,6 +173,42 @@ def test_resolution_properties_on_collapsed_aliases():
         assert len(set(aliases)) == len(aliases), sql
         assert ([[t.table_name for t in b.from_list] for b in _blocks(resolved)]
                 == [[t.table_name for t in b.from_list] for b in _blocks(ast)]), sql
-        assert resolve_scopes(resolved) == resolved, sql
+        assert resolve_scopes(resolved) is resolved, sql
         assert resolve_scopes(parse(print_sql(resolved))) == resolved, sql
+        assert _positions(resolved) == _positions(ast), sql
     assert resolved_count > 0 and rejected > 0
+
+
+def test_resolution_returns_a_resolved_ast_itself():
+    # lt_to_sql qualifies every column and never repeats an alias, and neither
+    # do the fixtures, so resolution has nothing to rename and builds nothing.
+    rng = random.Random(1818)
+    queries = [lt_to_sql(random_logic_tree(rng, max_nodes=rng.randint(1, 12)))
+               for _ in range(500)]
+    for sql in queries + list(VALID_QUERIES.values()):
+        ast = parse(sql)
+        assert resolve_scopes(ast) is ast, sql
+
+
+def test_one_rename_rebuilds_only_the_path_to_its_block():
+    sql = ("SELECT T.a FROM Tab T WHERE T.a = 1 "
+           "AND EXISTS (SELECT L.x FROM Likes L WHERE L.x = T.a) "
+           "AND EXISTS (SELECT U.y FROM Us U WHERE U.y = T.a "
+           "AND EXISTS (SELECT L.z FROM Likes L WHERE L.z = U.y))")
+    ast = parse(sql)
+    resolved = resolve_scopes(ast)
+    assert _aliases(resolved) == ["T", "L", "U", "L2"]
+    new = [path for (path, before), (_, after) in zip(_nodes(ast), _nodes(resolved))
+           if before is not after]
+    assert new == ["", "/where2", "/where2/sub", "/where2/sub/where1", "/where2/sub/where1/sub",
+                   "/where2/sub/where1/sub/from0", "/where2/sub/where1/sub/select0",
+                   "/where2/sub/where1/sub/where0", "/where2/sub/where1/sub/where0/lhs"]
+    assert resolved.where_clause[1].subquery is ast.where_clause[1].subquery
+
+
+def test_resolved_refs_keep_their_source_positions():
+    for sql in ("SELECT a FROM T WHERE b = 1 AND EXISTS (SELECT * FROM S WHERE S.c = T.d)",
+                "SELECT L.a FROM Likes AS L WHERE EXISTS (SELECT * FROM Serves L\n"
+                "  WHERE L.b = 1 AND NOT L.c = ANY (SELECT L.d FROM Bars L))"):
+        ast = parse(sql)
+        assert _positions(resolve_scopes(ast)) == _positions(ast), sql

@@ -73,6 +73,16 @@ def test_idempotent_and_shape_preserving():
         assert before == after
 
 
+def test_rewrite_shares_every_subtree_it_leaves_unchanged():
+    lt = lower("SELECT T.a FROM Tab T WHERE T.a = 1")
+    assert simplify_forall(lt).root is lt.root
+    rng = random.Random(18)
+    for _ in range(200):
+        lt = random_logic_tree(rng)
+        pairs = zip(lt.walk(), simplify_forall(lt).walk())
+        assert all((a is b) == (a == b) for (_, a, _), (_, b, _) in pairs)
+
+
 def test_semantics_preserved_on_random_trees():
     # three-row instances over a three-value domain, per the module contract
     rng = random.Random(23)
