@@ -215,13 +215,21 @@ def reading_order(d: Diagram) -> ReadingOrder:
     steps: list[tuple] = [("select", SELECT_BOX_ID), ("enter", root)]
     visited = {root}
 
-    def dfs(gid: str) -> None:
-        for target in sorted(out_edges[gid], key=order.__getitem__):
-            if target not in visited:
-                visited.add(target)
-                steps.append(("follow", gid, target))
-                steps.append(("enter", target))
-                dfs(target)
+    def dfs(start: str) -> None:
+        # an explicit stack of target iterators, so a long chain of arrows
+        # cannot exhaust the interpreter's stack
+        stack = [(start, iter(sorted(out_edges[start], key=order.__getitem__)))]
+        while stack:
+            gid, targets = stack[-1]
+            for target in targets:
+                if target not in visited:
+                    visited.add(target)
+                    steps.append(("follow", gid, target))
+                    steps.append(("enter", target))
+                    stack.append((target, iter(sorted(out_edges[target], key=order.__getitem__))))
+                    break
+            else:
+                stack.pop()
 
     dfs(root)
     while len(visited) < len(order):

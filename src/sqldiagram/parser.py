@@ -121,6 +121,10 @@ def tokenize(sql_text: str) -> list[Token]:
 
 
 class _Parser:
+    """Reads tokens with `_peek` (look), `_match` (take when it fits, else
+    None), `_expect` (take or raise) and `_match_constant`.  Nothing takes
+    the EOF token, so `_pos` never passes the end of the list."""
+
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
@@ -130,22 +134,11 @@ class _Parser:
     def _peek(self) -> Token:
         return self._tokens[self._pos]
 
-    def _advance(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "EOF":
-            self._pos += 1
-        return tok
-
-    def _check(self, kind: str, text: str | None = None) -> bool:
-        tok = self._peek()
-        return tok.kind == kind and (text is None or tok.text == text)
-
     def _match(self, kind: str, text: str | None = None) -> Token | None:
         tok = self._tokens[self._pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             return None
-        if kind != "EOF":
-            self._pos += 1
+        self._pos += 1
         return tok
 
     def _expect(self, kind: str, text: str | None = None, expected: str | None = None) -> Token:
@@ -155,6 +148,18 @@ class _Parser:
             raise SqlSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column,
                                  expected or text or kind)
         return tok
+
+    def _match_constant(self) -> Constant | None:
+        """Takes a string, a number, or a sign directly before a number."""
+        tok = self._tokens[self._pos]
+        if tok.kind == "STRING" or tok.kind == "NUMBER":
+            self._pos += 1
+            return Constant(kind="string" if tok.kind == "STRING" else "number", literal=tok.text)
+        if tok.kind == "ARITH" and tok.text in "+-" and self._tokens[self._pos + 1].kind == "NUMBER":
+            self._pos += 2
+            sign = "-" if tok.text == "-" else ""
+            return Constant(kind="number", literal=sign + self._tokens[self._pos - 1].text)
+        return None
 
     def _unsupported(self, feature: str, tok: Token):
         raise UnsupportedFeatureError(feature, tok.line, tok.column)
@@ -180,8 +185,9 @@ class _Parser:
         select = self._expect("KEYWORD", "SELECT")
         if depth > MAX_NESTING_DEPTH:
             self._unsupported(f"subquery nesting deeper than {MAX_NESTING_DEPTH} levels", select)
-        if self._check("KEYWORD", "DISTINCT"):
-            self._unsupported("DISTINCT", self._peek())
+        distinct = self._match("KEYWORD", "DISTINCT")
+        if distinct:
+            self._unsupported("DISTINCT", distinct)
         select_list = self._parse_select_list(depth)
         self._expect("KEYWORD", "FROM")
         from_list = self._parse_from_list()
@@ -194,8 +200,8 @@ class _Parser:
         return QueryAst(select_list=select_list, from_list=from_list, where_clause=where)
 
     def _parse_select_list(self, depth: int) -> tuple[ColumnRef, ...]:
-        if self._check("STAR"):
-            star = self._advance()
+        star = self._match("STAR")
+        if star:
             if depth == 0:
                 raise SqlSyntaxError(
                     "SELECT * is only supported inside subqueries", star.line, star.column,
@@ -212,7 +218,7 @@ class _Parser:
         if self._peek().kind == "ARITH":
             self._unsupported("arithmetic expression", self._peek())
         first = self._expect("IDENT", expected="a column reference")
-        if self._check("LPAREN"):
+        if self._peek().kind == "LPAREN":
             # identifier immediately followed by ( is a function call
             self._unsupported("aggregate", first)
         if self._match("DOT"):
@@ -224,68 +230,56 @@ class _Parser:
 
     def _parse_from_list(self) -> tuple[TableRef, ...]:
         tables = [self._parse_table_ref()]
-        while True:
-            if self._match("COMMA"):
-                tables.append(self._parse_table_ref())
-                continue
-            tok = self._peek()
-            if tok.kind == "KEYWORD" and tok.text in _OUTER_JOIN_KEYWORDS:
-                self._unsupported("outer join", tok)
-            if tok.kind == "KEYWORD" and tok.text in ("JOIN", "INNER", "CROSS", "ON"):
-                raise SqlSyntaxError(
-                    "explicit JOIN syntax is not part of the fragment", tok.line, tok.column,
-                    "an implicit join (comma-separated tables)")
-            break
+        while self._match("COMMA"):
+            tables.append(self._parse_table_ref())
+        tok = self._peek()
+        if tok.kind == "KEYWORD" and tok.text in _OUTER_JOIN_KEYWORDS:
+            self._unsupported("outer join", tok)
+        if tok.kind == "KEYWORD" and tok.text in ("JOIN", "INNER", "CROSS", "ON"):
+            raise SqlSyntaxError(
+                "explicit JOIN syntax is not part of the fragment", tok.line, tok.column,
+                "an implicit join (comma-separated tables)")
         return tuple(tables)
 
     def _parse_table_ref(self) -> TableRef:
-        name = alias = self._expect("IDENT", expected="a table name")
+        name = self._expect("IDENT", expected="a table name")
         if self._match("KEYWORD", "AS"):
             alias = self._expect("IDENT", expected="a table alias")
-        elif self._check("IDENT"):
-            alias = self._advance()
+        else:
+            alias = self._match("IDENT") or name
         return TableRef(table_name=name.text, alias=alias.text,
                         line=alias.line, column=alias.column)
 
     def _parse_conjunction(self, depth: int) -> tuple[PredicateAst, ...]:
         parts = [self._parse_predicate(depth)]
-        while True:
-            if self._match("KEYWORD", "AND"):
-                parts.append(self._parse_predicate(depth))
-                continue
-            tok = self._peek()
-            if tok.kind == "KEYWORD" and tok.text == "OR":
-                self._unsupported("OR", tok)
-            break
+        while self._match("KEYWORD", "AND"):
+            parts.append(self._parse_predicate(depth))
+        disjunction = self._match("KEYWORD", "OR")
+        if disjunction:
+            self._unsupported("OR", disjunction)
         return tuple(parts)
 
     def _parse_predicate(self, depth: int) -> PredicateAst:
-        tok = self._peek()
-        negated = tok.kind == "KEYWORD" and tok.text == "NOT"
-        if negated:
-            self._advance()
-            tok = self._peek()
-        if tok.kind == "KEYWORD" and tok.text == "EXISTS":
-            self._advance()
+        negated = self._match("KEYWORD", "NOT") is not None
+        if self._match("KEYWORD", "EXISTS"):
             return Exists(negated=negated, subquery=self._parse_parenthesized_query(depth))
-        if negated:
-            # NOT x op ANY|ALL (S); x [NOT] IN (S) takes no leading NOT
-            column = self._parse_column_ref()
-            op = self._expect("OP", expected="a comparison operator").text
-        elif self._at_constant():
+        constant = None if negated else self._match_constant()
+        if constant:
             # constant-first comparison: normalise to put the column on the left
-            constant = self._parse_constant()
             op = self._expect("OP", expected="a comparison operator").text
             rhs_tok = self._peek()
-            if self._at_constant():
+            if self._match_constant():
                 raise SqlSyntaxError(
                     "comparison between two constants", rhs_tok.line, rhs_tok.column,
                     "at most one constant operand")
             column = self._parse_column_ref()
             self._reject_arithmetic()
             return Comparison(lhs=column, op=FLIPPED_OP[op], rhs=constant)
+        column = self._parse_column_ref()
+        if negated:
+            # NOT x op ANY|ALL (S); x [NOT] IN (S) takes no leading NOT
+            op = self._expect("OP", expected="a comparison operator").text
         else:
-            column = self._parse_column_ref()
             self._reject_arithmetic()
             if self._match("KEYWORD", "NOT"):
                 negated = True
@@ -294,11 +288,11 @@ class _Parser:
                 return QuantifiedComparison(negated, column, "=", "ANY",
                                             self._parse_parenthesized_query(depth))
             op = self._expect("OP", expected="a comparison operator, IN or NOT IN").text
-        nxt = self._peek()
-        if nxt.kind == "KEYWORD" and nxt.text in ("ANY", "ALL"):
-            self._advance()
-            return QuantifiedComparison(negated, column, op, nxt.text,
+        quantifier = self._match("KEYWORD", "ANY") or self._match("KEYWORD", "ALL")
+        if quantifier:
+            return QuantifiedComparison(negated, column, op, quantifier.text,
                                         self._parse_parenthesized_query(depth))
+        nxt = self._peek()
         if negated:
             raise SqlSyntaxError(
                 f"unexpected {nxt.text!r} after NOT comparison", nxt.line, nxt.column,
@@ -307,28 +301,9 @@ class _Parser:
             raise SqlSyntaxError(
                 "scalar subquery comparison is not part of the fragment",
                 nxt.line, nxt.column, "a column, a constant, ANY or ALL")
-        if self._at_constant():
-            rhs: ColumnRef | Constant = self._parse_constant()
-        else:
-            rhs = self._parse_column_ref()
+        rhs = self._match_constant() or self._parse_column_ref()
         self._reject_arithmetic()
         return Comparison(lhs=column, op=op, rhs=rhs)
-
-    def _at_constant(self) -> bool:
-        """A string, a number, or a sign directly before a number."""
-        tok = self._peek()
-        if tok.kind == "ARITH" and tok.text in "+-":
-            return self._tokens[self._pos + 1].kind == "NUMBER"
-        return tok.kind == "STRING" or tok.kind == "NUMBER"
-
-    def _parse_constant(self) -> Constant:
-        tok = self._advance()
-        if tok.kind == "STRING":
-            return Constant(kind="string", literal=tok.text)
-        if tok.kind == "ARITH":
-            sign = "-" if tok.text == "-" else ""
-            return Constant(kind="number", literal=sign + self._advance().text)
-        return Constant(kind="number", literal=tok.text)
 
     def _parse_parenthesized_query(self, depth: int) -> QueryAst:
         self._expect("LPAREN")

@@ -15,6 +15,7 @@ from sqldiagram.fixtures import (
 )
 from sqldiagram.logic import lt_to_sql
 from sqldiagram.parser import MAX_NESTING_DEPTH
+from sqldiagram.recovery import DepthAssignment, recover_depths
 
 COMMANDS = ("viz", "lt", "trc", "check", "recover", "roundtrip", "metrics")
 
@@ -235,6 +236,31 @@ def test_recover_does_not_print_a_fault_in_recovery_as_malformed_input(
     monkeypatch.setattr("sqldiagram.cli.recover_depths", faulty_recover_depths)
     with pytest.raises(KeyError, match="fault"):
         run(["recover", str(diagram_path)])
+
+
+def test_roundtrip_reports_a_group_recovered_at_another_depth(sql_file, monkeypatch, capsys):
+    # No SQL input reaches this line: recovery is exact on every diagram the
+    # front end builds, so a stub moves one group a level down.
+    def off_by_one(graph):
+        recovered = recover_depths(graph)
+        return DepthAssignment({**recovered.depths, "g3_2": 4}, recovered.parents)
+
+    monkeypatch.setattr("sqldiagram.cli.recover_depths", off_by_one)
+    assert run(["roundtrip", sql_file(UNIQUE_BEER_SET)]) == 1
+    assert capsys.readouterr() == (
+        "", "round trip failed: group g3_2 recovered at depth 4, expected 3\n")
+
+
+@pytest.mark.parametrize("survivors", [0, 2])
+def test_roundtrip_reports_an_oracle_without_one_survivor(
+        sql_file, monkeypatch, capsys, survivors):
+    # The oracle finds exactly one structure for every diagram the front end
+    # builds, so a stub returns none or two.
+    monkeypatch.setattr("sqldiagram.cli.brute_force_depths",
+                        lambda graph: [DepthAssignment()] * survivors)
+    assert run(["roundtrip", sql_file(UNIQUE_BEER_SET)]) == 1
+    assert capsys.readouterr() == (
+        "", f"round trip failed: {survivors} consistent structures exist\n")
 
 
 def test_recover_invalid_diagram_exits_1(sql_file, tmp_path, capsys):

@@ -18,7 +18,7 @@ from sqldiagram import (
     resolve_scopes,
 )
 from sqldiagram.corpus import random_logic_tree
-from sqldiagram.diagram import AttributeRow, SelectionRow
+from sqldiagram.diagram import AttributeRow, Diagram, Edge, SelectionRow, TableBox, TableGroup
 from sqldiagram.errors import DegenerateQueryError
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
@@ -443,3 +443,17 @@ def test_reading_order_falls_back_deterministically_on_source_free_cycle():
     assert order.visit_order == ("g0_1", "g1_1", "g2_1", "g3_1")
     assert order.restarts == ("g1_1",)  # canonical first unvisited group
     assert reading_order(d) == order
+
+
+def test_reading_order_follows_a_long_chain_of_arrows_without_recursing():
+    # 5 000 groups, each with one arrow to the next: deeper than the
+    # interpreter's default recursion limit
+    n = 5000
+    groups = tuple(TableGroup(f"g{i}", Quantifier.EXISTS if i else Quantifier.ROOT, i,
+                              f"g{i - 1}" if i else None,
+                              (TableBox(f"A{i}", "T", (AttributeRow("k"),)),))
+                   for i in range(n))
+    edges = tuple(Edge((f"A{i}", "k"), (f"A{i + 1}", "k"), True, None) for i in range(n - 1))
+    order = reading_order(Diagram(groups, edges, (("A0", "k"),)))
+    assert order.visit_order == tuple(f"g{i}" for i in range(n))
+    assert order.restarts == ()

@@ -5,9 +5,11 @@ from sqldiagram.errors import SqlSyntaxError, UnsupportedFeatureError
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
     ONLY_RED_VARIANTS,
+    OWL_SELECTION_BURIED,
     SOME_LIKED_DRINK,
     VALID_QUERIES,
 )
+from sqldiagram.parser import tokenize
 from sqldiagram.sqlast import (
     COMPARE_OPS,
     ColumnRef,
@@ -239,3 +241,23 @@ def test_signed_constant_where_a_constant_may_stand():
     with pytest.raises(SqlSyntaxError) as exc:
         parse("SELECT S.a FROM S WHERE 1 = -1")
     assert "two constants" in str(exc.value)
+
+
+def test_every_cut_before_a_token_parses_or_fails_at_the_end_of_input():
+    # No parse step takes the EOF token, so a query that runs out of tokens
+    # is reported where that token stands.
+    cuts = parsed = at_end = 0
+    for sql in [*VALID_QUERIES.values(), OWL_SELECTION_BURIED]:
+        line_starts = [0] + [i + 1 for i, ch in enumerate(sql) if ch == "\n"]
+        for tok in tokenize(sql)[:-1]:
+            prefix = sql[:line_starts[tok.line - 1] + tok.column - 1]
+            cuts += 1
+            try:
+                parse(prefix)
+                parsed += 1
+            except (SqlSyntaxError, UnsupportedFeatureError) as exc:
+                if "unexpected 'end of input'" in str(exc):
+                    eof = tokenize(prefix)[-1]
+                    assert (exc.line, exc.column) == (eof.line, eof.column), prefix
+                    at_end += 1
+    assert (cuts, parsed, at_end) == (672, 35, 637)
