@@ -200,22 +200,31 @@ class ReadingOrder:
 def reading_order(d: Diagram) -> ReadingOrder:
     """Depth-first traversal of the groups from the SELECT box, following
     arrows (directed cross-group edges) only, with restarts at unvisited
-    groups that have no unvisited incoming arrow."""
+    groups that have no unvisited incoming arrow, else at the first one.
+
+    A finished depth-first walk leaves no arrow from a visited group to an
+    unvisited one, so an unvisited group has an unvisited incoming arrow
+    exactly when any arrow enters it.  So the starts are fixed in advance:
+    the root, the groups no arrow enters, then all groups, in group order."""
     order = {group.id: i for i, group in enumerate(d.groups)}
     group_of = {box.alias: group.id for group in d.groups for box in group.tables}
     out_edges: dict[str, set[str]] = {gid: set() for gid in order}
-    in_edges: dict[str, set[str]] = {gid: set() for gid in order}
     for edge in d.edges:
         src, dst = group_of[edge.src[0]], group_of[edge.dst[0]]
         if edge.directed and src != dst:
             out_edges[src].add(dst)
-            in_edges[dst].add(src)
+    entered = set().union(*out_edges.values())
 
     root = d.groups[0].id
-    steps: list[tuple] = [("select", SELECT_BOX_ID), ("enter", root)]
-    visited = {root}
-
-    def dfs(start: str) -> None:
+    steps: list[tuple] = [("select", SELECT_BOX_ID)]
+    visited: set[str] = set()
+    for start in (root, *(gid for gid in order if gid not in entered), *order):
+        if start in visited:
+            continue
+        if start != root:
+            steps.append(("restart", start))
+        visited.add(start)
+        steps.append(("enter", start))
         # an explicit stack of target iterators, so a long chain of arrows
         # cannot exhaust the interpreter's stack
         stack = [(start, iter(sorted(out_edges[start], key=order.__getitem__)))]
@@ -230,16 +239,6 @@ def reading_order(d: Diagram) -> ReadingOrder:
                     break
             else:
                 stack.pop()
-
-    dfs(root)
-    while len(visited) < len(order):
-        unvisited = [gid for gid in order if gid not in visited]
-        sources = [gid for gid in unvisited if not (in_edges[gid] - visited)]
-        start = sources[0] if sources else unvisited[0]
-        visited.add(start)
-        steps.append(("restart", start))
-        steps.append(("enter", start))
-        dfs(start)
     return ReadingOrder(steps=tuple(steps))
 
 

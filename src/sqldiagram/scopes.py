@@ -37,16 +37,20 @@ def resolve_scopes(ast: QueryAst) -> QueryAst:
     _collect_declarations(ast, declared)
 
     # First declaration of a name keeps it; later ones get the smallest free
-    # numeric suffix >= 2, skipping names any block already declares.
+    # numeric suffix >= 2, skipping names any block already declares.  `used`
+    # only grows, so a suffix once skipped never frees up: each name's search
+    # resumes where its last one stopped.
     taken = set(declared)
     used: set[str] = set()
+    next_suffix: dict[str, int] = {}
     finals: list[str] = []
     for name in declared:
         final = name
         if name in used:
-            suffix = 2
+            suffix = next_suffix.get(name, 2)
             while f"{name}{suffix}" in taken or f"{name}{suffix}" in used:
                 suffix += 1
+            next_suffix[name] = suffix + 1
             final = f"{name}{suffix}"
         used.add(final)
         finals.append(final)

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +151,24 @@ def test_check_degenerate_query_exits_1(sql_file, capsys):
 def test_viz_degenerate_query_exits_1(sql_file, capsys):
     assert run(["viz", sql_file(OWL_SELECTION_BURIED)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sql, code, stream, line", [
+    (UNIQUE_BEER_SET, 0, "stdout", "ok: "),
+    (OWL_SELECTION_BURIED, 1, "stdout", "violation: LocalAttributes "),
+    ("SELECT", 2, "stderr", "error: "),
+], ids=["valid", "degenerate", "parse error"])
+def test_module_entry_point_exits_with_the_command_code(sql, code, stream, line):
+    # `python -m sqldiagram` runs __main__ and main(), which hand run's code
+    # to sys.exit; the in-process tests call run itself
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "sqldiagram", "check"], input=sql,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == code
+    (printed,) = getattr(done, stream).splitlines()
+    assert printed.startswith(line)
+    assert getattr(done, "stderr" if stream == "stdout" else "stdout") == ""
 
 
 def test_parse_error_exits_2(sql_file, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 from sqldiagram import (
     Quantifier,
@@ -35,6 +36,8 @@ from sqldiagram.sqlast import ColumnRef, Constant
 import pytest
 
 from evaluate_reference import compare
+from graphs import small_queries
+from reading_order_reference import reference_reading_order
 
 
 def diagram_of(sql, **kwargs):
@@ -445,15 +448,61 @@ def test_reading_order_falls_back_deterministically_on_source_free_cycle():
     assert reading_order(d) == order
 
 
+def _bare_diagram(boxes, edges):
+    """Groups g0, g1, ... where group i holds boxes[i] boxes A<i>_<j>, each
+    with one row k, and one edge per (src alias, dst alias, directed) in
+    `edges`; any edges at all, unlike a query's.  Depths and parents are
+    placeholders: the reading order reads neither."""
+    groups = tuple(TableGroup(f"g{i}", Quantifier.EXISTS if i else Quantifier.ROOT, min(i, 1),
+                              "g0" if i else None,
+                              tuple(TableBox(f"A{i}_{j}", "T", (AttributeRow("k"),))
+                                    for j in range(count)))
+                   for i, count in enumerate(boxes))
+    return Diagram(groups, tuple(Edge((src, "k"), (dst, "k"), directed, None)
+                                 for src, dst, directed in edges), (("A0_0", "k"),))
+
+
 def test_reading_order_follows_a_long_chain_of_arrows_without_recursing():
     # 5 000 groups, each with one arrow to the next: deeper than the
     # interpreter's default recursion limit
     n = 5000
-    groups = tuple(TableGroup(f"g{i}", Quantifier.EXISTS if i else Quantifier.ROOT, i,
-                              f"g{i - 1}" if i else None,
-                              (TableBox(f"A{i}", "T", (AttributeRow("k"),)),))
-                   for i in range(n))
-    edges = tuple(Edge((f"A{i}", "k"), (f"A{i + 1}", "k"), True, None) for i in range(n - 1))
-    order = reading_order(Diagram(groups, edges, (("A0", "k"),)))
+    order = reading_order(_bare_diagram([1] * n, [(f"A{i}_0", f"A{i + 1}_0", True)
+                                                  for i in range(n - 1)]))
     assert order.visit_order == tuple(f"g{i}" for i in range(n))
     assert order.restarts == ()
+
+
+def test_reading_order_matches_the_reference_on_small_queries():
+    for lt in small_queries(5):
+        d = build_diagram(lt, simplified=False, allow_invalid=True)
+        assert reading_order(d) == reference_reading_order(d)
+
+
+def test_reading_order_matches_the_reference_on_any_edges():
+    # cycles, self-loops and undirected edges between groups, which no query draws
+    rng = random.Random(20)
+    restarts = 0
+    for _ in range(5000):
+        boxes = [rng.randint(1, 2) for _ in range(rng.randint(1, 9))]
+        aliases = [f"A{i}_{j}" for i, count in enumerate(boxes) for j in range(count)]
+        edges = [(rng.choice(aliases), rng.choice(aliases), rng.random() < 0.8)
+                 for _ in range(rng.randint(0, 2 * len(boxes)))]
+        d = _bare_diagram(boxes, edges)
+        order = reading_order(d)
+        assert order == reference_reading_order(d)
+        restarts += len(order.restarts)
+    assert restarts > 5000
+
+
+@pytest.mark.parametrize("arrows, restarts", [
+    (lambda i: (), 19_999),
+    (lambda i: ((f"A{i ^ 1}_0", f"A{i}_0", True),), 9_999),
+], ids=["no arrows", "two-group cycles"])
+def test_reading_order_restarts_in_linear_time(arrows, restarts):
+    n = 20_000
+    d = _bare_diagram([1] * n, [edge for i in range(n) for edge in arrows(i)])
+    began = time.perf_counter()
+    order = reading_order(d)
+    assert time.perf_counter() - began < 1.0
+    assert len(order.restarts) == restarts
+    assert len(order.visit_order) == n

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -124,6 +125,52 @@ def test_rename_suffix_skips_taken_names():
            "WHERE EXISTS (SELECT L.x FROM Likes L WHERE L.x = T.a) "
            "AND EXISTS (SELECT L.y FROM Likes L WHERE L.y = T.a)")
     assert _aliases(resolve_scopes(parse(sql))) == ["T", "L2", "L", "L3"]
+
+
+def _siblings(names):
+    """SELECT T.a FROM T <names[0]> WHERE EXISTS (SELECT * FROM S <name> WHERE
+    <name>.a = <names[0]>.a) AND ... for each later name, built without
+    parsing; its declarations in document order are `names`."""
+    def ref(alias):
+        return ColumnRef(alias=alias, attribute="a")
+    return QueryAst(select_list=(ref(names[0]),), from_list=(TableRef("T", names[0]),),
+                    where_clause=tuple(Exists(False, QueryAst(
+                        select_list=(), from_list=(TableRef("S", name),),
+                        where_clause=(Comparison(lhs=ref(name), op="=", rhs=ref(names[0])),)))
+                        for name in names[1:]))
+
+
+def _reference_finals(declared):
+    """The renaming rule spelt out: each rename searches from suffix 2."""
+    taken, used, finals = set(declared), set(), []
+    for name in declared:
+        final = name
+        if name in used:
+            suffix = 2
+            while f"{name}{suffix}" in taken or f"{name}{suffix}" in used:
+                suffix += 1
+            final = f"{name}{suffix}"
+        used.add(final)
+        finals.append(final)
+    return finals
+
+
+def test_renaming_matches_the_reference_on_colliding_families():
+    # L+12 and L1+2 spell the same name, and so on across the families
+    rng = random.Random(20)
+    pool = ["L", "L1", "L2", "L11", "L12", "L21", "L22", "M", "M2"]
+    for _ in range(2000):
+        declared = rng.choices(pool, k=rng.randint(1, 30))
+        assert _aliases(resolve_scopes(_siblings(declared))) == _reference_finals(declared)
+
+
+def test_renaming_many_siblings_takes_linear_time():
+    names = ["T"] + ["L"] * 10_000
+    ast = _siblings(names)
+    began = time.perf_counter()
+    resolved = resolve_scopes(ast)
+    assert time.perf_counter() - began < 2.0
+    assert _aliases(resolved) == ["T", "L"] + [f"L{i}" for i in range(2, 10_001)]
 
 
 def test_idempotent_on_fixture_corpus():
