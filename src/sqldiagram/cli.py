@@ -162,14 +162,16 @@ def _cmd_roundtrip(args, text: str) -> int:
     diagram = _validated_diagram(_logic_tree(text), simplified=True)
     graph = diagram_to_graph(diagram)
     # Each group records its query block's depth and parent in the source.
-    mismatch = _structure_mismatch(diagram, recover_depths(graph))
+    recovered = recover_depths(graph)
+    mismatch = _structure_mismatch(diagram, recovered)
     if mismatch:
         print(f"round trip failed: {mismatch}", file=sys.stderr)
         return 1
     oracle = brute_force_depths(graph)
-    if len(oracle) != 1:
-        print(f"round trip failed: {len(oracle)} consistent structures exist",
-              file=sys.stderr)
+    if oracle != [recovered]:
+        why = (f"{len(oracle)} consistent structures exist" if len(oracle) != 1
+               else "the one consistent structure is not the recovered one")
+        print(f"round trip failed: {why}", file=sys.stderr)
         return 1
     _write_output(args, f"round trip ok: {len(diagram.groups)} groups recovered "
                         "exactly, unique by exhaustive search\n")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DegenerateQueryError
+from .errors import DegenerateQueryError, InvalidDiagramError
 from .logic import (
     LogicTree,
     Predicate,
@@ -36,18 +36,12 @@ SELECT_BOX_ID = "SELECT"
 class AttributeRow:
     attribute: str
 
-    def label(self) -> str:
-        return self.attribute
-
 
 @dataclass(frozen=True)
 class SelectionRow:
     attribute: str
     op: str
     constant: Constant
-
-    def label(self) -> str:
-        return f"{self.attribute} {self.op} {self.constant.sql()}"
 
 
 Row = AttributeRow | SelectionRow
@@ -201,6 +195,7 @@ def reading_order(d: Diagram) -> ReadingOrder:
     """Depth-first traversal of the groups from the SELECT box, following
     arrows (directed cross-group edges) only, with restarts at unvisited
     groups that have no unvisited incoming arrow, else at the first one.
+    A diagram without groups reads as the SELECT box alone.
 
     A finished depth-first walk leaves no arrow from a visited group to an
     unvisited one, so an unvisited group has an unvisited incoming arrow
@@ -215,30 +210,26 @@ def reading_order(d: Diagram) -> ReadingOrder:
             out_edges[src].add(dst)
     entered = set().union(*out_edges.values())
 
-    root = d.groups[0].id
+    starts = (*(group.id for group in d.groups[:1]),
+              *(gid for gid in order if gid not in entered), *order)
+    # (source, group) pairs, the starts' source None, the first start on top;
+    # a popped group already visited is skipped.  An explicit stack, so a
+    # long chain of arrows needs no recursion.
+    stack: list[tuple[str | None, str]] = [(None, gid) for gid in reversed(starts)]
     steps: list[tuple] = [("select", SELECT_BOX_ID)]
     visited: set[str] = set()
-    for start in (root, *(gid for gid in order if gid not in entered), *order):
-        if start in visited:
+    while stack:
+        source, gid = stack.pop()
+        if gid in visited:
             continue
-        if start != root:
-            steps.append(("restart", start))
-        visited.add(start)
-        steps.append(("enter", start))
-        # an explicit stack of target iterators, so a long chain of arrows
-        # cannot exhaust the interpreter's stack
-        stack = [(start, iter(sorted(out_edges[start], key=order.__getitem__)))]
-        while stack:
-            gid, targets = stack[-1]
-            for target in targets:
-                if target not in visited:
-                    visited.add(target)
-                    steps.append(("follow", gid, target))
-                    steps.append(("enter", target))
-                    stack.append((target, iter(sorted(out_edges[target], key=order.__getitem__))))
-                    break
-            else:
-                stack.pop()
+        if source is not None:
+            steps.append(("follow", source, gid))
+        elif visited:  # every start after the root
+            steps.append(("restart", gid))
+        visited.add(gid)
+        steps.append(("enter", gid))
+        stack += [(gid, target)
+                  for target in sorted(out_edges[gid], key=order.__getitem__, reverse=True)]
     return ReadingOrder(steps=tuple(steps))
 
 
@@ -388,18 +379,19 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
     constant labels maps one diagram onto the other, preserving the group
     tree, quantifiers, box rows, edges and the SELECT box.
 
-    The search is exhaustive: it pairs groups down the group tree, and within
-    a group its boxes and their rows, and compares the edges and the SELECT
-    box only once every group is paired, backtracking into every other
-    pairing when they differ.  Its time is factorial in the number of alike
-    siblings.
+    The search is exhaustive: it pairs the roots as it pairs any siblings and
+    groups down each tree, within a group its boxes and their rows, and
+    compares the edges and the SELECT box only once every group is paired,
+    backtracking into every other pairing when they differ.  Its time is
+    factorial in the number of alike siblings.  Raises InvalidDiagramError
+    when a group's parent links lead to no root.
     """
+    kids_a = _children_index(a)
+    kids_b = _children_index(b)
     if len(a.groups) != len(b.groups) or len(a.edges) != len(b.edges):
         return False
     if len(a.select_box) != len(b.select_box):
         return False
-    kids_a = _children_index(a)
-    kids_b = _children_index(b)
     mapping = _Relabeling()
 
     def pair_groups(x: TableGroup, y: TableGroup):
@@ -442,14 +434,22 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
         return (edges_a == edges_b
                 and [translate(link) for link in a.select_box] == list(b.select_box))
 
-    root_a = next(g for g in a.groups if g.parent is None)
-    root_b = next(g for g in b.groups if g.parent is None)
-    return any(edges_match() for _ in pair_groups(root_a, root_b))
+    roots_a, roots_b = kids_a.get(None, []), kids_b.get(None, [])
+    return any(edges_match() for _ in mapping.pair_all(roots_a, roots_b, pair_groups))
 
 
-def _children_index(d: Diagram) -> dict[str, list[TableGroup]]:
-    index: dict[str, list[TableGroup]] = {}
+def _children_index(d: Diagram) -> dict[str | None, list[TableGroup]]:
+    """Each group's children by its id, the roots under None."""
+    index: dict[str | None, list[TableGroup]] = {}
     for g in d.groups:
-        if g.parent is not None:
-            index.setdefault(g.parent, []).append(g)
+        index.setdefault(g.parent, []).append(g)
+    reached, stack = set(), [None]
+    while stack:
+        for g in index.get(stack.pop(), ()):
+            if g.id not in reached:
+                reached.add(g.id)
+                stack.append(g.id)
+    for g in d.groups:
+        if g.id not in reached:  # in a parent cycle, or under an unknown id
+            raise InvalidDiagramError(f"group {g.id} has no root above it")
     return index

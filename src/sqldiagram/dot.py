@@ -36,10 +36,19 @@ def _table(header: str, background: str, font: str, cells) -> str:
     return "".join(lines)
 
 
-def _box_label(box: TableBox) -> str:
+def _box_label(box: TableBox, port: dict[tuple[str, str], str]) -> str:
+    """The box's HTML table; records in `port` where edges attach to it."""
     header = box.table_name if box.alias == box.table_name else f"{box.alias}: {box.table_name}"
-    return _table(header, "black", "white",
-                  [(row.label(), not isinstance(row, AttributeRow)) for row in box.rows])
+    cells = []
+    for i, row in enumerate(box.rows):
+        if isinstance(row, AttributeRow):
+            # build_diagram draws one row per (alias, attribute); a hand-made
+            # box with two attaches edges to the first
+            port.setdefault((box.alias, row.attribute), f"t_{box.alias}:p_{i}")
+            cells.append((row.attribute, False))
+        else:
+            cells.append((f"{row.attribute} {row.op} {row.constant.sql()}", True))
+    return _table(header, "black", "white", cells)
 
 
 # The style lines of each boxed group's cluster; other groups draw no cluster.
@@ -57,8 +66,9 @@ def emit_dot(d: Diagram) -> str:
     select_label = _table("SELECT", "lightgrey", "black",
                           [(attribute, False) for _, attribute in d.select_box])
     out.append(f'  t_{SELECT_BOX_ID} [label=<{select_label}>];')
+    port: dict[tuple[str, str], str] = {}
     for group in d.groups:
-        node_lines = [f't_{box.alias} [label=<{_box_label(box)}>];'
+        node_lines = [f't_{box.alias} [label=<{_box_label(box, port)}>];'
                       for box in group.tables]
         if group.boxed:
             out.append(f"  subgraph cluster_{group.id} {{")
@@ -67,13 +77,6 @@ def emit_dot(d: Diagram) -> str:
             out.append("  }")
         else:
             out.extend(f"  {line}" for line in node_lines)
-
-    # An edge end attaches to the first row of its attribute.
-    port: dict[tuple[str, str], str] = {}
-    for box in d.boxes():
-        for i, row in enumerate(box.rows):
-            if isinstance(row, AttributeRow):
-                port.setdefault((box.alias, row.attribute), f"t_{box.alias}:p_{i}")
     for edge in d.edges:
         attrs = ["dir=forward" if edge.directed else "dir=none"]
         if edge.label is not None:

@@ -23,7 +23,6 @@ class SqlSyntaxError(PositionedError):
     """Input text does not match the supported SQL fragment."""
 
     def __init__(self, message: str, line: int, column: int, expected: str | None = None):
-        self.expected = expected
         super().__init__(message, line, column, f" (expected {expected})" if expected else "")
 
 

@@ -236,26 +236,23 @@ def _simplify(node: LtNode) -> LtNode:
 def render_trc(lt: LogicTree) -> str:
     """Deterministic tuple-calculus text for a Logic Tree.
 
-    The root is a set-builder over Q; every other node prints its quantifier,
-    bindings and bracketed conjunction.  A forall node separates its own
-    predicates from its child with an implication arrow.
+    Every node prints its quantifier, bindings and bracketed conjunction; the
+    root prints as an exists node inside a set-builder over Q, its conjunction
+    led by the select bindings.  A forall node separates its own predicates
+    from its child with an implication arrow.
     """
-    root = lt.root
-    bindings = ", ".join(f"∃{alias} ∈ {table}" for alias, table in root.tables)
-    parts = [f"{col.sql()} = Q.{col.attribute}" for col in lt.select_list]
-    parts += [p.text() for p in root.predicates]
-    parts += [_render_node(child) for child in root.children]
-    return "{Q | " + bindings + " [" + " ∧ ".join(parts) + "]}"
+    select = tuple(f"{col.sql()} = Q.{col.attribute}" for col in lt.select_list)
+    return "{Q | " + _render_node(lt.root, select) + "}"
 
 
-def _render_node(node: LtNode) -> str:
+def _render_node(node: LtNode, leading: tuple[str, ...] = ()) -> str:
     q = node.quantifier
     if q is Quantifier.FOR_ALL:
         head = ", ".join(f"∀{alias} ∈ {table}" for alias, table in node.tables)
     else:
         prefix = "¬∃" if q is Quantifier.NOT_EXISTS else "∃"
         head = ", ".join(f"{prefix}{alias} ∈ {table}" for alias, table in node.tables)
-    own = [p.text() for p in node.predicates]
+    own = [*leading, *map(Predicate.text, node.predicates)]
     kids = [_render_node(child) for child in node.children]
     if q is Quantifier.FOR_ALL and own and kids:
         body = " ∧ ".join(own) + " → " + " ∧ ".join(kids)

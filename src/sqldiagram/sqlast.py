@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-COMPARE_OPS = ("<", "<=", "=", "<>", ">=", ">")
-
 # Mirror image of an operator: used when the two operands swap places.
 FLIPPED_OP = {"<": ">", "<=": ">=", "=": "=", "<>": "<>", ">": "<", ">=": "<="}
 

@@ -82,6 +82,10 @@ def constant_value(constant: Constant) -> object:
     return constant.literal
 
 
+# The six comparison operators of the SQL fragment, the ones compare reads.
+COMPARE_OPS = ("<", "<=", "=", "<>", ">=", ">")
+
+
 def compare(lhs: object, op: str, rhs: object) -> bool:
     if not (isinstance(lhs, (int, float)) and isinstance(rhs, (int, float))):
         lhs, rhs = str(lhs), str(rhs)

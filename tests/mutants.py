@@ -1,0 +1,218 @@
+"""Committed mutants: one-line faults that the tier-1 tests must catch.
+
+Each entry names a file, one exact line of it (leading blanks aside, found
+exactly once), its replacement and the reason the change is a fault.  The
+script copies the sources and tests to a temporary directory, applies each
+mutant alone, runs tier-1 there with -x and prints killed or survived with
+the time.  A mutant listed as equivalent changes no output; its reason says
+why, and its survival is expected.  Any other survivor, or an entry whose
+line is not found exactly once, makes the script exit 1.
+
+    python tests/mutants.py    # about 6 minutes on a 2-vCPU machine
+
+It is not part of tier-1: it runs tier-1 once for each mutant.  A change
+that tries a new mutant adds it here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml", "README.md")  # all that tier-1 reads
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+TIMEOUT_S = 600  # a mutant that hangs tier-1 counts as killed
+
+
+class Mutant(NamedTuple):
+    file: str
+    line: str
+    replacement: str
+    reason: str
+    equivalent: bool = False
+
+
+SCOPES = "src/sqldiagram/scopes.py"
+MUTANTS = [
+    # the diagram and its DOT
+    Mutant("src/sqldiagram/dot.py",
+           'port.setdefault((box.alias, row.attribute), f"t_{box.alias}:p_{i}")',
+           'port[(box.alias, row.attribute)] = f"t_{box.alias}:p_{i}"',
+           "edges attach to the last of two rows of one attribute, not the first"),
+    Mutant("src/sqldiagram/diagram.py",
+           "lhs, rhs, op = rhs, lhs, FLIPPED_OP[op]",
+           "lhs, rhs, op = rhs, lhs, op",
+           "an edge whose endpoints swap keeps its operator unmirrored"),
+    Mutant("src/sqldiagram/logic.py",
+           "norm = sorted({p.normalize() for p in predicates}, key=Predicate.sort_key)",
+           "norm = sorted(set(predicates), key=Predicate.sort_key)",
+           "join operands keep their written order, so a respelling changes the tree"),
+    Mutant("src/sqldiagram/logic.py",
+           "kids = tuple(sorted(children, key=LtNode.sort_key))",
+           "kids = tuple(children)",
+           "subqueries keep their written order, so a respelling changes the tree"),
+    # the one-rule walks
+    Mutant("src/sqldiagram/diagram.py",
+           "for target in sorted(out_edges[gid], key=order.__getitem__, reverse=True)]",
+           "for target in sorted(out_edges[gid], key=order.__getitem__)]",
+           "the reading order follows a group's arrows last target first"),
+    Mutant("src/sqldiagram/diagram.py",
+           "elif visited:  # every start after the root",
+           "else:",
+           "the reading order restarts at the root as well"),
+    Mutant("src/sqldiagram/logic.py",
+           "own = [*leading, *map(Predicate.text, node.predicates)]",
+           "own = list(map(Predicate.text, node.predicates))",
+           "the TRC text loses the select bindings"),
+    # isomorphism of diagrams with several roots
+    Mutant("src/sqldiagram/diagram.py",
+           "roots_a, roots_b = kids_a.get(None, []), kids_b.get(None, [])",
+           "roots_a, roots_b = kids_a.get(None, [])[:1], kids_b.get(None, [])[:1]",
+           "diagram_isomorphic pairs only the first roots"),
+    Mutant("src/sqldiagram/diagram.py",
+           'raise InvalidDiagramError(f"group {g.id} has no root above it")',
+           "pass",
+           "diagram_isomorphic accepts a group no root reaches"),
+    # roundtrip's checks
+    Mutant("src/sqldiagram/cli.py",
+           "if oracle != [recovered]:",
+           "if len(oracle) != 1:",
+           "roundtrip accepts an oracle survivor that is not the recovered structure"),
+    Mutant("src/sqldiagram/cli.py",
+           "if oracle != [recovered]:",
+           "if len(oracle) > 1:",
+           "roundtrip accepts no survivor at all (first tried on `len(oracle) != 1`)"),
+    Mutant("src/sqldiagram/cli.py",
+           "if recovered.depths[group.id] != group.depth:",
+           "if abs(recovered.depths[group.id] - group.depth) > 1:",
+           "the structure check forgives a group one level off"),
+    # the parser's token readers
+    Mutant("src/sqldiagram/parser.py",
+           "if tok.kind != kind or (text is not None and tok.text != text):",
+           'if tok.kind != "EOF" and (tok.kind != kind '
+           'or (text is not None and tok.text != text)):',
+           "_match takes the EOF token for any kind"),
+    Mutant("src/sqldiagram/parser.py",
+           "raise SqlSyntaxError(f\"unexpected {tok.text or 'end of input'!r}\", "
+           "tok.line, tok.column,",
+           "raise SqlSyntaxError(f\"unexpected {tok.text or 'end of input'!r}\", "
+           "*((self._tokens[self._pos - 1].line, self._tokens[self._pos - 1].column) "
+           "if tok.kind == \"EOF\" else (tok.line, tok.column)),",
+           "_expect reports a failure at the end of input at the previous token"),
+    # copy-on-write scope resolution and forall rewrite
+    Mutant(SCOPES,
+           "return ref if alias == ref.alias else replace(ref, alias=alias)",
+           "return replace(ref, alias=alias)",
+           "every ColumnRef is rebuilt, not returned itself"),
+    Mutant(SCOPES,
+           "if lhs is pred.lhs and rhs is pred.rhs:",
+           "if False:",
+           "every Comparison is rebuilt"),
+    Mutant(SCOPES,
+           "if all(getattr(pred, name) is part for name, part in parts.items()):",
+           "if False:",
+           "every subquery predicate is rebuilt"),
+    Mutant(SCOPES,
+           "if from_list is block.from_list and all(",
+           "if False and all(",
+           "every block is rebuilt"),
+    Mutant(SCOPES,
+           "if any(alias != final for alias, final in local.items()):",
+           "if True:",
+           "every from_list is rebuilt"),
+    Mutant(SCOPES,
+           "from_list = tuple(replace(ref, alias=local[ref.alias]) for ref in from_list)",
+           "from_list = tuple(replace(ref, alias=local[ref.alias], line=0, column=0) "
+           "for ref in from_list)",
+           "a renamed TableRef loses its position"),
+    Mutant(SCOPES,
+           "return ref if alias == ref.alias else replace(ref, alias=alias)",
+           "return ref if alias == ref.alias else replace(ref, alias=alias, line=0, column=0)",
+           "a renamed ColumnRef loses its position"),
+    Mutant("src/sqldiagram/logic.py",
+           "if all(map(is_, children, node.children)):",
+           "if False:",
+           "the forall rewrite rebuilds every node"),
+    # recovery's oracle
+    Mutant("src/sqldiagram/recovery.py",
+           "return sorted(set.intersection(*joined)) if joined else []",
+           "return sorted(set.union(*joined)) if joined else []",
+           "equivalent: the oracle then also tries parents that some child does not "
+           "join, and its scope-rule check rejects each such survivor, so only the "
+           "search grows; a count of the oracle's search nodes would show it",
+           equivalent=True),
+]
+
+
+def apply(text: str, mutant: Mutant) -> str:
+    lines = text.splitlines(keepends=True)
+    found = [i for i, line in enumerate(lines) if line.strip() == mutant.line]
+    if len(found) != 1:
+        raise LookupError(f"line found {len(found)} times: {mutant.line}")
+    (i,) = found
+    indent = lines[i][:len(lines[i]) - len(lines[i].lstrip())]
+    lines[i] = indent + mutant.replacement + "\n"
+    return "".join(lines)
+
+
+def run_tier1(copy: Path) -> str | None:
+    """None when tier-1 passes in `copy`, else the test that failed first."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"a test that ran over {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return None
+    failed = [line.split(" - ")[0].split(" ", 1)[1] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else f"pytest exit status {done.returncode}"
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, copy / name)
+        for mutant in MUTANTS:
+            target = copy / mutant.file
+            original = target.read_text(encoding="utf-8")
+            try:
+                target.write_text(apply(original, mutant), encoding="utf-8")
+            except LookupError as exc:
+                print(f"  stale   {mutant.file}: {mutant.reason}\n          {exc}")
+                failures += 1
+                continue
+            began = time.perf_counter()
+            try:
+                killer = run_tier1(copy)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            if killer is None:
+                verdict = "survived" + (" (listed as equivalent)" if mutant.equivalent else "")
+                failures += not mutant.equivalent
+            else:
+                verdict = f"killed by {killer}"
+            print(f"{time.perf_counter() - began:6.1f} s  {mutant.file}: {mutant.reason}\n"
+                  f"          {verdict}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {failures} unexpected")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -285,6 +285,16 @@ def test_roundtrip_reports_an_oracle_without_one_survivor(
         "", f"round trip failed: {survivors} consistent structures exist\n")
 
 
+def test_roundtrip_reports_an_oracle_whose_one_survivor_is_another_structure(
+        sql_file, monkeypatch, capsys):
+    # The oracle's one structure is the recovered one for every diagram the
+    # front end builds, so a stub returns an empty assignment.
+    monkeypatch.setattr("sqldiagram.cli.brute_force_depths", lambda graph: [DepthAssignment()])
+    assert run(["roundtrip", sql_file(UNIQUE_BEER_SET)]) == 1
+    assert capsys.readouterr() == (
+        "", "round trip failed: the one consistent structure is not the recovered one\n")
+
+
 def test_recover_invalid_diagram_exits_1(sql_file, tmp_path, capsys):
     diagram_path = tmp_path / "diagram.json"
     run(["viz", "--format", "json", sql_file(UNIQUE_BEER_SET), "-o", str(diagram_path)])

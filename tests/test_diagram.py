@@ -20,7 +20,7 @@ from sqldiagram import (
 )
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.diagram import AttributeRow, Diagram, Edge, SelectionRow, TableBox, TableGroup
-from sqldiagram.errors import DegenerateQueryError
+from sqldiagram.errors import DegenerateQueryError, InvalidDiagramError
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
     OWL_SELECTION_BURIED,
@@ -148,17 +148,16 @@ def test_row_ordering_and_selection_rows():
     d = diagram_of("SELECT T.a FROM Tab T, Sab S "
                    "WHERE T.z = S.z AND T.a = S.b AND T.m = 'x'")
     (box_s, box_t) = sorted(d.boxes(), key=lambda b: b.alias)
-    assert [r.label() for r in box_t.rows] == ["a", "z", "m = 'x'"]
-    assert isinstance(box_t.rows[2], SelectionRow)
-    assert [r.label() for r in box_s.rows] == ["b", "z"]
-    assert all(isinstance(r, AttributeRow) for r in box_s.rows)
+    assert box_t.rows == (AttributeRow("a"), AttributeRow("z"),
+                          SelectionRow("m", "=", Constant("string", "x")))
+    assert box_s.rows == (AttributeRow("b"), AttributeRow("z"))
 
 
 def test_attribute_used_twice_gets_one_row():
     d = diagram_of("SELECT T.a FROM Tab T, Sab S, Rab R "
                    "WHERE T.a = S.b AND T.a = R.c")
     (box_t,) = [b for b in d.boxes() if b.alias == "T"]
-    assert [r.label() for r in box_t.rows] == ["a"]
+    assert box_t.rows == (AttributeRow("a"),)
     assert len([e for e in d.edges if e.src[0] == "T" or e.dst[0] == "T"]) == 2
 
 
@@ -506,3 +505,35 @@ def test_reading_order_restarts_in_linear_time(arrows, restarts):
     assert time.perf_counter() - began < 1.0
     assert len(order.restarts) == restarts
     assert len(order.visit_order) == n
+
+
+def test_reading_order_of_a_diagram_without_groups_is_the_select_box():
+    assert reading_order(Diagram((), (), ())).steps == (("select", "SELECT"),)
+
+
+def _forest(*roots):
+    """A diagram of one root group per row list, each with one box of
+    table T whose alias is the group's index."""
+    return Diagram(tuple(TableGroup(f"g{i}", Quantifier.ROOT, 0, None,
+                                    (TableBox(f"A{i}", "T", tuple(map(AttributeRow, rows))),))
+                         for i, rows in enumerate(roots)), (), ())
+
+
+def test_isomorphism_pairs_every_root():
+    # the second roots differ: one row against two
+    assert not diagram_isomorphic(_forest("pq", "r"), _forest("pq", "rs"))
+    assert not diagram_isomorphic(_forest("pq", "rs"), _forest("pq", "r"))
+    # the same roots in the other order, relabelled
+    assert diagram_isomorphic(_forest("pq", "r"), _forest("x", "yz"))
+
+
+def test_isomorphism_rejects_a_group_no_root_reaches():
+    boxes = (TableBox("A", "T", (AttributeRow("k"),)),)
+    cycle = Diagram((TableGroup("g1", Quantifier.EXISTS, 1, "g2", boxes),
+                     TableGroup("g2", Quantifier.EXISTS, 1, "g1", boxes)), (), ())
+    with pytest.raises(InvalidDiagramError, match="group g1 has no root above it"):
+        diagram_isomorphic(cycle, cycle)
+    orphan = Diagram((*_forest("k").groups,
+                      TableGroup("g1", Quantifier.EXISTS, 1, "g9", boxes)), (), ())
+    with pytest.raises(InvalidDiagramError, match="group g1 has no root above it"):
+        diagram_isomorphic(_forest("k", "k"), orphan)

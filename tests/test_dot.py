@@ -10,6 +10,7 @@ from sqldiagram import (
     parse,
     resolve_scopes,
 )
+from sqldiagram.diagram import AttributeRow, Diagram, Edge, SelectionRow, TableBox, TableGroup
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
     SOME_LIKED_DRINK,
@@ -17,6 +18,7 @@ from sqldiagram.fixtures import (
     VALID_QUERIES,
 )
 from sqldiagram.logic import Quantifier
+from sqldiagram.sqlast import Constant
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -99,3 +101,17 @@ def test_emit_json_round_trip():
     for name, sql in VALID_QUERIES.items():
         d = diagram_of(sql)
         assert diagram_from_json(diagram_to_json(d)) == d, name
+
+
+def test_edges_attach_to_the_first_of_two_rows_of_one_attribute():
+    # build_diagram draws one row per (alias, attribute); a hand-made box
+    # may hold two, and every edge end and SELECT link takes the first
+    rows = (AttributeRow("k"), SelectionRow("k", "=", Constant("number", "1")), AttributeRow("k"))
+    d = Diagram(groups=(TableGroup("g0_1", Quantifier.ROOT, 0, None,
+                                   (TableBox("A", "TA", rows), TableBox("B", "TB", rows))),),
+                edges=(Edge(("A", "k"), ("B", "k"), False, None),),
+                select_box=(("B", "k"),))
+    text = emit_dot(d)
+    assert "  t_A:p_0 -> t_B:p_0 [dir=none];\n" in text
+    assert "  t_SELECT:p_0 -> t_B:p_0 [dir=none];\n" in text
+    assert ':p_2 ->' not in text and ':p_2 [' not in text

@@ -23,7 +23,8 @@ from sqldiagram.cli import run
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.fixtures import ONLY_RED_NOT_ANY, ONLY_RED_NOT_IN, VALID_QUERIES
 from sqldiagram.parser import tokenize
-from sqldiagram.sqlast import COMPARE_OPS
+
+from evaluate_reference import COMPARE_OPS
 
 SEED = 4242
 TREES = 250

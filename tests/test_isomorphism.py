@@ -15,8 +15,9 @@ from sqldiagram import (
 )
 from sqldiagram.corpus import SCHEMA, random_logic_tree
 from sqldiagram.logic import LogicTree, Predicate, Quantifier, make_node
-from sqldiagram.sqlast import COMPARE_OPS, ColumnRef, Constant
+from sqldiagram.sqlast import ColumnRef, Constant
 
+from evaluate_reference import COMPARE_OPS
 from iso_reference import reference_isomorphic
 
 

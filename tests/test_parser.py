@@ -11,7 +11,6 @@ from sqldiagram.fixtures import (
 )
 from sqldiagram.parser import tokenize
 from sqldiagram.sqlast import (
-    COMPARE_OPS,
     ColumnRef,
     Comparison,
     Constant,
@@ -19,7 +18,7 @@ from sqldiagram.sqlast import (
     QuantifiedComparison,
 )
 
-from evaluate_reference import constant_value
+from evaluate_reference import COMPARE_OPS, constant_value
 
 
 def test_conjunctive_query_shape():

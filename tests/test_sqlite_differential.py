@@ -3,7 +3,7 @@
 On small random databases these results must be the same set of rows:
 SQLite on the query's SQL text, SQLite on `lt_to_sql` of the logic tree it
 lowers to, and `evaluate_reference.evaluate` of that tree and of its
-`simplify_forall` rewrite.
+`simplify_forall` rewrite; and SQLite on the respellings of `variants.py`.
 
 Limits: NULL is out of scope, and every column holds values of one type,
 because `evaluate` compares mixed types as strings while SQLite orders
@@ -28,9 +28,10 @@ from sqldiagram.fixtures import (
     VALID_QUERIES,
 )
 from sqldiagram.parser import tokenize
-from sqldiagram.sqlast import COMPARE_OPS, ColumnRef, Comparison, Exists, QuantifiedComparison
+from sqldiagram.sqlast import ColumnRef, Comparison, Exists, QuantifiedComparison
 
-from evaluate_reference import constant_value, evaluate, random_database
+from evaluate_reference import COMPARE_OPS, constant_value, evaluate, random_database
+from variants import quantified, renamed, reordered
 
 QUANTIFIED = {
     f"{'not_' if negated else ''}{mode.lower()}_{op}":
@@ -196,3 +197,26 @@ def test_sqlite_text_spells_any_and_all_out():
     assert sqlite_text(QUANTIFIED["any_="]) == (
         "SELECT T.a FROM Tab T WHERE EXISTS (SELECT * FROM S WHERE S.c <> T.c AND T.a = S.b)")
     assert sqlite_text(ONLY_RED_NOT_IN) == ONLY_RED_NOT_IN
+
+
+def test_sqlite_agrees_on_respelled_queries():
+    # databases as the two tests above build them: typed for the fixtures,
+    # over SCHEMA for generated trees
+    rng = random.Random(2113)
+    cases = [*((sql, False) for sql in VALID_QUERIES.values()),
+             *((lt_to_sql(random_logic_tree(rng)), True) for _ in range(40))]
+    answers = []
+    for sql, generated in cases:
+        ast = resolve_scopes(parse(sql))
+        lt = build_logic_tree(ast)
+        variants = [sqlite_text(print_sql(respell(ast, rng)))
+                    for respell in (reordered, quantified, renamed)]
+        for _ in range(4):
+            columns, db = ((SCHEMA, random_database(rng, lt, max_rows=3)) if generated
+                           else typed_database(rng, lt))
+            with loaded(columns, db) as con:
+                result = rows(con, sql)
+                for variant in variants:
+                    assert rows(con, variant) == result, (sql, variant, db)
+            answers.append(bool(result))
+    assert sum(answers) >= len(answers) // 4  # not every answer is empty
