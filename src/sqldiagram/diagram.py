@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateQueryError, InvalidDiagramError
 from .logic import (
@@ -32,13 +33,11 @@ from .sqlast import FLIPPED_OP, ColumnRef, Constant
 SELECT_BOX_ID = "SELECT"
 
 
-@dataclass(frozen=True)
-class AttributeRow:
+class AttributeRow(NamedTuple):
     attribute: str
 
 
-@dataclass(frozen=True)
-class SelectionRow:
+class SelectionRow(NamedTuple):
     attribute: str
     op: str
     constant: Constant
@@ -47,15 +46,13 @@ class SelectionRow:
 Row = AttributeRow | SelectionRow
 
 
-@dataclass(frozen=True)
-class TableBox:
+class TableBox(NamedTuple):
     alias: str
     table_name: str
     rows: tuple[Row, ...]
 
 
-@dataclass(frozen=True)
-class TableGroup:
+class TableGroup(NamedTuple):
     id: str
     quantifier: Quantifier
     depth: int
@@ -68,8 +65,7 @@ class TableGroup:
         return self.quantifier in (Quantifier.NOT_EXISTS, Quantifier.FOR_ALL)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: tuple[str, str]  # (alias, attribute)
     dst: tuple[str, str]
     directed: bool
@@ -320,6 +316,13 @@ def _edge_json(src: tuple[str, str], dst: tuple[str, str], directed: bool,
             f'      "label": {_json_str_or_null(label)}\n    }}')
 
 
+# The loader is the one place that builds diagram values in bulk (a
+# 901-group diagram holds some 2 900 groups, boxes, selection rows and
+# edges), so it skips the Python-level __new__ of each, as the tokenizer
+# does for tokens.
+_new = tuple.__new__
+
+
 def diagram_from_json(text: str) -> Diagram:
     """The diagram whose canonical JSON, as diagram_to_json writes it, is
     `text`.  A malformed document raises ValueError, LookupError, TypeError
@@ -327,15 +330,17 @@ def diagram_from_json(text: str) -> Diagram:
     exit code 2; so does a select_box whose rows are not the attributes its
     SELECT edges link, or a SELECT edge that does not run from the row of
     the attribute it links, or is directed or labelled.  Equal rows may be
-    one shared object."""
+    one shared object.  Groups, boxes, selection rows and edges are built
+    with tuple.__new__, which skips their classes' own __new__ and its count
+    of the fields, so each call here passes every field in order."""
     doc = json.loads(text)
     quantifiers, attribute_rows = {}, {}  # one value per name, see _shared
-    groups = tuple([
-        TableGroup(g["id"], _shared(quantifiers, g["quantifier"], Quantifier), g["depth"],
-                   g["parent"],
-                   tuple([TableBox(t["alias"], t["table_name"],
-                                   tuple([_row_from_dict(r, attribute_rows) for r in t["rows"]]))
-                          for t in g["tables"]]))
+    groups = tuple([  # a group's own fields are read before its tables
+        _new(TableGroup, (g["id"], _shared(quantifiers, g["quantifier"], Quantifier), g["depth"],
+                          g["parent"], tuple([
+            _new(TableBox, (t["alias"], t["table_name"],
+                            tuple([_row_from_dict(r, attribute_rows) for r in t["rows"]])))
+            for t in g["tables"]])))
         for g in doc["groups"]])
     join_edges, links = [], []
     for e in doc["edges"]:
@@ -345,7 +350,8 @@ def diagram_from_json(text: str) -> Diagram:
                 raise ValueError(f"SELECT edge to {e['to']!r} must run undirected and "
                                  f"unlabelled from {[SELECT_BOX_ID, e['to'][1]]!r}")
         else:
-            join_edges.append(Edge(tuple(e["from"]), tuple(e["to"]), e["directed"], e["label"]))
+            join_edges.append(_new(Edge, (tuple(e["from"]), tuple(e["to"]), e["directed"],
+                                          e["label"])))
     rows, linked = doc["select_box"]["rows"], [attribute for _, attribute in links]
     if rows != linked:
         raise ValueError(f"select_box rows {rows!r} are not the linked attributes {linked!r}")
@@ -354,8 +360,8 @@ def diagram_from_json(text: str) -> Diagram:
 
 def _row_from_dict(doc: dict, attribute_rows: dict[str, AttributeRow]) -> Row:
     if "op" in doc:
-        return SelectionRow(doc["attribute"], doc["op"],
-                            Constant(doc["constant"]["kind"], doc["constant"]["literal"]))
+        return _new(SelectionRow, (doc["attribute"], doc["op"],
+                                   Constant(doc["constant"]["kind"], doc["constant"]["literal"])))
     return _shared(attribute_rows, doc["attribute"], AttributeRow)
 
 
@@ -416,23 +422,28 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
             yield from mapping.pair(("attr", x.attribute, y.attribute),
                                     ("const", x.constant.literal, y.constant.literal))
 
+    def translate(pair: tuple[str, str]):
+        return (mapping.forward.get(("alias", pair[0]), "\0" + pair[0]),
+                mapping.forward.get(("attr", pair[1]), "\0" + pair[1]))
+
+    def canon(src, dst, directed, label):
+        # an undirected edge's stored endpoint order is a label-dependent
+        # convention, so compare it orientation-free
+        if not directed and src > dst:
+            src, dst, label = dst, src, label and FLIPPED_OP[label]
+        return (src, dst, directed, label or "")
+
+    # b's side depends on no pairing; it is sorted at the first complete
+    # pairing, which many searches never reach
+    edges_b = None
+
     def edges_match() -> bool:
-        def translate(pair: tuple[str, str]):
-            return (mapping.forward.get(("alias", pair[0]), "\0" + pair[0]),
-                    mapping.forward.get(("attr", pair[1]), "\0" + pair[1]))
-
-        def canon(src, dst, directed, label):
-            # an undirected edge's stored endpoint order is a label-dependent
-            # convention, so compare it orientation-free
-            if not directed and src > dst:
-                src, dst, label = dst, src, label and FLIPPED_OP[label]
-            return (src, dst, directed, label or "")
-
+        nonlocal edges_b
+        if edges_b is None:
+            edges_b = sorted(canon(*e) for e in b.edges)
         edges_a = sorted(canon(translate(e.src), translate(e.dst), e.directed, e.label)
                          for e in a.edges)
-        edges_b = sorted(canon(e.src, e.dst, e.directed, e.label) for e in b.edges)
-        return (edges_a == edges_b
-                and [translate(link) for link in a.select_box] == list(b.select_box))
+        return edges_a == edges_b and tuple(map(translate, a.select_box)) == b.select_box
 
     roots_a, roots_b = kids_a.get(None, []), kids_b.get(None, [])
     return any(edges_match() for _ in mapping.pair_all(roots_a, roots_b, pair_groups))

@@ -81,6 +81,16 @@ MUTANTS = [
            'raise InvalidDiagramError(f"group {g.id} has no root above it")',
            "pass",
            "diagram_isomorphic accepts a group no root reaches"),
+    # the JSON loader's named tuples and the isomorphism's edge comparison
+    Mutant("src/sqldiagram/diagram.py",
+           '_new(TableBox, (t["alias"], t["table_name"],',
+           '_new(TableBox, (t["table_name"], t["alias"],',
+           "the loader puts a box's table name in its alias field and the alias in its "
+           "table name field"),
+    Mutant("src/sqldiagram/diagram.py",
+           "edges_b = sorted(canon(*e) for e in b.edges)",
+           "edges_b = [canon(*e) for e in b.edges]",
+           "diagram_isomorphic compares against the second diagram's edges in stored order"),
     # roundtrip's checks
     Mutant("src/sqldiagram/cli.py",
            "if oracle != [recovered]:",

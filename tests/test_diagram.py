@@ -31,7 +31,7 @@ from sqldiagram.fixtures import (
     VALID_QUERIES,
 )
 from sqldiagram.logic import LogicTree, Predicate, make_node
-from sqldiagram.sqlast import ColumnRef, Constant
+from sqldiagram.sqlast import FLIPPED_OP, ColumnRef, Constant
 
 import pytest
 
@@ -328,6 +328,33 @@ def test_json_round_trip_identity():
     assert len(sizes) == 213 and max(sizes) == 301
 
 
+def _values(d):
+    """Every group, box, row and edge of a diagram."""
+    for group in d.groups:
+        yield group
+        for box in group.tables:
+            yield box
+            yield from box.rows
+    yield from d.edges
+
+
+def test_loaded_values_are_whole_immutable_named_tuples():
+    # the loader builds them with tuple.__new__, which checks neither the
+    # class nor the number of fields
+    kinds = set()
+    for name, built in _round_trip_inputs():
+        if name.startswith("random"):
+            continue
+        for value, twin in zip(_values(diagram_from_json(diagram_to_json(built))), _values(built),
+                               strict=True):
+            kinds.add(type(value))
+            assert type(value) is type(twin) and len(value) == len(type(value)._fields), name
+            assert value == twin and hash(value) == hash(twin), name
+            with pytest.raises(AttributeError):
+                setattr(value, type(value)._fields[0], None)
+    assert kinds == {TableGroup, TableBox, AttributeRow, SelectionRow, Edge}
+
+
 @pytest.mark.parametrize("rows", [["sid"], ["sname", "sname"], "sname", 5])
 def test_json_select_rows_must_be_the_linked_attributes(rows):
     doc = json.loads(diagram_to_json(diagram_of(SAILORS_NO_RED)))
@@ -374,6 +401,22 @@ def test_isomorphism_is_not_fooled_by_quantifiers():
     simplified = diagram_of(ONLY_LIKED_DRINKS)
     assert not diagram_isomorphic(raw, simplified)
     assert diagram_isomorphic(raw, raw)
+
+
+def test_isomorphism_ignores_the_stored_order_of_edges():
+    # the other diagram's edges reversed, each undirected one stored the other
+    # way round with its operator mirrored
+    def flip(e):
+        if e.directed:
+            return e
+        return e._replace(src=e.dst, dst=e.src, label=e.label and FLIPPED_OP[e.label])
+
+    flipped_labels = 0
+    for name, d in _round_trip_inputs():
+        other = Diagram(d.groups, tuple(map(flip, reversed(d.edges))), d.select_box)
+        assert diagram_isomorphic(d, other) and diagram_isomorphic(other, d), name
+        flipped_labels += sum(not e.directed and e.label is not None for e in d.edges)
+    assert flipped_labels > 0
 
 
 def _relabel(lt):
