@@ -72,7 +72,7 @@ class Edge(NamedTuple):
     label: str | None  # None exactly for equijoins
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
     groups: tuple[TableGroup, ...]  # canonical pre-order
     edges: tuple[Edge, ...]  # join edges, canonical order
@@ -171,7 +171,7 @@ def build_diagram(lt: LogicTree, simplified: bool = True, *,
 # Reading order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadingOrder:
     """Traversal steps over the diagram: ("select", id), ("enter", group),
     ("follow", src, dst) and ("restart", group)."""
@@ -328,34 +328,41 @@ def diagram_from_json(text: str) -> Diagram:
     `text`.  A malformed document raises ValueError, LookupError, TypeError
     or RecursionError, which the CLI prints as `malformed input (...)` with
     exit code 2; so does a select_box whose rows are not the attributes its
-    SELECT edges link, or a SELECT edge that does not run from the row of
-    the attribute it links, or is directed or labelled.  Equal rows may be
-    one shared object.  Groups, boxes, selection rows and edges are built
-    with tuple.__new__, which skips their classes' own __new__ and its count
-    of the fields, so each call here passes every field in order."""
+    SELECT edges link, a SELECT edge that is directed, labelled or not from
+    the row it links, and, naming its JSON path, a depth, alias or join
+    edge's `directed` that is not an integer, string or boolean.  Equal rows
+    may be one shared object.  Groups, boxes, selection rows and edges are
+    built with tuple.__new__, which skips their classes' own __new__ and its
+    count of the fields, so each call here passes every field in order."""
     doc = json.loads(text)
-    quantifiers, attribute_rows = {}, {}  # one value per name, see _shared
-    groups = tuple([  # a group's own fields are read before its tables
-        _new(TableGroup, (g["id"], _shared(quantifiers, g["quantifier"], Quantifier), g["depth"],
-                          g["parent"], tuple([
-            _new(TableBox, (t["alias"], t["table_name"],
-                            tuple([_row_from_dict(r, attribute_rows) for r in t["rows"]])))
-            for t in g["tables"]])))
-        for g in doc["groups"]])
+    quantifiers, attribute_rows, groups = {}, {}, []  # one value per name, see _shared
+    for i, g in enumerate(doc["groups"]):  # a group's own fields are read before its tables
+        gid, quantifier = g["id"], _shared(quantifiers, g["quantifier"], Quantifier)
+        if type(depth := g["depth"]) is not int:  # nor a bool
+            raise ValueError(f"groups[{i}].depth: expected an integer")
+        parent, boxes = g["parent"], []
+        for j, t in enumerate(g["tables"]):
+            if type(alias := t["alias"]) is not str:
+                raise ValueError(f"groups[{i}].tables[{j}].alias: expected a string")
+            boxes.append(_new(TableBox, (alias, t["table_name"], tuple(
+                [_row_from_dict(r, attribute_rows) for r in t["rows"]]))))
+        groups.append(_new(TableGroup, (gid, quantifier, depth, parent, tuple(boxes))))
     join_edges, links = [], []
-    for e in doc["edges"]:
+    for i, e in enumerate(doc["edges"]):
         if e["from"][0] == SELECT_BOX_ID:
             links.append((e["to"][0], e["to"][1]))
             if e["from"][1] != e["to"][1] or e["directed"] is not False or e["label"] is not None:
                 raise ValueError(f"SELECT edge to {e['to']!r} must run undirected and "
                                  f"unlabelled from {[SELECT_BOX_ID, e['to'][1]]!r}")
         else:
-            join_edges.append(_new(Edge, (tuple(e["from"]), tuple(e["to"]), e["directed"],
-                                          e["label"])))
+            src, dst, directed = tuple(e["from"]), tuple(e["to"]), e["directed"]
+            if directed is not True and directed is not False:
+                raise ValueError(f"edges[{i}].directed: expected true or false")
+            join_edges.append(_new(Edge, (src, dst, directed, e["label"])))
     rows, linked = doc["select_box"]["rows"], [attribute for _, attribute in links]
     if rows != linked:
         raise ValueError(f"select_box rows {rows!r} are not the linked attributes {linked!r}")
-    return Diagram(groups, tuple(join_edges), tuple(links))
+    return Diagram(tuple(groups), tuple(join_edges), tuple(links))
 
 
 def _row_from_dict(doc: dict, attribute_rows: dict[str, AttributeRow]) -> Row:

@@ -42,7 +42,7 @@ class Quantifier(Enum):
     FOR_ALL = "FOR_ALL"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LtNode:
     tables: tuple[tuple[str, str], ...]  # (alias, table_name), sorted by alias
     predicates: tuple[Predicate, ...]  # normalized, sorted, duplicate-free
@@ -58,7 +58,7 @@ class LtNode:
                 tuple(c.sort_key() for c in self.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogicTree:
     root: LtNode
     select_list: tuple[ColumnRef, ...]
@@ -147,7 +147,7 @@ class ViolationKind(Enum):
     DEPTH_EXCEEDED = "DepthExceeded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     kind: ViolationKind
     node_path: tuple[int, ...]
@@ -160,7 +160,7 @@ class Violation:
         return f"{self.kind.value} at node {where}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     violations: tuple[Violation, ...]
 

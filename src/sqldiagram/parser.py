@@ -59,71 +59,66 @@ class Token(NamedTuple):
     column: int
 
 
-# One alternative per lexeme, most frequent first, each taking the blanks
-# after it; the last one takes any character that nothing else accepts.  A
-# sign is never part of a NUMBER: the parser reads it where a constant may
-# stand, so `S.b - 1` stays an arithmetic expression.  A NUMBER is decimal
-# digits (\d, str.isdecimal) of any script; an IDENT that starts with another
-# numeral, such as "²", is rejected in `tokenize`.
+# One findall pass: each item is a lexeme and the blanks (newlines too)
+# after it, so no match object is built.  A lexeme's kind comes from _FIXED
+# or from its first character, its column from a running offset.  Order
+# matters: `<=` before `<`, a comment before `-` and `/`, a whole string
+# before a lone quote (which the last alternative, any one character, takes);
+# `/*` without `*/` is unterminated.  A sign is never part of a NUMBER, so
+# `S.b - 1` stays arithmetic; a NUMBER is decimal digits (\d) of any script,
+# and a name that starts with another numeral, such as "²", is an error.
 _SCANNER = re.compile(r"""
-  (?:
-    (?P<IDENT>[^\W\d]\w*)
-  | (?P<DOT>\.)
-  | (?P<OP><=|>=|<>|[<>=])
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<COMMA>,)
-  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<STRING>'(?:[^'\n]|'')*')
-  | (?P<NEWLINE>\n)
-  | (?P<SKIP>[ \t\r]+|--[^\n]*|/\*(?s:.*?)\*/)
-  | (?P<UNTERMINATED>'|/\*)
-  | (?P<STAR>\*)
-  | (?P<SEMI>;)
-  | (?P<ARITH>[-+/%])
-  | (?P<UNEXPECTED>.)
-  )[ \t\r]*
-""", re.VERBOSE)
-_SPECIAL = frozenset(("STRING", "NEWLINE", "SKIP", "UNTERMINATED", "UNEXPECTED"))
+  ( [^\W\d]\w*
+  | <= | >= | <>
+  | \d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+  | '(?:[^'\n]|'')*'
+  | --[^\n]* | /\*(?:.*?\*/)?
+  | .
+  )
+  ([ \t\r\n]*)
+""", re.VERBOSE | re.DOTALL)
+_FIXED = {".": "DOT", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "*": "STAR", ";": "SEMI",
+          **dict.fromkeys(("<=", ">=", "<>", "<", ">", "="), "OP"), **dict.fromkeys("+-/%", "ARITH")}
 _new_token = tuple.__new__  # builds a Token without the Python-level Token.__new__ call
 
 def tokenize(sql_text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _SCANNER.finditer(sql_text):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        text = sql_text[start:end]
-        if kind == "IDENT":
-            upper = text.upper()
-            if upper in KEYWORDS:
-                kind, text = "KEYWORD", upper
-            elif not (text[0].isalpha() or text[0] == "_"):
-                raise SqlSyntaxError(f"unexpected character {text[0]!r}", line,
-                                     start - line_start + 1)
-        elif kind in _SPECIAL:
-            if kind == "STRING":
-                text = text[1:-1].replace("''", "'")
-            elif kind == "UNTERMINATED":
-                what = "string literal" if text == "'" else "block comment"
-                raise SqlSyntaxError(f"unterminated {what}", line, start - line_start + 1)
-            elif kind == "UNEXPECTED":
-                raise SqlSyntaxError(f"unexpected character {text!r}", line, start - line_start + 1)
-            else:
-                newlines = text.count("\n")  # a newline, or a block comment across lines
-                if newlines:
-                    line += newlines
-                    line_start = start + text.rindex("\n") + 1
-                continue
-        tokens.append(_new_token(Token, (kind, text, line, start - line_start + 1)))
-    tokens.append(_new_token(Token, ("EOF", "", line, len(sql_text) - line_start + 1)))
+    offset = len(sql_text) - len(sql_text.lstrip(" \t\r\n"))
+    line, line_start = sql_text.count("\n", 0, offset) + 1, sql_text.rfind("\n", 0, offset) + 1
+    for text, blanks in _SCANNER.findall(sql_text, offset):
+        column = offset - line_start + 1
+        offset += len(text) + len(blanks)
+        kind = _FIXED.get(text)
+        if kind is None:
+            first = text[0]
+            if first.isalpha() or first == "_":
+                upper = text.upper()
+                kind, text = ("KEYWORD", upper) if upper in KEYWORDS else ("IDENT", text)
+            elif first.isdecimal():
+                kind = "NUMBER"
+            elif first == "'" and len(text) > 1:
+                kind, text = "STRING", text[1:-1].replace("''", "'")
+            elif first in "-/" and text != "/*":  # a comment counts as blanks
+                blanks = text + blanks
+            else:  # a lone quote, `/*` without `*/`, or a character nothing takes
+                message = {"'": "unterminated string literal", "/*": "unterminated block comment"}
+                raise SqlSyntaxError(message.get(text, f"unexpected character {first!r}"), line, column)
+        if kind:
+            tokens.append(_new_token(Token, (kind, text, line, column)))
+        if "\n" in blanks:
+            line += blanks.count("\n")
+            line_start = offset - len(blanks) + blanks.rindex("\n") + 1
+    tokens.append(_new_token(Token, ("EOF", "", line, offset - line_start + 1)))
     return tokens
 
 
 class _Parser:
     """Reads tokens with `_peek` (look), `_match` (take when it fits, else
     None), `_expect` (take or raise) and `_match_constant`.  Nothing takes
-    the EOF token, so `_pos` never passes the end of the list."""
+    the EOF token, so `_pos` never passes the end of the list.  The hot rules
+    `_parse_column_ref` and `_parse_predicate` read each token once and branch
+    on it; a read at `pos + 1` or `pos + 2` is safe only because the token
+    before it is not EOF."""
 
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
@@ -154,11 +149,11 @@ class _Parser:
         tok = self._tokens[self._pos]
         if tok.kind == "STRING" or tok.kind == "NUMBER":
             self._pos += 1
-            return Constant(kind="string" if tok.kind == "STRING" else "number", literal=tok.text)
+            return Constant("string" if tok.kind == "STRING" else "number", tok.text)
         if tok.kind == "ARITH" and tok.text in "+-" and self._tokens[self._pos + 1].kind == "NUMBER":
             self._pos += 2
             sign = "-" if tok.text == "-" else ""
-            return Constant(kind="number", literal=sign + self._tokens[self._pos - 1].text)
+            return Constant("number", sign + self._tokens[self._pos - 1].text)
         return None
 
     def _unsupported(self, feature: str, tok: Token):
@@ -197,7 +192,7 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "KEYWORD" and tok.text in _CLAUSE_FEATURES:
             self._unsupported(_CLAUSE_FEATURES[tok.text], tok)
-        return QueryAst(select_list=select_list, from_list=from_list, where_clause=where)
+        return QueryAst(select_list, from_list, where)
 
     def _parse_select_list(self, depth: int) -> tuple[ColumnRef, ...]:
         star = self._match("STAR")
@@ -215,18 +210,25 @@ class _Parser:
         return tuple(columns)
 
     def _parse_column_ref(self) -> ColumnRef:
-        if self._peek().kind == "ARITH":
-            self._unsupported("arithmetic expression", self._peek())
-        first = self._expect("IDENT", expected="a column reference")
-        if self._peek().kind == "LPAREN":
+        tokens, pos = self._tokens, self._pos
+        first = tokens[pos]
+        if first.kind != "IDENT":
+            if first.kind == "ARITH":
+                self._unsupported("arithmetic expression", first)
+            self._expect("IDENT", expected="a column reference")  # raises
+        nxt = tokens[pos + 1]
+        if nxt.kind == "LPAREN":
             # identifier immediately followed by ( is a function call
             self._unsupported("aggregate", first)
-        if self._match("DOT"):
-            attr = self._expect("IDENT", expected="an attribute name")
-            return ColumnRef(alias=first.text, attribute=attr.text,
-                             line=first.line, column=first.column)
-        return ColumnRef(alias=None, attribute=first.text,
-                         line=first.line, column=first.column)
+        if nxt.kind != "DOT":
+            self._pos = pos + 1
+            return ColumnRef(None, first.text, first.line, first.column)
+        attr = tokens[pos + 2]
+        if attr.kind != "IDENT":
+            self._pos = pos + 2
+            self._expect("IDENT", expected="an attribute name")  # raises
+        self._pos = pos + 3
+        return ColumnRef(first.text, attr.text, first.line, first.column)
 
     def _parse_from_list(self) -> tuple[TableRef, ...]:
         tables = [self._parse_table_ref()]
@@ -247,8 +249,7 @@ class _Parser:
             alias = self._expect("IDENT", expected="a table alias")
         else:
             alias = self._match("IDENT") or name
-        return TableRef(table_name=name.text, alias=alias.text,
-                        line=alias.line, column=alias.column)
+        return TableRef(name.text, alias.text, alias.line, alias.column)
 
     def _parse_conjunction(self, depth: int) -> tuple[PredicateAst, ...]:
         parts = [self._parse_predicate(depth)]
@@ -260,10 +261,15 @@ class _Parser:
         return tuple(parts)
 
     def _parse_predicate(self, depth: int) -> PredicateAst:
-        negated = self._match("KEYWORD", "NOT") is not None
-        if self._match("KEYWORD", "EXISTS"):
-            return Exists(negated=negated, subquery=self._parse_parenthesized_query(depth))
-        constant = None if negated else self._match_constant()
+        tok = self._tokens[self._pos]
+        negated = tok.kind == "KEYWORD" and tok.text == "NOT"
+        if negated:
+            self._pos += 1
+            tok = self._tokens[self._pos]
+        if tok.kind == "KEYWORD" and tok.text == "EXISTS":
+            self._pos += 1
+            return Exists(negated, self._parse_parenthesized_query(depth))
+        constant = None if negated or tok.kind == "IDENT" else self._match_constant()
         if constant:
             # constant-first comparison: normalise to put the column on the left
             op = self._expect("OP", expected="a comparison operator").text
@@ -274,12 +280,13 @@ class _Parser:
                     "at most one constant operand")
             column = self._parse_column_ref()
             self._reject_arithmetic()
-            return Comparison(lhs=column, op=FLIPPED_OP[op], rhs=constant)
+            return Comparison(column, FLIPPED_OP[op], constant)
         column = self._parse_column_ref()
-        if negated:
-            # NOT x op ANY|ALL (S); x [NOT] IN (S) takes no leading NOT
-            op = self._expect("OP", expected="a comparison operator").text
-        else:
+        tok = self._tokens[self._pos]
+        if tok.kind != "OP":
+            if negated:
+                # NOT x op ANY|ALL (S); x [NOT] IN (S) takes no leading NOT
+                self._expect("OP", expected="a comparison operator")  # raises
             self._reject_arithmetic()
             if self._match("KEYWORD", "NOT"):
                 negated = True
@@ -287,23 +294,24 @@ class _Parser:
             if negated or self._match("KEYWORD", "IN"):  # [NOT] x = ANY (S)
                 return QuantifiedComparison(negated, column, "=", "ANY",
                                             self._parse_parenthesized_query(depth))
-            op = self._expect("OP", expected="a comparison operator, IN or NOT IN").text
-        quantifier = self._match("KEYWORD", "ANY") or self._match("KEYWORD", "ALL")
-        if quantifier:
-            return QuantifiedComparison(negated, column, op, quantifier.text,
+            self._expect("OP", expected="a comparison operator, IN or NOT IN")  # raises
+        self._pos += 1
+        op, tok = tok.text, self._tokens[self._pos]
+        if tok.kind == "KEYWORD" and tok.text in ("ANY", "ALL"):
+            self._pos += 1
+            return QuantifiedComparison(negated, column, op, tok.text,
                                         self._parse_parenthesized_query(depth))
-        nxt = self._peek()
         if negated:
             raise SqlSyntaxError(
-                f"unexpected {nxt.text!r} after NOT comparison", nxt.line, nxt.column,
+                f"unexpected {tok.text!r} after NOT comparison", tok.line, tok.column,
                 "ANY or ALL")
-        if nxt.kind == "LPAREN":
+        if tok.kind == "LPAREN":
             raise SqlSyntaxError(
                 "scalar subquery comparison is not part of the fragment",
-                nxt.line, nxt.column, "a column, a constant, ANY or ALL")
+                tok.line, tok.column, "a column, a constant, ANY or ALL")
         rhs = self._match_constant() or self._parse_column_ref()
         self._reject_arithmetic()
-        return Comparison(lhs=column, op=op, rhs=rhs)
+        return Comparison(column, op, rhs)
 
     def _parse_parenthesized_query(self, depth: int) -> QueryAst:
         self._expect("LPAREN")

@@ -46,7 +46,7 @@ from .errors import InvalidDiagramError
 from .logic import MAX_DEPTH
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagramGraph:
     """Group-level graph: group ids, directed cross-group edges and the root
     group.  Successor and predecessor lists, and each group's neighbours,
@@ -127,7 +127,7 @@ def diagram_to_graph(d: Diagram) -> DiagramGraph:
     return DiagramGraph(nodes=nodes, edges=frozenset(edges), root_id=roots[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepthAssignment:
     depths: dict[str, int] = field(default_factory=dict)
     parents: dict[str, str] = field(default_factory=dict)

@@ -22,7 +22,7 @@ FLIPPED_OP = {"<": ">", "<=": ">=", "=": "=", "<>": "<>", ">": "<", ">=": "<="}
 COMPLEMENT_OP = {"<": ">=", "<=": ">", "=": "<>", "<>": "=", ">": "<=", ">=": "<"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     kind: str  # "string" | "number"
     literal: str  # a number as written, with its "-" sign; a string's value, '' read as '
@@ -33,7 +33,7 @@ class Constant:
         return self.literal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef:
     alias: str | None  # None until scope resolution qualifies it
     attribute: str
@@ -45,7 +45,7 @@ class ColumnRef:
         return f"{self.alias}.{self.attribute}" if self.alias else self.attribute
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRef:
     table_name: str
     alias: str  # equals table_name when the query gave no alias
@@ -59,7 +59,7 @@ class TableRef:
         return f"{self.table_name} {self.alias}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison:
     lhs: ColumnRef
     op: str
@@ -97,13 +97,13 @@ class Comparison:
         return (self.lhs.alias, self.lhs.attribute, self.op, rhs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     negated: bool
     subquery: "QueryAst"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantifiedComparison:
     negated: bool
     column: ColumnRef
@@ -115,7 +115,7 @@ class QuantifiedComparison:
 PredicateAst = Comparison | Exists | QuantifiedComparison
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryAst:
     select_list: tuple[ColumnRef, ...]  # empty tuple encodes SELECT * (subqueries only)
     from_list: tuple[TableRef, ...]

@@ -1,13 +1,20 @@
-"""Reference lexer for differential tests.
+"""Reference lexers for differential tests.
 
 `reference_tokenize` is the earlier character-walking `tokenize`, kept as an
-independent check on the package's regex scanner: it walks the input one
+independent check on the package's scanner: it walks the input one
 character at a time with str.isdecimal, str.isalpha and str.isalnum.  It knows
 no comments, no doubled-quote escapes and no exponents, so compare the two
-only on input without them.  Its tokens are plain named tuples, so a token
-stream compares equal to the package's when every field does.
+only on input without them.
+
+`scanner_tokenize` is the earlier named-group scanner: one alternative per
+kind of lexeme, read back through each match's `lastgroup` and `span`.  It
+reads comments, doubled quotes and exponents, so it checks the package's
+scanner on that input too, and it raises the same errors at the same
+positions.  Both return plain named tuples, so a token stream compares equal
+to the package's when every field does.
 """
 
+import re
 from typing import NamedTuple
 
 from sqldiagram.errors import SqlSyntaxError
@@ -100,4 +107,57 @@ def reference_tokenize(sql_text: str) -> list[Token]:
         i += 1
         col += 1
     tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+_SCANNER = re.compile(r"""
+  (?:
+    (?P<IDENT>[^\W\d]\w*)
+  | (?P<DOT>\.)
+  | (?P<OP><=|>=|<>|[<>=])
+  | (?P<LPAREN>\()
+  | (?P<RPAREN>\))
+  | (?P<COMMA>,)
+  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<STRING>'(?:[^'\n]|'')*')
+  | (?P<NEWLINE>\n)
+  | (?P<SKIP>[ \t\r]+|--[^\n]*|/\*(?s:.*?)\*/)
+  | (?P<UNTERMINATED>'|/\*)
+  | (?P<STAR>\*)
+  | (?P<SEMI>;)
+  | (?P<ARITH>[-+/%])
+  | (?P<UNEXPECTED>.)
+  )[ \t\r]*
+""", re.VERBOSE)
+
+
+def scanner_tokenize(sql_text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(sql_text):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        text = sql_text[start:end]
+        column = start - line_start + 1
+        if kind == "IDENT":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                kind, text = "KEYWORD", upper
+            elif not (text[0].isalpha() or text[0] == "_"):
+                raise SqlSyntaxError(f"unexpected character {text[0]!r}", line, column)
+        elif kind == "STRING":
+            text = text[1:-1].replace("''", "'")
+        elif kind == "UNTERMINATED":
+            what = "string literal" if text == "'" else "block comment"
+            raise SqlSyntaxError(f"unterminated {what}", line, column)
+        elif kind == "UNEXPECTED":
+            raise SqlSyntaxError(f"unexpected character {text!r}", line, column)
+        elif kind in ("NEWLINE", "SKIP"):
+            newlines = text.count("\n")  # a newline, or a block comment across lines
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("EOF", "", line, len(sql_text) - line_start + 1))
     return tokens

@@ -83,8 +83,8 @@ MUTANTS = [
            "diagram_isomorphic accepts a group no root reaches"),
     # the JSON loader's named tuples and the isomorphism's edge comparison
     Mutant("src/sqldiagram/diagram.py",
-           '_new(TableBox, (t["alias"], t["table_name"],',
-           '_new(TableBox, (t["table_name"], t["alias"],',
+           'boxes.append(_new(TableBox, (alias, t["table_name"], tuple(',
+           'boxes.append(_new(TableBox, (t["table_name"], alias, tuple(',
            "the loader puts a box's table name in its alias field and the alias in its "
            "table name field"),
     Mutant("src/sqldiagram/diagram.py",
@@ -117,6 +117,16 @@ MUTANTS = [
            "*((self._tokens[self._pos - 1].line, self._tokens[self._pos - 1].column) "
            "if tok.kind == \"EOF\" else (tok.line, tok.column)),",
            "_expect reports a failure at the end of input at the previous token"),
+    # the scanner's running offset and the column rule's reads ahead
+    Mutant("src/sqldiagram/parser.py",
+           "offset += len(text) + len(blanks)",
+           "offset += len(text)",
+           "the scanner's running offset skips the blanks' length, so every column after "
+           "a blank is too small"),
+    Mutant("src/sqldiagram/parser.py",
+           "attr = tokens[pos + 2]",
+           "attr = tokens[pos + 1]",
+           "_parse_column_ref reads the attribute at pos + 1, the dot"),
     # copy-on-write scope resolution and forall rewrite
     Mutant(SCOPES,
            "return ref if alias == ref.alias else replace(ref, alias=alias)",

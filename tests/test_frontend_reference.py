@@ -1,6 +1,6 @@
-"""The regex scanner and the field-by-field JSON writers, checked against the
-earlier character walker (`lexer_reference.py`) and the earlier
-`json.dumps(indent=2)` writers (`json_reference.py`)."""
+"""The scanner and the field-by-field JSON writers, checked against the
+earlier character walker and named-group scanner (`lexer_reference.py`) and
+the earlier `json.dumps(indent=2)` writers (`json_reference.py`)."""
 
 import io
 import random
@@ -25,7 +25,7 @@ from sqldiagram.logic import lt_to_sql
 from sqldiagram.parser import tokenize
 
 from json_reference import reference_diagram_json, reference_lt_json
-from lexer_reference import reference_tokenize
+from lexer_reference import reference_tokenize, scanner_tokenize
 from test_isomorphism import wide_tree
 
 # A name, an operator, a number and a string, with one slot after the name,
@@ -61,6 +61,56 @@ def test_tokens_match_the_reference_on_every_bmp_code_point():
     statements = (SWEEP_STATEMENT.replace("{c}", chr(code)) for code in range(0x10000))
     differ = [sql for sql in statements if _lex(tokenize, sql) != _lex(reference_tokenize, sql)]
     assert differ == []
+
+
+# Blanks and comments spliced between tokens: the walker knows no comments,
+# so only the named-group scanner checks these.
+FILLERS = (" ", "\t", "\r", "\n", "\r\n  ", "-- note\n", "--\n", "/**/", "/* a\n\n b */",
+           "/* -- ' */")
+
+
+def _splice(rng, sql):
+    """`sql` with zero to two fillers at each token boundary, both ends included."""
+    starts = [token.column - 1 for token in scanner_tokenize(sql)]  # one line: column is offset
+    pieces, previous = [], 0
+    for start in starts:
+        pieces.append(sql[previous:start])
+        pieces.extend(rng.choice(FILLERS) for _ in range(rng.choice((0, 0, 1, 2))))
+        previous = start
+    return "".join(pieces) + sql[previous:]
+
+
+def test_tokens_match_the_scanner_reference_with_blanks_and_comments(generated_queries):
+    rng = random.Random(2034)
+    for sql in generated_queries:
+        assert "\n" not in sql
+        spliced = _splice(rng, sql)
+        assert _lex(tokenize, spliced) == _lex(scanner_tokenize, spliced), spliced
+
+
+def test_signed_numbers_and_exponents_match_the_scanner_reference():
+    rng = random.Random(2035)
+    parts = (("", "-", "+", "- ", "--", "-- x\n-"), ("0", "7", "12", "١٢", "٣"),
+             ("", ".", ".5", ".25", "..5", ". 5"), ("", "e", "E", "e5", "E+3", "e-07", "e+", "ee1"))
+    for _ in range(3000):
+        numbers = ["".join(rng.choice(choices) for choices in parts) for _ in range(2)]
+        sql = "SELECT T.a FROM T WHERE T.a = {} AND {}<T.b".format(*numbers)
+        assert _lex(tokenize, sql) == _lex(scanner_tokenize, sql), sql
+
+
+ERROR_FORMS = ("'abc", "'ab\ncd'", "'O''Brien", "/* open", "/*/", "/* a */ /*", "#", "@", '"x"',
+               "`", "\f", "\u00a0", "!", "²", "²x", "1²", "½", "Ⅻ")
+
+
+@pytest.mark.parametrize("error", ERROR_FORMS)
+def test_errors_match_the_scanner_reference(error):
+    prefixes = ("", "SELECT ", "SELECT T.a\nFROM T /* one\n two */ WHERE ", "\n\n  -- c\n\tT.a=",
+                "SELECT 'x''y' ,1e5 ")
+    for prefix in prefixes:
+        for sql in (prefix + error, prefix + error + " FROM T\n"):
+            found = _lex(tokenize, sql)
+            assert isinstance(found[0], str), sql  # an error, not a token list
+            assert found == _lex(scanner_tokenize, sql), sql
 
 
 def _assert_json_matches(lt, both_forms=True):
