@@ -329,47 +329,90 @@ def diagram_from_json(text: str) -> Diagram:
     or RecursionError, which the CLI prints as `malformed input (...)` with
     exit code 2; so does a select_box whose rows are not the attributes its
     SELECT edges link, a SELECT edge that is directed, labelled or not from
-    the row it links, and, naming its JSON path, a depth, alias or join
-    edge's `directed` that is not an integer, string or boolean.  Equal rows
-    may be one shared object.  Groups, boxes, selection rows and edges are
-    built with tuple.__new__, which skips their classes' own __new__ and its
-    count of the fields, so each call here passes every field in order."""
+    the row it links, and, naming its JSON path, a field of the wrong shape:
+    a group's id that is not a string, depth that is not an integer or
+    parent that is neither a string nor null; a box's alias or table name,
+    or a row's attribute, that is not a string; a selection row whose op is
+    not a comparison operator or whose constant is not of kind "string" or
+    "number" with a string literal; an edge whose from or to is not a list
+    of two strings; and a join edge whose `directed` is not a boolean or
+    whose label is neither null nor a comparison operator.  Equal rows may
+    be one shared object.
+    Groups, boxes, selection rows and edges are built with tuple.__new__,
+    which skips their classes' own __new__ and its count of the fields, so
+    each call here passes every field in order."""
     doc = json.loads(text)
-    quantifiers, attribute_rows, groups = {}, {}, []  # one value per name, see _shared
+    quantifiers, attribute_rows, groups = {}, {}, []  # one value per name
     for i, g in enumerate(doc["groups"]):  # a group's own fields are read before its tables
         gid, quantifier = g["id"], _shared(quantifiers, g["quantifier"], Quantifier)
+        if type(gid) is not str:
+            raise ValueError(f"groups[{i}].id: expected a string")
         if type(depth := g["depth"]) is not int:  # nor a bool
             raise ValueError(f"groups[{i}].depth: expected an integer")
-        parent, boxes = g["parent"], []
+        if (parent := g["parent"]) is not None and type(parent) is not str:
+            raise ValueError(f"groups[{i}].parent: expected a string or null")
+        boxes = []
         for j, t in enumerate(g["tables"]):
             if type(alias := t["alias"]) is not str:
                 raise ValueError(f"groups[{i}].tables[{j}].alias: expected a string")
-            boxes.append(_new(TableBox, (alias, t["table_name"], tuple(
-                [_row_from_dict(r, attribute_rows) for r in t["rows"]]))))
+            if type(table_name := t["table_name"]) is not str:
+                raise ValueError(f"groups[{i}].tables[{j}].table_name: expected a string")
+            rows = []
+            for k, r in enumerate(t["rows"]):
+                if type(attribute := r["attribute"]) is not str:
+                    raise ValueError(
+                        f"groups[{i}].tables[{j}].rows[{k}].attribute: expected a string")
+                if "op" in r:
+                    row = _selection_row(r, attribute, i, j, k)
+                elif (row := attribute_rows.get(attribute)) is None:
+                    row = attribute_rows[attribute] = _new(AttributeRow, (attribute,))
+                rows.append(row)
+            boxes.append(_new(TableBox, (alias, table_name, tuple(rows))))
         groups.append(_new(TableGroup, (gid, quantifier, depth, parent, tuple(boxes))))
     join_edges, links = [], []
     for i, e in enumerate(doc["edges"]):
-        if e["from"][0] == SELECT_BOX_ID:
-            links.append((e["to"][0], e["to"][1]))
-            if e["from"][1] != e["to"][1] or e["directed"] is not False or e["label"] is not None:
+        src, dst = e["from"], e["to"]
+        if not (type(src) is list and len(src) == 2
+                and type(src[0]) is str and type(src[1]) is str):
+            raise ValueError(f"edges[{i}].from: expected a list of two strings")
+        if not (type(dst) is list and len(dst) == 2
+                and type(dst[0]) is str and type(dst[1]) is str):
+            raise ValueError(f"edges[{i}].to: expected a list of two strings")
+        src, dst = (src[0], src[1]), (dst[0], dst[1])
+        if src[0] == SELECT_BOX_ID:
+            links.append(dst)
+            if src[1] != dst[1] or e["directed"] is not False or e["label"] is not None:
                 raise ValueError(f"SELECT edge to {e['to']!r} must run undirected and "
-                                 f"unlabelled from {[SELECT_BOX_ID, e['to'][1]]!r}")
+                                 f"unlabelled from {[SELECT_BOX_ID, dst[1]]!r}")
         else:
-            src, dst, directed = tuple(e["from"]), tuple(e["to"]), e["directed"]
+            directed, label = e["directed"], e["label"]
             if directed is not True and directed is not False:
                 raise ValueError(f"edges[{i}].directed: expected true or false")
-            join_edges.append(_new(Edge, (src, dst, directed, e["label"])))
+            if label is not None and label not in _COMPARISON_OPS:
+                raise ValueError(f"edges[{i}].label: expected null or a comparison operator")
+            join_edges.append(_new(Edge, (src, dst, directed, label)))
     rows, linked = doc["select_box"]["rows"], [attribute for _, attribute in links]
     if rows != linked:
         raise ValueError(f"select_box rows {rows!r} are not the linked attributes {linked!r}")
     return Diagram(tuple(groups), tuple(join_edges), tuple(links))
 
 
-def _row_from_dict(doc: dict, attribute_rows: dict[str, AttributeRow]) -> Row:
-    if "op" in doc:
-        return _new(SelectionRow, (doc["attribute"], doc["op"],
-                                   Constant(doc["constant"]["kind"], doc["constant"]["literal"])))
-    return _shared(attribute_rows, doc["attribute"], AttributeRow)
+# A tuple, not a set: membership then compares, so an unhashable op is
+# reported as a wrong op rather than raising TypeError.
+_COMPARISON_OPS = tuple(FLIPPED_OP)
+
+
+def _selection_row(doc: dict, attribute: str, i: int, j: int, k: int) -> SelectionRow:
+    """groups[i].tables[j].rows[k], a row with an op, whose attribute is read."""
+    if (op := doc["op"]) not in _COMPARISON_OPS:
+        raise ValueError(f"groups[{i}].tables[{j}].rows[{k}].op: expected a comparison operator")
+    constant = doc["constant"]
+    if (kind := constant["kind"]) != "string" and kind != "number":
+        raise ValueError(f"groups[{i}].tables[{j}].rows[{k}].constant.kind: "
+                         f'expected "string" or "number"')
+    if type(literal := constant["literal"]) is not str:
+        raise ValueError(f"groups[{i}].tables[{j}].rows[{k}].constant.literal: expected a string")
+    return _new(SelectionRow, (attribute, op, Constant(kind, literal)))
 
 
 def _shared(made: dict, key, make):

@@ -17,7 +17,6 @@ changes, else new nodes only on the paths down to what changed.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import replace
 from operator import is_
 
 from .errors import AmbiguousColumnError, UnknownAliasError
@@ -27,7 +26,9 @@ from .sqlast import (
     Constant,
     Exists,
     PredicateAst,
+    QuantifiedComparison,
     QueryAst,
+    TableRef,
 )
 
 
@@ -91,7 +92,7 @@ def _rewrite_block(block: QueryAst, chain: list[dict[str, str]],
                     break
             else:
                 raise UnknownAliasError(ref.alias, ref.attribute, ref.line, ref.column)
-        return ref if alias == ref.alias else replace(ref, alias=alias)
+        return ref if alias == ref.alias else ColumnRef(alias, ref.attribute, ref.line, ref.column)
 
     def rewrite_pred(pred: PredicateAst) -> PredicateAst:
         if isinstance(pred, Comparison):
@@ -100,19 +101,23 @@ def _rewrite_block(block: QueryAst, chain: list[dict[str, str]],
             lhs = resolve_ref(pred.lhs)
             if lhs is pred.lhs and rhs is pred.rhs:
                 return pred
-            return Comparison(lhs=lhs, op=pred.op, rhs=rhs)
-        parts = {} if isinstance(pred, Exists) else {"column": resolve_ref(pred.column)}
-        parts["subquery"] = _rewrite_block(pred.subquery, chain, finals)
-        if all(getattr(pred, name) is part for name, part in parts.items()):
+            return Comparison(lhs, pred.op, rhs)
+        if isinstance(pred, Exists):
+            subquery = _rewrite_block(pred.subquery, chain, finals)
+            return pred if subquery is pred.subquery else Exists(pred.negated, subquery)
+        column = resolve_ref(pred.column)
+        subquery = _rewrite_block(pred.subquery, chain, finals)
+        if column is pred.column and subquery is pred.subquery:
             return pred
-        return replace(pred, **parts)
+        return QuantifiedComparison(pred.negated, column, pred.op, pred.mode, subquery)
 
     from_list = block.from_list
     if any(alias != final for alias, final in local.items()):
-        from_list = tuple(replace(ref, alias=local[ref.alias]) for ref in from_list)
+        from_list = tuple(TableRef(ref.table_name, local[ref.alias], ref.line, ref.column)
+                          for ref in from_list)
     where = tuple(rewrite_pred(pred) for pred in block.where_clause)
     select_list = tuple(resolve_ref(col) for col in block.select_list)
     if from_list is block.from_list and all(
             map(is_, where + select_list, block.where_clause + block.select_list)):
         return block
-    return QueryAst(select_list=select_list, from_list=from_list, where_clause=where)
+    return QueryAst(select_list, from_list, where)

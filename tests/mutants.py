@@ -59,6 +59,29 @@ MUTANTS = [
            "kids = tuple(sorted(children, key=LtNode.sort_key))",
            "kids = tuple(children)",
            "subqueries keep their written order, so a respelling changes the tree"),
+    # lt_equal's subtree codes
+    Mutant("src/sqldiagram/logic.py",
+           "shapes.append(min((True, lhs, p.op, rhs), (True, rhs, FLIPPED_OP[p.op], lhs)))",
+           "shapes.append((True, lhs, p.op, rhs))",
+           "a join's shape keeps its stored operand order, which a relabelling can flip"),
+    Mutant("src/sqldiagram/logic.py",
+           "found = sorted(codes), dict(zip(map(id, x.children), codes))",
+           "found = codes, dict(zip(map(id, x.children), codes))",
+           "the children's codes are compared in stored order, which a relabelling can change"),
+    Mutant("src/sqldiagram/logic.py",
+           "kids = sorted([_subtree_code(c, depth + 1, scope, interned) for c in node.children])",
+           "kids = [_subtree_code(c, depth + 1, scope, interned) for c in node.children]",
+           "a code lists its children's codes in stored order"),
+    Mutant("src/sqldiagram/logic.py",
+           "lhs = depth - scope.get(p.lhs.alias, depth + 1)",
+           "lhs = depth - scope[p.lhs.alias]",
+           "an alias that no enclosing block declares raises KeyError"),
+    Mutant("src/sqldiagram/logic.py",
+           "if code_x[id(cx)] == code_y[id(cy)]:",
+           "if True:",
+           "equivalent: siblings of different code are paired too, and their search "
+           "fails further down, so only the search grows",
+           equivalent=True),
     # the one-rule walks
     Mutant("src/sqldiagram/diagram.py",
            "for target in sorted(out_edges[gid], key=order.__getitem__, reverse=True)]",
@@ -83,8 +106,8 @@ MUTANTS = [
            "diagram_isomorphic accepts a group no root reaches"),
     # the JSON loader's named tuples and the isomorphism's edge comparison
     Mutant("src/sqldiagram/diagram.py",
-           'boxes.append(_new(TableBox, (alias, t["table_name"], tuple(',
-           'boxes.append(_new(TableBox, (t["table_name"], alias, tuple(',
+           "boxes.append(_new(TableBox, (alias, table_name, tuple(rows))))",
+           "boxes.append(_new(TableBox, (table_name, alias, tuple(rows))))",
            "the loader puts a box's table name in its alias field and the alias in its "
            "table name field"),
     Mutant("src/sqldiagram/diagram.py",
@@ -129,17 +152,22 @@ MUTANTS = [
            "_parse_column_ref reads the attribute at pos + 1, the dot"),
     # copy-on-write scope resolution and forall rewrite
     Mutant(SCOPES,
-           "return ref if alias == ref.alias else replace(ref, alias=alias)",
-           "return replace(ref, alias=alias)",
+           "return ref if alias == ref.alias else ColumnRef(alias, ref.attribute, ref.line, "
+           "ref.column)",
+           "return ColumnRef(alias, ref.attribute, ref.line, ref.column)",
            "every ColumnRef is rebuilt, not returned itself"),
     Mutant(SCOPES,
            "if lhs is pred.lhs and rhs is pred.rhs:",
            "if False:",
            "every Comparison is rebuilt"),
     Mutant(SCOPES,
-           "if all(getattr(pred, name) is part for name, part in parts.items()):",
+           "if column is pred.column and subquery is pred.subquery:",
            "if False:",
-           "every subquery predicate is rebuilt"),
+           "every IN, ANY and ALL predicate is rebuilt"),
+    Mutant(SCOPES,
+           "return pred if subquery is pred.subquery else Exists(pred.negated, subquery)",
+           "return Exists(pred.negated, subquery)",
+           "every EXISTS predicate is rebuilt"),
     Mutant(SCOPES,
            "if from_list is block.from_list and all(",
            "if False and all(",
@@ -149,13 +177,13 @@ MUTANTS = [
            "if True:",
            "every from_list is rebuilt"),
     Mutant(SCOPES,
-           "from_list = tuple(replace(ref, alias=local[ref.alias]) for ref in from_list)",
-           "from_list = tuple(replace(ref, alias=local[ref.alias], line=0, column=0) "
-           "for ref in from_list)",
+           "from_list = tuple(TableRef(ref.table_name, local[ref.alias], ref.line, ref.column)",
+           "from_list = tuple(TableRef(ref.table_name, local[ref.alias], 0, 0)",
            "a renamed TableRef loses its position"),
     Mutant(SCOPES,
-           "return ref if alias == ref.alias else replace(ref, alias=alias)",
-           "return ref if alias == ref.alias else replace(ref, alias=alias, line=0, column=0)",
+           "return ref if alias == ref.alias else ColumnRef(alias, ref.attribute, ref.line, "
+           "ref.column)",
+           "return ref if alias == ref.alias else ColumnRef(alias, ref.attribute, 0, 0)",
            "a renamed ColumnRef loses its position"),
     Mutant("src/sqldiagram/logic.py",
            "if all(map(is_, children, node.children)):",

@@ -218,13 +218,13 @@ def test_recover_malformed_json_exits_2(sql_file, capsys):
     (lambda doc: (doc["groups"][1].pop("id"), doc["groups"][1]["tables"][0].pop("alias")),
      "'id'"),
     (lambda doc: doc["edges"][0].update({"from": ["X"]}),
-     "not enough values to unpack (expected 2, got 1)"),
+     "edges[0].from: expected a list of two strings"),
     # the group's quantifier is read before its tables
     (lambda doc: (doc["groups"][1].pop("quantifier"), doc["groups"][1].update(tables=3)),
      "'quantifier'"),
-    (lambda doc: doc["edges"][0].update({"from": []}), "list index out of range"),
-    (lambda doc: next(e for e in doc["edges"] if e["from"][0] == "SELECT").update(to=["x"]),
-     "list index out of range"),
+    (lambda doc: doc["edges"][0].update({"from": []}),
+     "edges[0].from: expected a list of two strings"),
+    (lambda doc: doc["edges"][7].update(to=["x"]), "edges[7].to: expected a list of two strings"),
     # each of these once loaded and ended in exit 0 or 1 with a verdict on
     # another fault: a "yes" edge recovered, a depth "x" or "0" was compared
     # with the recovered depth, and a numeric alias named no table box
@@ -245,6 +245,48 @@ def test_recover_malformed_json_exits_2(sql_file, capsys):
 def test_recover_malformed_diagram_prints_one_line(sql_file, tmp_path, capsys, mutate, reason):
     diagram_path = tmp_path / "diagram.json"
     run(["viz", "--format", "json", sql_file(UNIQUE_BEER_SET), "-o", str(diagram_path)])
+    doc = json.loads(diagram_path.read_text())
+    mutate(doc)
+    diagram_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["recover", str(diagram_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: malformed input ({reason})\n")
+
+
+# Each of these once loaded: recover exited 0 with an assignment, exited 1
+# with a verdict on another fault, or exited 2 with a message naming no path.
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda doc: doc["groups"][1].update(id=1), "groups[1].id: expected a string"),
+    (lambda doc: doc["groups"][1].update(parent=0), "groups[1].parent: expected a string or null"),
+    (lambda doc: doc["groups"][0]["tables"][0].update(table_name=5),
+     "groups[0].tables[0].table_name: expected a string"),
+    (lambda doc: doc["groups"][1]["tables"][0]["rows"][1].update(attribute=3),
+     "groups[1].tables[0].rows[1].attribute: expected a string"),
+    (lambda doc: doc["groups"][2]["tables"][0]["rows"][1].update(op="~"),
+     "groups[2].tables[0].rows[1].op: expected a comparison operator"),
+    (lambda doc: doc["groups"][2]["tables"][0]["rows"][1]["constant"].update(kind="date"),
+     'groups[2].tables[0].rows[1].constant.kind: expected "string" or "number"'),
+    (lambda doc: doc["groups"][2]["tables"][0]["rows"][1]["constant"].update(literal=7),
+     "groups[2].tables[0].rows[1].constant.literal: expected a string"),
+    (lambda doc: doc["edges"][0].update(label=1),
+     "edges[0].label: expected null or a comparison operator"),
+    (lambda doc: doc["edges"][1].update(label="~"),
+     "edges[1].label: expected null or a comparison operator"),
+    (lambda doc: doc["edges"][0].update(to="BX"), "edges[0].to: expected a list of two strings"),
+    (lambda doc: doc["edges"][1].update({"from": ["S", "sid", "x"]}),
+     "edges[1].from: expected a list of two strings"),
+    (lambda doc: doc["edges"][1].update({"from": ["S", 4]}),
+     "edges[1].from: expected a list of two strings"),
+    (lambda doc: doc["edges"][2].update(to=("S", None)),
+     "edges[2].to: expected a list of two strings"),
+], ids=["group_id_int", "group_parent_int", "table_name_int", "attribute_int", "op_tilde",
+        "constant_kind_date", "constant_literal_int", "label_int", "label_tilde", "to_string",
+        "from_three", "from_attribute_int", "select_to_attribute_null"])
+def test_recover_names_the_path_of_a_field_of_the_wrong_shape(
+        sql_file, tmp_path, capsys, mutate, reason):
+    diagram_path = tmp_path / "diagram.json"
+    run(["viz", "--format", "json", sql_file(VALID_QUERIES["sailors_no_red"]),
+         "-o", str(diagram_path)])
     doc = json.loads(diagram_path.read_text())
     mutate(doc)
     diagram_path.write_text(json.dumps(doc))

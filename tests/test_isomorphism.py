@@ -5,6 +5,8 @@
 import random
 import time
 
+import pytest
+
 from sqldiagram import (
     build_diagram,
     build_logic_tree,
@@ -14,7 +16,7 @@ from sqldiagram import (
     resolve_scopes,
 )
 from sqldiagram.corpus import SCHEMA, random_logic_tree
-from sqldiagram.logic import LogicTree, Predicate, Quantifier, make_node
+from sqldiagram.logic import LogicTree, LtNode, Predicate, Quantifier, make_node
 from sqldiagram.sqlast import ColumnRef, Constant
 
 from evaluate_reference import COMPARE_OPS
@@ -123,6 +125,43 @@ def wide_tree(rng, k):
     return LogicTree(root=root, select_list=(col("W", root_table),))
 
 
+def symmetric_tree(k):
+    """A root with k NOT EXISTS children that are alike up to their aliases,
+    each joining the root with `=`."""
+    children = [make_node([(f"K{i}", "Boat")],
+                          [Predicate(ColumnRef(f"K{i}", "bid"), "=", ColumnRef("P", "sid"))],
+                          Quantifier.NOT_EXISTS)
+                for i in range(k)]
+    root = make_node([("P", "Sailor")], [], Quantifier.ROOT, children)
+    return LogicTree(root=root, select_list=(ColumnRef("P", "sname"),))
+
+
+def with_one_lt(rng, lt):
+    """The same tree with one seeded `=` predicate changed to `<`."""
+    target = rng.choice([p for n in _nodes(lt) for p in n.predicates if p.op == "="])
+    return _rebuild(lt, pred=lambda p: Predicate(p.lhs, "<", p.rhs) if p is target else p)
+
+
+def grandchild_tree(joins):
+    """A root declaring A and B, one NOT EXISTS child C{i} joining A for each
+    entry of joins, and under each child one EXISTS grandchild joining its
+    parent and the root alias that the entry names.  Every block sits where
+    it sits in the other such trees, so all of them have equal subtree codes."""
+    children = []
+    for i, alias in enumerate(joins):
+        child, grandchild = f"C{i}", f"G{i}"
+        joined = make_node([(grandchild, "Boat")],
+                           [Predicate(ColumnRef(grandchild, "bid"), "=", ColumnRef(child, "bid")),
+                            Predicate(ColumnRef(grandchild, "color"), "=",
+                                      ColumnRef(alias, "sname"))],
+                           Quantifier.EXISTS)
+        children.append(make_node([(child, "Reserves")],
+                                  [Predicate(ColumnRef(child, "sid"), "=", ColumnRef("A", "sid"))],
+                                  Quantifier.NOT_EXISTS, [joined]))
+    root = make_node([("A", "Sailor"), ("B", "Sailor")], [], Quantifier.ROOT, children)
+    return LogicTree(root=root, select_list=(ColumnRef("A", "sname"),))
+
+
 def test_predicate_orientation_is_backtracked():
     # The join T.x = T.y is stored with x first; its image S.q = S.p is
     # stored with p first.  Pairing the join first in stored order maps x to
@@ -175,3 +214,81 @@ def test_wide_tree_equals_its_relabelled_copy():
     start = time.perf_counter()
     assert lt_equal(lt, copy, modulo_renaming=True)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("k", [8, 12, 30])
+def test_alike_siblings_cost_no_factorial_search(k):
+    # Exhaustive pairing tries up to k! orders before it answers false; the
+    # changed operator shows in the children's codes, so the search stops at
+    # the root.
+    rng = random.Random(k)
+    lt = symmetric_tree(k)
+    for other, expected in ((relabelled(rng, lt), True),
+                            (relabelled(rng, with_one_lt(rng, lt)), False)):
+        start = time.perf_counter()
+        assert lt_equal(lt, other, modulo_renaming=True) is expected
+        assert lt_equal(other, lt, modulo_renaming=True) is expected
+        assert time.perf_counter() - start < 1.0
+
+
+def test_equal_codes_fall_back_to_the_exhaustive_search():
+    from sqldiagram.logic import _ChildCodes
+
+    rng = random.Random(5)
+    mixed = grandchild_tree(["A", "B", "A"])
+    for other in (grandchild_tree(["A", "A", "A"]), grandchild_tree(["B", "A", "A"]),
+                  relabelled(rng, grandchild_tree(["A", "A", "B"]))):
+        codes = _ChildCodes(mixed.root, other.root)
+        assert codes.below(mixed.root, 0)[0] == codes.below(other.root, 1)[0]
+        expected = reference_isomorphic(build_diagram(mixed), build_diagram(other))
+        assert lt_equal(mixed, other, modulo_renaming=True) == expected
+        assert lt_equal(other, mixed, modulo_renaming=True) == expected
+    # All grandchildren joining A leave B unjoined, which no renaming of the
+    # mixed tree does; B, A, A is the mixed tree with two children swapped.
+    assert not lt_equal(mixed, grandchild_tree(["A", "A", "A"]), modulo_renaming=True)
+    assert lt_equal(mixed, grandchild_tree(["B", "A", "A"]), modulo_renaming=True)
+
+
+def _hand_built(alias_of, shared=False):
+    """A root T with three NOT EXISTS children; child i joins alias_of(i)
+    and has two EXISTS children joining their parent.  shared puts one
+    child's first grandchild under another child too."""
+    children = []
+    for i in range(3):
+        own = alias_of(i)
+        kids = [make_node([(f"G{i}{j}", "Boat")],
+                          [Predicate(ColumnRef(f"G{i}{j}", "bid"), "=" if j else "<",
+                                     ColumnRef(own, "bid"))], Quantifier.EXISTS)
+                for j in range(2)]
+        children.append(make_node([(own, "Reserves")],
+                                  [Predicate(ColumnRef(own, "sid"), "=", ColumnRef("T", "sid")),
+                                   Predicate(ColumnRef(own, "day"), "=", ColumnRef("U", "day"))],
+                                  Quantifier.NOT_EXISTS, kids))
+    if shared:
+        first, second = children[0], children[1]
+        children[1] = LtNode(second.tables, second.predicates, second.quantifier,
+                             second.children + first.children[:1])
+        children[0] = LtNode(first.tables, first.predicates, first.quantifier,
+                             first.children + first.children[:1])
+    root = make_node([("T", "Sailor")], [], Quantifier.ROOT, children)
+    return LogicTree(root=root, select_list=(ColumnRef("T", "sname"),))
+
+
+@pytest.mark.parametrize("alias_of, shared", [
+    (lambda i: "T", False),  # every child redeclares the root's alias
+    (lambda i: f"R{i}", False),
+    (lambda i: "T" if i else "R0", True),
+], ids=["repeated_alias", "distinct_aliases", "shared_grandchild"])
+def test_hand_built_trees_keep_their_verdicts(alias_of, shared):
+    # No block declares U, and in the first case a child's T hides the
+    # root's; the codes resolve neither to a KeyError.
+    rng = random.Random(11)
+    lt = _hand_built(alias_of, shared)
+    same = relabelled(rng, lt)
+    target = next(p for p in lt.root.children[2].predicates if p.lhs.attribute == "day")
+    flipped = _rebuild(lt, pred=lambda p: Predicate(p.lhs, "<>", p.rhs) if p is target else p)
+    assert lt_equal(lt, same, modulo_renaming=True)
+    assert lt_equal(same, lt, modulo_renaming=True)
+    assert lt_equal(lt, lt, modulo_renaming=True)
+    assert not lt_equal(lt, relabelled(rng, flipped), modulo_renaming=True)
+    assert not lt_equal(relabelled(rng, flipped), lt, modulo_renaming=True)

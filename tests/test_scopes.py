@@ -7,7 +7,7 @@ import pytest
 from sqldiagram import lt_to_sql, parse, print_sql, resolve_scopes
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.errors import AmbiguousColumnError, UnknownAliasError
-from sqldiagram.fixtures import ONLY_LIKED_DRINKS, VALID_QUERIES
+from sqldiagram.fixtures import ONLY_LIKED_DRINKS, ONLY_RED_NOT_ANY, ONLY_RED_NOT_IN, VALID_QUERIES
 from sqldiagram.sqlast import ColumnRef, Comparison, Exists, QueryAst, TableRef
 
 
@@ -174,7 +174,9 @@ def test_renaming_many_siblings_takes_linear_time():
 
 
 def test_idempotent_on_fixture_corpus():
-    for name, sql in VALID_QUERIES.items():
+    subqueries = {"not_in": ONLY_RED_NOT_IN, "not_any": ONLY_RED_NOT_ANY,
+                  "all": "SELECT T.a FROM T WHERE T.a <> ALL (SELECT S.b FROM S WHERE S.c <> T.c)"}
+    for name, sql in {**VALID_QUERIES, **subqueries}.items():
         once = resolve_scopes(parse(sql))
         assert resolve_scopes(once) is once, name
 
