@@ -276,9 +276,11 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
     one tree onto the other.  That search pairs tables, then predicates
     (each in both orientations), then children, node by node, and backtracks
     through every alternative before answering false.  It prunes by subtree
-    codes that no relabelling changes (see _subtree_code): two nodes with two
-    or more children each pair only when their children's codes are equal as
-    multisets, and only siblings of equal code pair.  Where codes tie, the
+    codes that no relabelling changes (see _codes), made in one pass over
+    each tree at the first two nodes with two or more children each: such
+    nodes pair only when their codes are equal, and only children of equal
+    code pair.  A node shared by two parents keeps the pruning unless its
+    two codes differ; then the call prunes nothing.  Where codes tie, the
     backtracking stays exhaustive, so alike siblings that no relabelling
     matches can still cost time factorial in their number.
     """
@@ -289,7 +291,7 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
     mapping = _Relabeling()
     select = [pair for ca, cb in zip(a.select_list, b.select_list)
               for pair in (("alias", ca.alias, cb.alias), ("attr", ca.attribute, cb.attribute))]
-    codes = None  # a _ChildCodes, made when the search first needs one
+    codes = None  # both trees' codes, made at first need; () when a shared node's codes clash
 
     def pair_nodes(x: LtNode, y: LtNode):
         nonlocal codes
@@ -298,13 +300,20 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
         pair_children = pair_nodes
         if len(x.children) >= 2:
             if codes is None:
-                codes = _ChildCodes(a.root, b.root)
-            pair_children = codes.pairing(x, y, pair_nodes)
-            if pair_children is None:
-                return
+                interned: dict[tuple, int] = {}
+                codes = (_codes(a.root, interned), _codes(b.root, interned))
+                codes = () if None in codes else codes
+            if codes:
+                if codes[0][id(x)] != codes[1][id(y)]:
+                    return
+                pair_children = pair_alike
         for _ in mapping.pair_all(x.tables, y.tables, pair_tables):
             for _ in mapping.pair_all(x.predicates, y.predicates, pair_predicates):
                 yield from mapping.pair_all(x.children, y.children, pair_children)
+
+    def pair_alike(x: LtNode, y: LtNode):
+        if codes[0][id(x)] == codes[1][id(y)]:
+            yield from pair_nodes(x, y)
 
     def pair_tables(x: tuple[str, str], y: tuple[str, str]):
         return mapping.pair(("alias", x[0], y[0]), ("table", x[1], y[1]))
@@ -332,93 +341,43 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
     return False
 
 
-def _subtree_code(node: LtNode, depth: int, scope: dict[str, int],
-                  interned: dict[tuple, int]) -> int:
-    """A code of node's subtree that every relabelling keeps, in the manner
-    of Aho, Hopcroft and Ullman's tree isomorphism (1974): the quantifier,
-    the table count, the sorted predicate shapes and the sorted codes of the
-    children, interned to an int.  A shape writes each operand as a depth
-    offset, 0 for node's own block, 1 for its parent and so on, resolved to
-    the nearest declaration of its alias, and -1 for an alias no enclosing
-    block declares; a join takes the lesser of its two orientations, so its
-    operand order does not count.  node sits at `depth`, and scope maps each
-    alias declared above it to the depth of its nearest declaration."""
-    scope = {**scope, **dict.fromkeys(node.aliases, depth)}
-    shapes = []
-    for p in node.predicates:
-        lhs = depth - scope.get(p.lhs.alias, depth + 1)
-        if isinstance(p.rhs, Constant):
-            shapes.append((False, lhs, p.op, p.rhs.kind))
-        else:
-            rhs = depth - scope.get(p.rhs.alias, depth + 1)
-            shapes.append(min((True, lhs, p.op, rhs), (True, rhs, FLIPPED_OP[p.op], lhs)))
-    kids = sorted([_subtree_code(c, depth + 1, scope, interned) for c in node.children])
-    code = (node.quantifier.value, len(node.tables), tuple(sorted(shapes)), tuple(kids))
-    return interned.setdefault(code, len(interned))
-
-
-class _ChildCodes:
-    """The codes (see _subtree_code) of the children of the nodes of two
-    trees, each computed once and interned to ints shared by both trees."""
-
-    __slots__ = ("parents", "interned", "found")
-
-    def __init__(self, root_a: LtNode, root_b: LtNode):
-        self.parents = (_parent_map(root_a), _parent_map(root_b))
-        self.interned: dict[tuple, int] = {}
-        self.found: dict[tuple[int, int], tuple[list[int], dict[int, int]] | None] = {}
-
-    def below(self, x: LtNode, side: int) -> tuple[list[int], dict[int, int]] | None:
-        """The codes of the children of x, a node of tree `side` (0 or 1):
-        sorted, and each by the child's id.  None when some node of that tree
-        is the child of two nodes, so that the blocks above x are not known."""
-        key = (side, id(x))
-        if key not in self.found:
-            up, found = self.parents[side], None
-            if up is not None:
-                # depths count from x, so that its children sit at depth 1
-                scope: dict[str, int] = {}
-                node, depth = x, 0
-                while node is not None:
-                    for alias in node.aliases:
-                        scope.setdefault(alias, depth)
-                    node, depth = up.get(id(node)), depth - 1
-                codes = [_subtree_code(c, 1, scope, self.interned) for c in x.children]
-                found = sorted(codes), dict(zip(map(id, x.children), codes))
-            self.found[key] = found
-        return self.found[key]
-
-    def pairing(self, x: LtNode, y: LtNode, pair_one):
-        """How to pair the children of x, a node of the first tree, with those
-        of y: pair_one for children of equal code only, None when the codes
-        differ as multisets, or pair_one itself when they are not known."""
-        known_x, known_y = self.below(x, 0), self.below(y, 1)
-        if known_x is None or known_y is None:
-            return pair_one
-        if known_x[0] != known_y[0]:
-            return None
-        code_x, code_y = known_x[1], known_y[1]
-
-        def pair_alike(cx: LtNode, cy: LtNode):
-            if code_x[id(cx)] == code_y[id(cy)]:
-                yield from pair_one(cx, cy)
-        return pair_alike
-
-
-def _parent_map(root: LtNode) -> dict[int, LtNode] | None:
-    """Each node's parent by the node's id, or None when some node is the
-    child of two different nodes, as a hand-built tree may make it."""
-    parents: dict[int, LtNode] = {}
-    stack = [root]
+def _codes(root: LtNode, interned: dict[tuple, int]) -> dict[int, int] | None:
+    """Each node's code by the node's id: a code of its subtree that every
+    relabelling keeps, in the manner of Aho, Hopcroft and Ullman's tree
+    isomorphism (1974).  It is the quantifier, the table count, the sorted
+    predicate shapes and the sorted codes of the children, interned to an
+    int by `interned`, which both trees of one comparison share.  A shape
+    writes each operand as a depth offset, 0 for the node's own block, 1 for
+    its parent and so on, resolved to the nearest declaration of its alias,
+    and -1 for an alias no enclosing block declares; a join takes the lesser
+    of its two orientations, so its operand order does not count.  The walk
+    goes down once, carrying each alias's depth of nearest declaration, and
+    codes each node after its children.  None when some node object, shared
+    by two parents, gets two different codes."""
+    order = []
+    stack: list[tuple[LtNode, int, dict[str, int]]] = [(root, 0, {})]
     while stack:
-        node = stack.pop()
+        node, depth, scope = stack.pop()
+        scope = scope | {alias: depth for alias, _ in node.tables}
+        order.append((node, depth, scope))
         for child in node.children:
-            if id(child) not in parents:
-                parents[id(child)] = node
-                stack.append(child)
-            elif parents[id(child)] is not node:
-                return None
-    return parents
+            stack.append((child, depth + 1, scope))
+    codes: dict[int, int] = {}
+    for node, depth, scope in reversed(order):  # every node after its descendants
+        shapes = []
+        for p in node.predicates:
+            lhs = depth - scope.get(p.lhs.alias, depth + 1)
+            if isinstance(p.rhs, Constant):
+                shapes.append((False, lhs, p.op, p.rhs.kind))
+            else:
+                rhs = depth - scope.get(p.rhs.alias, depth + 1)
+                shapes.append(min((True, lhs, p.op, rhs), (True, rhs, FLIPPED_OP[p.op], lhs)))
+        kids = sorted([codes[id(child)] for child in node.children])
+        key = (node.quantifier.value, len(node.tables), tuple(sorted(shapes)), tuple(kids))
+        code = interned.setdefault(key, len(interned))
+        if codes.setdefault(id(node), code) != code:
+            return None
+    return codes
 
 
 _EXHAUSTED = object()

@@ -8,7 +8,7 @@ the time.  A mutant listed as equivalent changes no output; its reason says
 why, and its survival is expected.  Any other survivor, or an entry whose
 line is not found exactly once, makes the script exit 1.
 
-    python tests/mutants.py    # about 6 minutes on a 2-vCPU machine
+    python tests/mutants.py    # about 9 minutes on a 2-vCPU machine
 
 It is not part of tier-1: it runs tier-1 once for each mutant.  A change
 that tries a new mutant adds it here.
@@ -65,19 +65,29 @@ MUTANTS = [
            "shapes.append((True, lhs, p.op, rhs))",
            "a join's shape keeps its stored operand order, which a relabelling can flip"),
     Mutant("src/sqldiagram/logic.py",
-           "found = sorted(codes), dict(zip(map(id, x.children), codes))",
-           "found = codes, dict(zip(map(id, x.children), codes))",
-           "the children's codes are compared in stored order, which a relabelling can change"),
+           "key = (node.quantifier.value, len(node.tables), tuple(sorted(shapes)), tuple(kids))",
+           "key = (node.quantifier.value, len(node.tables), tuple(shapes), tuple(kids))",
+           "a code lists its predicate shapes in stored order, which a relabelling can change"),
     Mutant("src/sqldiagram/logic.py",
-           "kids = sorted([_subtree_code(c, depth + 1, scope, interned) for c in node.children])",
-           "kids = [_subtree_code(c, depth + 1, scope, interned) for c in node.children]",
+           "kids = sorted([codes[id(child)] for child in node.children])",
+           "kids = [codes[id(child)] for child in node.children]",
            "a code lists its children's codes in stored order"),
     Mutant("src/sqldiagram/logic.py",
            "lhs = depth - scope.get(p.lhs.alias, depth + 1)",
            "lhs = depth - scope[p.lhs.alias]",
            "an alias that no enclosing block declares raises KeyError"),
     Mutant("src/sqldiagram/logic.py",
-           "if code_x[id(cx)] == code_y[id(cy)]:",
+           "if codes.setdefault(id(node), code) != code:",
+           "if codes.setdefault(id(node), code) is None:",
+           "a node shared by two parents keeps the first of two different codes, so the "
+           "pruning stays on where it no longer holds"),
+    Mutant("src/sqldiagram/logic.py",
+           "if codes[0][id(x)] != codes[1][id(y)]:",
+           "if False:",
+           "two nodes of different code are searched, so alike siblings cost factorial "
+           "time again"),
+    Mutant("src/sqldiagram/logic.py",
+           "if codes[0][id(x)] == codes[1][id(y)]:",
            "if True:",
            "equivalent: siblings of different code are paired too, and their search "
            "fails further down, so only the search grows",

@@ -216,11 +216,12 @@ def test_wide_tree_equals_its_relabelled_copy():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("k", [8, 12, 30])
+@pytest.mark.parametrize("k", [8, 10, 12, 30])
 def test_alike_siblings_cost_no_factorial_search(k):
     # Exhaustive pairing tries up to k! orders before it answers false; the
-    # changed operator shows in the children's codes, so the search stops at
-    # the root.
+    # changed operator shows in the root's code, so the search stops at the
+    # root.  Pairing only children of equal code still tries (k - 1)! orders,
+    # which k = 10 shows in seconds.
     rng = random.Random(k)
     lt = symmetric_tree(k)
     for other, expected in ((relabelled(rng, lt), True),
@@ -232,14 +233,15 @@ def test_alike_siblings_cost_no_factorial_search(k):
 
 
 def test_equal_codes_fall_back_to_the_exhaustive_search():
-    from sqldiagram.logic import _ChildCodes
+    from sqldiagram.logic import _codes
 
     rng = random.Random(5)
     mixed = grandchild_tree(["A", "B", "A"])
     for other in (grandchild_tree(["A", "A", "A"]), grandchild_tree(["B", "A", "A"]),
                   relabelled(rng, grandchild_tree(["A", "A", "B"]))):
-        codes = _ChildCodes(mixed.root, other.root)
-        assert codes.below(mixed.root, 0)[0] == codes.below(other.root, 1)[0]
+        interned = {}
+        codes = _codes(mixed.root, interned), _codes(other.root, interned)
+        assert codes[0][id(mixed.root)] == codes[1][id(other.root)]
         expected = reference_isomorphic(build_diagram(mixed), build_diagram(other))
         assert lt_equal(mixed, other, modulo_renaming=True) == expected
         assert lt_equal(other, mixed, modulo_renaming=True) == expected
@@ -247,6 +249,31 @@ def test_equal_codes_fall_back_to_the_exhaustive_search():
     # mixed tree does; B, A, A is the mixed tree with two children swapped.
     assert not lt_equal(mixed, grandchild_tree(["A", "A", "A"]), modulo_renaming=True)
     assert lt_equal(mixed, grandchild_tree(["B", "A", "A"]), modulo_renaming=True)
+
+
+def test_a_grandchild_shared_by_alike_siblings_keeps_the_pruning():
+    # One EXISTS grandchild object sits under all k children and joins only
+    # the root, so it has one code on every path; the changed operator shows
+    # in the root's code, and the search stops there instead of trying the
+    # children's k! orders.
+    k = 10
+    rng = random.Random(k)
+    shared = make_node([("G", "Boat")],
+                       [Predicate(ColumnRef("G", "bid"), "=", ColumnRef("P", "sid"))],
+                       Quantifier.EXISTS)
+    children = [make_node([(f"K{i}", "Reserves")],
+                          [Predicate(ColumnRef(f"K{i}", "sid"), "=", ColumnRef("P", "sid"))],
+                          Quantifier.NOT_EXISTS, [shared])
+                for i in range(k)]
+    lt = LogicTree(root=make_node([("P", "Sailor")], [], Quantifier.ROOT, children),
+                   select_list=(ColumnRef("P", "sname"),))
+    target = lt.root.children[0].predicates[0]
+    one_lt = _rebuild(lt, pred=lambda p: Predicate(p.lhs, "<", p.rhs) if p is target else p)
+    for other, expected in ((relabelled(rng, lt), True), (relabelled(rng, one_lt), False)):
+        start = time.perf_counter()
+        assert lt_equal(lt, other, modulo_renaming=True) is expected
+        assert lt_equal(other, lt, modulo_renaming=True) is expected
+        assert time.perf_counter() - start < 1.0
 
 
 def _hand_built(alias_of, shared=False):
