@@ -330,21 +330,25 @@ def diagram_from_json(text: str) -> Diagram:
     exit code 2; so does a select_box whose rows are not the attributes its
     SELECT edges link, a SELECT edge that is directed, labelled or not from
     the row it links, and, naming its JSON path, a field of the wrong shape:
-    a group's id that is not a string, depth that is not an integer or
-    parent that is neither a string nor null; a box's alias or table name,
-    or a row's attribute, that is not a string; a selection row whose op is
-    not a comparison operator or whose constant is not of kind "string" or
-    "number" with a string literal; an edge whose from or to is not a list
-    of two strings; and a join edge whose `directed` is not a boolean or
-    whose label is neither null nor a comparison operator.  Equal rows may
-    be one shared object.
+    a group's quantifier that is not one of the four names, id that is not
+    a string, depth that is not an integer or parent that is neither a
+    string nor null; a box's alias or table name, or a row's attribute,
+    that is not a string; a selection row whose op is not a comparison
+    operator or whose constant is not of kind "string" or "number" with a
+    string literal; an edge whose from or to is not a list of two strings;
+    and a join edge whose `directed` is not a boolean or whose label is
+    neither null nor a comparison operator.  Equal rows may be one shared
+    object.
     Groups, boxes, selection rows and edges are built with tuple.__new__,
     which skips their classes' own __new__ and its count of the fields, so
     each call here passes every field in order."""
     doc = json.loads(text)
-    quantifiers, attribute_rows, groups = {}, {}, []  # one value per name
+    attribute_rows, groups = {}, []  # one row per attribute name
     for i, g in enumerate(doc["groups"]):  # a group's own fields are read before its tables
-        gid, quantifier = g["id"], _shared(quantifiers, g["quantifier"], Quantifier)
+        gid, quantifier = g["id"], g["quantifier"]
+        if type(quantifier) is not str or (quantifier := _QUANTIFIERS.get(quantifier)) is None:
+            raise ValueError(f'groups[{i}].quantifier: expected "ROOT", "EXISTS", '
+                             f'"NOT_EXISTS" or "FOR_ALL"')
         if type(gid) is not str:
             raise ValueError(f"groups[{i}].id: expected a string")
         if type(depth := g["depth"]) is not int:  # nor a bool
@@ -397,6 +401,8 @@ def diagram_from_json(text: str) -> Diagram:
     return Diagram(tuple(groups), tuple(join_edges), tuple(links))
 
 
+_QUANTIFIERS = {q.value: q for q in Quantifier}
+
 # A tuple, not a set: membership then compares, so an unhashable op is
 # reported as a wrong op rather than raising TypeError.
 _COMPARISON_OPS = tuple(FLIPPED_OP)
@@ -413,17 +419,6 @@ def _selection_row(doc: dict, attribute: str, i: int, j: int, k: int) -> Selecti
     if type(literal := constant["literal"]) is not str:
         raise ValueError(f"groups[{i}].tables[{j}].rows[{k}].constant.literal: expected a string")
     return _new(SelectionRow, (attribute, op, Constant(kind, literal)))
-
-
-def _shared(made: dict, key, make):
-    """made[key], made by `make` on first use, or anew for an unhashable key."""
-    try:
-        return made[key]
-    except KeyError:
-        value = made[key] = make(key)
-    except TypeError:
-        value = make(key)
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ direct rule at depths 1 and 2, A but not B is direct then mediated, and
 not A is mediated at depth 1.
 
 brute_force_depths is the independent oracle: a backtracking search over
-depth labelings and parent trees for those that obey three rules: the
-arrow rule on every edge, the connected-subquery property on every node,
-and the scope rule, under which every edge joins a group to one of its
-ancestors."""
+depth labelings for those that obey three rules: the arrow rule on every
+edge, the connected-subquery property on every node, and the scope rule,
+under which every edge joins a group to one of its ancestors.  The depths
+fix each group's parent, since under the scope rule only one group one
+level up can be it, so no parent tree is searched."""
 
 from __future__ import annotations
 
@@ -259,34 +260,34 @@ def _backtrack(variables: list[str], options: Callable[[str, dict], list],
             stack.append(iter(options(variables[len(stack)], partial)))
 
 
-def _parent_candidates(g: DiagramGraph, node: str, depths: dict[str, int]) -> list[str]:
-    """The groups one level up that `node` may take as its parent.  The
-    scope rule makes every shallower neighbour an ancestor, so a neighbour
-    one level up is the parent.  A group with none is connected only through
-    its children, which are then its out-neighbours one level down, so its
-    parent must be joined by each of them."""
+def _parent(g: DiagramGraph, node: str, depths: dict[str, int]) -> str | None:
+    """The one group one level up that `node` may take as its parent, else
+    None.  The scope rule makes every shallower neighbour an ancestor, so a
+    neighbour one level up is the parent, and by the arrow rule it is an
+    in-neighbour.  A group with none is connected only through its children,
+    which are then its out-neighbours one level down; every group one level
+    up that all of them join is an ancestor at that depth, so the parent is
+    the one such group."""
     d = depths[node]
     up = [p for p in g._pred.get(node, ()) if depths[p] == d - 1]
-    if up:
-        return up
-    kids = [k for k in g._succ.get(node, ()) if depths[k] == d + 1]
-    joined = [{p for p in g._succ.get(k, ()) if depths[p] == d - 1} for k in kids]
-    return sorted(set.intersection(*joined)) if joined else []
+    if not up:
+        kids = [k for k in g._succ.get(node, ()) if depths[k] == d + 1]
+        joined = [{p for p in g._succ.get(k, ()) if depths[p] == d - 1} for k in kids]
+        up = sorted(set.intersection(*joined)) if joined else []
+    return up[0] if len(up) == 1 else None
 
 
 def brute_force_depths(g: DiagramGraph) -> list[DepthAssignment]:
-    """Every depth labeling plus parent tree that satisfies the arrow rule,
-    the connected-subquery property and the scope rule, found by a
-    backtracking search.
+    """Every depth labeling, with the parent tree it fixes, that satisfies
+    the arrow rule, the connected-subquery property and the scope rule,
+    found by a backtracking search.
 
     Depths are assigned outward from the root in depth-first order, so each
     branch is labeled before the next; each edge is checked by the arrow rule
-    once both ends have a depth, and a group is dropped as soon as the
-    depths it reads leave it no parent candidate.  Parents are then chosen
-    layer by layer from those candidates.  A group's scope is checked once
-    its parent is chosen; the connected-subquery property of a group without
-    an edge from its parent is checked on each child as it is placed.  Every
-    survivor passes the whole-assignment checks again."""
+    once both ends have a depth, and a labeling is dropped as soon as the
+    depths a group reads leave it without exactly one parent (`_parent`).
+    Each complete labeling takes those parents and survives when it passes
+    the whole-assignment checks."""
     root = g.root_id
     order, seen, stack = [], set(), [root]
     while stack:
@@ -297,7 +298,7 @@ def brute_force_depths(g: DiagramGraph) -> list[DepthAssignment]:
             stack.extend(reversed(g.neighbors(node)))
     if seen != set(g.nodes) | {root}:
         return []  # a group not connected to the root cannot join its parent
-    # Each group's candidates are checked when the last group they read is labeled.
+    # Each group's parent is checked when the last group it reads is labeled.
     rank = {node: i for i, node in enumerate(order)}
     completes: dict[str, list[str]] = {node: [] for node in order}
     for node in order[1:]:
@@ -313,29 +314,18 @@ def brute_force_depths(g: DiagramGraph) -> list[DepthAssignment]:
                     if t in partial)
                     and all(arrow_points(partial[s], d) for s in g._pred.get(node, ())
                             if s in partial)
-                    and all(_parent_candidates(g, done, partial) for done in completes[node])):
+                    and all(_parent(g, done, partial) is not None
+                            for done in completes[node])):
                 options.append(d)
         del partial[node]
         return options
 
-    def ancestor(node: str, depth: int, parents: dict[str, str]) -> str:
-        while depths[node] > depth:
-            node = parents[node]
-        return node
-
-    def parent_options(node: str, parents: dict[str, str]) -> list[str]:
-        shallower = [y for y in g.neighbors(node) if depths[y] < depths[node]]
-        return [p for p in _parent_candidates(g, node, depths)
-                if all(ancestor(p, depths[y], parents) == y for y in shallower)
-                and (p == root or (parents[p], p) in g.edges
-                     or ((p, node) in g.edges and (node, parents[p]) in g.edges))]
-
     survivors = []
     for labeling in _backtrack(order[1:], depth_options, {root: 0}):
         depths = dict(labeling)
-        for parents in _backtrack(sorted(order[1:], key=depths.get), parent_options, {}):
-            assignment = DepthAssignment(depths=dict(depths), parents=dict(parents))
-            if (_edges_consistent(g, depths) and _connected_subqueries_ok(g, assignment)
-                    and _scope_ok(g, assignment)):
-                survivors.append(assignment)
+        parents = {node: _parent(g, node, depths) for node in order[1:]}
+        assignment = DepthAssignment(depths=depths, parents=parents)
+        if (_edges_consistent(g, depths) and _connected_subqueries_ok(g, assignment)
+                and _scope_ok(g, assignment)):
+            survivors.append(assignment)
     return survivors

@@ -212,8 +212,9 @@ def test_recover_malformed_json_exits_2(sql_file, capsys):
 @pytest.mark.parametrize("mutate, reason", [
     (lambda doc: doc.update(groups=5), "'int' object is not iterable"),
     (lambda doc: doc["groups"][1].update(quantifier="exists"),
-     "'exists' is not a valid Quantifier"),
-    (lambda doc: doc["groups"][1].update(quantifier=["x"]), "['x'] is not a valid Quantifier"),
+     'groups[1].quantifier: expected "ROOT", "EXISTS", "NOT_EXISTS" or "FOR_ALL"'),
+    (lambda doc: doc["groups"][1].update(quantifier=["x"]),
+     'groups[1].quantifier: expected "ROOT", "EXISTS", "NOT_EXISTS" or "FOR_ALL"'),
     # the group's id is read before its tables
     (lambda doc: (doc["groups"][1].pop("id"), doc["groups"][1]["tables"][0].pop("alias")),
      "'id'"),

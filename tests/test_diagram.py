@@ -13,6 +13,7 @@ from sqldiagram import (
     diagram_from_json,
     diagram_isomorphic,
     diagram_to_json,
+    emit_dot,
     orient_inequality,
     parse,
     reading_order,
@@ -79,6 +80,17 @@ def test_orient_deeper_source_no_flip():
     pred = Predicate(lhs=ColumnRef("S", "x"), op="<=", rhs=ColumnRef("T", "y"))
     edge = orient_inequality(pred, {"S": 2, "T": 0})
     assert edge.src == ("S", "x") and edge.dst == ("T", "y") and edge.label == "<="
+
+
+@pytest.mark.parametrize("simplified", [False, True], ids=["raw", "simplified"])
+@pytest.mark.parametrize("op, escaped", [("<", "&lt;"), ("<=", "&lt;=")])
+def test_a_self_comparison_keeps_its_operator(op, escaped, simplified):
+    # both ends are one row, so no operand order is preferred and no swap
+    # may mirror the operator
+    d = diagram_of(f"SELECT A.y FROM T A WHERE A.x {op} A.x", simplified=simplified)
+    assert f'  t_A:p_1 -> t_A:p_1 [dir=none, label="{escaped}"];' in emit_dot(d).splitlines()
+    assert json.loads(diagram_to_json(d))["edges"][0] == {
+        "from": ["A", "x"], "to": ["A", "x"], "directed": False, "label": op}
 
 
 def test_edge_relation_equivalent_to_predicate_all_cases():

@@ -628,6 +628,18 @@ def test_oracle_labels_one_branch_at_a_time():
         assert survivors == [recover_depths(g)]
 
 
+def test_oracle_cost_stays_flat_when_every_group_has_two_parents():
+    # a and b both sit under r, and 16 groups are joined from both: no group
+    # gets one parent, so nothing survives, and a search that tried both
+    # candidate parents of each group would take 2^16 steps
+    ids = ["r", "a", "b", *(f"x{i}" for i in range(16))]
+    edges = [("r", "a"), ("r", "b")] + [(p, x) for x in ids[3:] for p in ("a", "b")]
+    g = make_graph(ids, edges, "r")
+    start = time.perf_counter()
+    assert brute_force_depths(g) == []
+    assert time.perf_counter() - start < 0.05
+
+
 # -- the depth bound is tight ------------------------------------------------
 #
 # One level past MAX_DEPTH a diagram can draw two queries.  Each witness below
