@@ -277,12 +277,12 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
     (each in both orientations), then children, node by node, and backtracks
     through every alternative before answering false.  It prunes by subtree
     codes that no relabelling changes (see _codes), made in one pass over
-    each tree at the first two nodes with two or more children each: such
-    nodes pair only when their codes are equal, and only children of equal
-    code pair.  A node shared by two parents keeps the pruning unless its
-    two codes differ; then the call prunes nothing.  Where codes tie, the
-    backtracking stays exhaustive, so alike siblings that no relabelling
-    matches can still cost time factorial in their number.
+    each tree at the first two nodes with two or more children each: from
+    then on, any two nodes pair only when their codes are equal.  A node
+    shared by two parents keeps the pruning unless its two codes differ;
+    then the call prunes nothing.  Where codes tie, the backtracking stays
+    exhaustive, so alike siblings that no relabelling matches can still cost
+    time factorial in their number.
     """
     if not modulo_renaming:
         return a == b
@@ -297,23 +297,15 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
         nonlocal codes
         if x.quantifier is not y.quantifier or len(x.children) != len(y.children):
             return
-        pair_children = pair_nodes
-        if len(x.children) >= 2:
-            if codes is None:
-                interned: dict[tuple, int] = {}
-                codes = (_codes(a.root, interned), _codes(b.root, interned))
-                codes = () if None in codes else codes
-            if codes:
-                if codes[0][id(x)] != codes[1][id(y)]:
-                    return
-                pair_children = pair_alike
+        if codes is None and len(x.children) >= 2:
+            interned: dict[tuple, int] = {}
+            codes = (_codes(a.root, interned), _codes(b.root, interned))
+            codes = () if None in codes else codes
+        if codes and codes[0][id(x)] != codes[1][id(y)]:
+            return
         for _ in mapping.pair_all(x.tables, y.tables, pair_tables):
             for _ in mapping.pair_all(x.predicates, y.predicates, pair_predicates):
-                yield from mapping.pair_all(x.children, y.children, pair_children)
-
-    def pair_alike(x: LtNode, y: LtNode):
-        if codes[0][id(x)] == codes[1][id(y)]:
-            yield from pair_nodes(x, y)
+                yield from mapping.pair_all(x.children, y.children, pair_nodes)
 
     def pair_tables(x: tuple[str, str], y: tuple[str, str]):
         return mapping.pair(("alias", x[0], y[0]), ("table", x[1], y[1]))

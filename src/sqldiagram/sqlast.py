@@ -66,10 +66,6 @@ class Comparison:
     rhs: ColumnRef | Constant
 
     @property
-    def is_selection(self) -> bool:
-        return isinstance(self.rhs, Constant)
-
-    @property
     def aliases(self) -> tuple[str, ...]:
         if isinstance(self.rhs, ColumnRef):
             return (self.lhs.alias, self.rhs.alias)
@@ -77,7 +73,7 @@ class Comparison:
 
     def normalize(self) -> "Comparison":
         """Join predicates get lexicographic operand order, operator flipped to match."""
-        if self.is_selection:
+        if isinstance(self.rhs, Constant):
             return self
         assert isinstance(self.rhs, ColumnRef)
         lhs_key = (self.lhs.alias, self.lhs.attribute)

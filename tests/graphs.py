@@ -7,7 +7,6 @@ import itertools
 from sqldiagram import (MAX_DEPTH, DepthAssignment, DiagramGraph, LogicTree, Predicate,
                         Quantifier)
 from sqldiagram.logic import make_node
-from sqldiagram.recovery import _connected_subqueries_ok, _edges_consistent, _scope_ok
 from sqldiagram.sqlast import ColumnRef
 
 
@@ -123,13 +122,14 @@ def misplaced_joins(lt: LogicTree):
 def enumerate_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignment]:
     """Reference for `brute_force_depths`: every depth labeling, then every
     parent tree, kept when it obeys the arrow rule, the connected-subquery
-    property and the scope rule.  Exponential; keep graphs small."""
+    property and the scope rule, each written here from its statement and
+    not taken from the package.  Exponential; keep graphs small."""
     others = [node for node in g.nodes if node != g.root_id]
     survivors: list[DepthAssignment] = []
     for depth_combo in itertools.product(range(1, max_depth + 1), repeat=len(others)):
         depths = {g.root_id: 0}
         depths.update(zip(others, depth_combo))
-        if not _edges_consistent(g, depths):
+        if not _arrows_ok(g, depths):
             continue
         candidate_parents = []
         feasible = True
@@ -142,8 +142,37 @@ def enumerate_depths(g: DiagramGraph, max_depth: int = 3) -> list[DepthAssignmen
         if not feasible:
             continue
         for parent_combo in itertools.product(*candidate_parents):
-            assignment = DepthAssignment(depths=dict(depths),
-                                         parents=dict(zip(others, parent_combo)))
-            if _connected_subqueries_ok(g, assignment) and _scope_ok(g, assignment):
-                survivors.append(assignment)
+            parents = dict(zip(others, parent_combo))
+            if _subqueries_connected(g, parents) and _joins_in_scope(g, parents):
+                survivors.append(DepthAssignment(depths=dict(depths), parents=parents))
     return survivors
+
+
+def _arrows_ok(g: DiagramGraph, depths) -> bool:
+    """Arrow rule: each edge points one level down, or two or more levels up."""
+    return all(depths[dst] == depths[src] + 1 or depths[src] >= depths[dst] + 2
+               for src, dst in g.edges)
+
+
+def _joined(g: DiagramGraph, x, y) -> bool:
+    return (x, y) in g.edges or (y, x) in g.edges
+
+
+def _subqueries_connected(g: DiagramGraph, parents) -> bool:
+    """Connected-subquery property: every non-root group joins its parent,
+    or has children, and each of them joins both the group and its parent."""
+    for node, parent in parents.items():
+        kids = [k for k, p in parents.items() if p == node]
+        if not (_joined(g, node, parent)
+                or kids and all(_joined(g, k, node) and _joined(g, k, parent) for k in kids)):
+            return False
+    return True
+
+
+def _joins_in_scope(g: DiagramGraph, parents) -> bool:
+    """Scope rule: of each edge's two endpoints, one is an ancestor of the other."""
+    def above(node):
+        while node in parents:
+            node = parents[node]
+            yield node
+    return all(src in above(dst) or dst in above(src) for src, dst in g.edges)

@@ -7,7 +7,8 @@ mutant alone, runs tier-1 there with -x and prints killed or survived with
 the time.  A mutant listed as equivalent changes no output; its reason says
 why, and its survival is expected.  Any other survivor, a listed equivalent
 that is killed (its mark is stale), or an entry whose line is not found
-exactly once, makes the script exit 1.
+exactly once, makes the script exit 1; tier-1 checks the last on its own
+(tests/test_mutants.py).
 
     python tests/mutants.py    # about 9 minutes on a 2-vCPU machine
 
@@ -29,7 +30,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml", "README.md")  # all that tier-1 reads
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors",
+         # in a mutated copy one anchored line is already replaced, so this fails
+         "--deselect", "tests/test_mutants.py::test_every_mutant_line_is_found_once"]
 TIMEOUT_S = 600  # a mutant that hangs tier-1 counts as killed
 
 
@@ -87,16 +90,10 @@ MUTANTS = [
            "a node shared by two parents keeps the first of two different codes, so the "
            "pruning stays on where it no longer holds"),
     Mutant("src/sqldiagram/logic.py",
-           "if codes[0][id(x)] != codes[1][id(y)]:",
+           "if codes and codes[0][id(x)] != codes[1][id(y)]:",
            "if False:",
            "two nodes of different code are searched, so alike siblings cost factorial "
            "time again"),
-    Mutant("src/sqldiagram/logic.py",
-           "if codes[0][id(x)] == codes[1][id(y)]:",
-           "if True:",
-           "equivalent: siblings of different code are paired too, and their search "
-           "fails further down, so only the search grows",
-           equivalent=True),
     # the one-rule walks
     Mutant("src/sqldiagram/diagram.py",
            "for target in sorted(out_edges[gid], key=order.__getitem__, reverse=True)]",
@@ -204,7 +201,13 @@ MUTANTS = [
            "if all(map(is_, children, node.children)):",
            "if False:",
            "the forall rewrite rebuilds every node"),
-    # recovery's oracle
+    # recovery's checks and oracle
+    Mutant("src/sqldiagram/recovery.py",
+           "return all(arrow_points(depths[s], depths[d]) for s, d in g.edges)",
+           "return all(arrow_points(depths[s], depths[d]) or depths[s] == depths[d] "
+           "for s, d in g.edges)",
+           "the arrow rule lets an edge join two groups of one depth, so a self-loop "
+           "on the root passes recovery and the oracle"),
     Mutant("src/sqldiagram/recovery.py",
            "up = sorted(set.intersection(*joined)) if joined else []",
            "up = sorted(set.union(*joined)) if joined else []",

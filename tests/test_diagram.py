@@ -273,7 +273,7 @@ def test_one_edge_per_join_predicate_on_corpus():
         lt = random_logic_tree(rng)
         join_count = sum(
             1 for _, node, _ in lt.walk() for p in node.predicates
-            if not p.is_selection)
+            if not isinstance(p.rhs, Constant))
         assert len(build_diagram(lt).edges) == join_count
 
 

@@ -28,7 +28,7 @@ from sqldiagram.fixtures import (
     VALID_QUERIES,
 )
 from sqldiagram.parser import tokenize
-from sqldiagram.sqlast import ColumnRef, Comparison, Exists, QuantifiedComparison
+from sqldiagram.sqlast import ColumnRef, Comparison, Constant, Exists, QuantifiedComparison
 
 from evaluate_reference import COMPARE_OPS, constant_value, evaluate, random_database
 from variants import quantified, renamed, reordered
@@ -130,7 +130,7 @@ def typed_database(rng: random.Random, lt, *, max_rows: int = 3):
     for _, node, _ in lt.walk():
         for pred in node.predicates:
             used.add(key(pred.lhs))
-            if pred.is_selection:
+            if isinstance(pred.rhs, Constant):
                 selections.append((key(pred.lhs), pred.rhs))
             else:
                 used.add(key(pred.rhs))
