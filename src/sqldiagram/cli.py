@@ -16,7 +16,6 @@ import argparse
 import functools
 import os
 import shutil
-import subprocess
 import sys
 from collections.abc import Callable
 from typing import NamedTuple
@@ -99,6 +98,8 @@ def _render(args) -> int:
     if not args.output:
         print("warning: --render needs --output to name the rendered file", file=sys.stderr)
         return 0
+    import subprocess  # only --render starts a process
+
     target = os.path.splitext(args.output)[0] + "." + args.render
     status = subprocess.run([renderer, f"-T{args.render}", args.output, "-o", target]).returncode
     if status:

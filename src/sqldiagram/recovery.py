@@ -28,18 +28,19 @@ path families are the rule sequences next_group applies: A and B is the
 direct rule at depths 1 and 2, A but not B is direct then mediated, and
 not A is mediated at depth 1.
 
-brute_force_depths is the independent oracle: a backtracking search over
-depth labelings for those that obey three rules: the arrow rule on every
-edge, the connected-subquery property on every node, and the scope rule,
-under which every edge joins a group to one of its ancestors.  The depths
-fix each group's parent, since under the scope rule only one group one
-level up can be it, so no parent tree is searched."""
+brute_force_depths is the independent oracle: one backtracking loop over
+depth labelings, root first, for those that obey three rules: the arrow
+rule on every edge, the connected-subquery property on every node, and the
+scope rule, under which every edge joins a group to one of its ancestors.
+The depths fix each group's parent, since under the scope rule only one
+group one level up can be it, so no parent tree is searched.  The arrow
+rule and the one-parent condition prune partial labelings; the other two
+rules are checked on complete ones."""
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .diagram import Diagram, arrow_points
@@ -142,10 +143,6 @@ class DepthAssignment:
 # -- shared validity checks -------------------------------------------------
 
 
-def _edges_consistent(g: DiagramGraph, depths: dict[str, int]) -> bool:
-    return all(arrow_points(depths[s], depths[d]) for s, d in g.edges)
-
-
 def _connected_subqueries_ok(g: DiagramGraph, assignment: DepthAssignment) -> bool:
     """Graph form of the connected-subquery property: every non-root group
     joins its parent directly, or has children that all join both it and
@@ -164,13 +161,6 @@ def _connected_subqueries_ok(g: DiagramGraph, assignment: DepthAssignment) -> bo
             continue
         return False
     return True
-
-
-def _validate_assignment(g: DiagramGraph, assignment: DepthAssignment) -> None:
-    if not _edges_consistent(g, assignment.depths):
-        raise InvalidDiagramError("edge directions contradict the depth labeling", "recovery")
-    if not _connected_subqueries_ok(g, assignment):
-        raise InvalidDiagramError("connected-subquery property fails", "recovery")
 
 
 # -- recovery -------------------------------------------------------------------
@@ -216,8 +206,11 @@ def recover_depths(g: DiagramGraph) -> DepthAssignment:
         below.discard(top)
         if below:
             stack.extend((chain + [top], rest) for rest in g.weakly_connected_components(below))
+    if not all(arrow_points(depths[s], depths[d]) for s, d in g.edges):
+        raise InvalidDiagramError("edge directions contradict the depth labeling", "recovery")
     assignment = DepthAssignment(depths=depths, parents=parents)
-    _validate_assignment(g, assignment)
+    if not _connected_subqueries_ok(g, assignment):
+        raise InvalidDiagramError("connected-subquery property fails", "recovery")
     return assignment
 
 
@@ -235,29 +228,6 @@ def _scope_ok(g: DiagramGraph, assignment: DepthAssignment) -> bool:
         if deep != shallow:
             return False
     return True
-
-
-def _backtrack(variables: list[str], options: Callable[[str, dict], list],
-               partial: dict) -> Iterator[dict]:
-    """Depth-first search with an explicit stack: yields `partial` each time
-    every variable holds a value.  `options(var, partial)` lists the values
-    `var` may take given the variables before it."""
-    if not variables:
-        yield partial
-        return
-    stack = [iter(options(variables[0], partial))]
-    while stack:
-        var = variables[len(stack) - 1]
-        value = next(stack[-1], None)
-        if value is None:
-            stack.pop()
-            partial.pop(var, None)
-            continue
-        partial[var] = value
-        if len(stack) == len(variables):
-            yield partial
-        else:
-            stack.append(iter(options(variables[len(stack)], partial)))
 
 
 def _parent(g: DiagramGraph, node: str, depths: dict[str, int]) -> str | None:
@@ -280,14 +250,16 @@ def _parent(g: DiagramGraph, node: str, depths: dict[str, int]) -> str | None:
 def brute_force_depths(g: DiagramGraph) -> list[DepthAssignment]:
     """Every depth labeling, with the parent tree it fixes, that satisfies
     the arrow rule, the connected-subquery property and the scope rule,
-    found by a backtracking search.
+    found by one backtracking loop.
 
-    Depths are assigned outward from the root in depth-first order, so each
-    branch is labeled before the next; each edge is checked by the arrow rule
-    once both ends have a depth, and a labeling is dropped as soon as the
-    depths a group reads leave it without exactly one parent (`_parent`).
-    Each complete labeling takes those parents and survives when it passes
-    the whole-assignment checks."""
+    Groups are labeled in depth-first order from the root, so each branch
+    is labeled before the next.  The root is the first variable and takes
+    depth 0 only; every other group takes 1..MAX_DEPTH.  A depth is kept
+    when the arrow rule holds on each edge to a group already labeled, a
+    self-loop included, and every group whose reads it completes has
+    exactly one parent (`_parent`).  Each complete labeling reads its
+    parents off with `_parent` and survives when it passes the
+    connected-subquery and scope checks."""
     root = g.root_id
     order, seen, stack = [], set(), [root]
     while stack:
@@ -306,26 +278,24 @@ def brute_force_depths(g: DiagramGraph) -> list[DepthAssignment]:
         read += [p for k in g._succ.get(node, ()) for p in g._succ.get(k, ())]
         completes[max(read, key=rank.get)].append(node)
 
-    def depth_options(node: str, partial: dict[str, int]) -> list[int]:
-        options = []
-        for d in range(1, MAX_DEPTH + 1):
-            partial[node] = d
-            if (all(arrow_points(d, partial[t]) for t in g._succ.get(node, ())
-                    if t in partial)
-                    and all(arrow_points(partial[s], d) for s in g._pred.get(node, ())
-                            if s in partial)
-                    and all(_parent(g, done, partial) is not None
-                            for done in completes[node])):
-                options.append(d)
-        del partial[node]
-        return options
-
-    survivors = []
-    for labeling in _backtrack(order[1:], depth_options, {root: 0}):
-        depths = dict(labeling)
+    survivors, depths = [], {}
+    tried = [-1]  # the depth last tried by each group labeled so far, in `order`
+    while tried:
+        node, d = order[len(tried) - 1], tried[-1] + 1
+        if d > (MAX_DEPTH if len(tried) > 1 else 0):
+            tried.pop()
+            del depths[node]
+            continue
+        tried[-1] = depths[node] = d
+        if not (all(arrow_points(d, depths[t]) for t in g._succ.get(node, ()) if t in depths)
+                and all(arrow_points(depths[s], d) for s in g._pred.get(node, ()) if s in depths)
+                and all(_parent(g, done, depths) is not None for done in completes[node])):
+            continue
+        if len(tried) < len(order):
+            tried.append(0)
+            continue
         parents = {node: _parent(g, node, depths) for node in order[1:]}
-        assignment = DepthAssignment(depths=depths, parents=parents)
-        if (_edges_consistent(g, depths) and _connected_subqueries_ok(g, assignment)
-                and _scope_ok(g, assignment)):
+        assignment = DepthAssignment(depths=dict(depths), parents=parents)
+        if _connected_subqueries_ok(g, assignment) and _scope_ok(g, assignment):
             survivors.append(assignment)
     return survivors

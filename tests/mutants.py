@@ -203,11 +203,22 @@ MUTANTS = [
            "the forall rewrite rebuilds every node"),
     # recovery's checks and oracle
     Mutant("src/sqldiagram/recovery.py",
-           "return all(arrow_points(depths[s], depths[d]) for s, d in g.edges)",
-           "return all(arrow_points(depths[s], depths[d]) or depths[s] == depths[d] "
-           "for s, d in g.edges)",
-           "the arrow rule lets an edge join two groups of one depth, so a self-loop "
-           "on the root passes recovery and the oracle"),
+           "if not all(arrow_points(depths[s], depths[d]) for s, d in g.edges):",
+           "if not all(arrow_points(depths[s], depths[d]) or depths[s] == depths[d] "
+           "for s, d in g.edges):",
+           "recovery's arrow rule lets an edge join two groups of one depth, so a "
+           "self-loop on the root passes recovery; the oracle rejects that loop when it "
+           "labels the root, so only recovery is reached"),
+    Mutant("src/sqldiagram/recovery.py",
+           "if d > (MAX_DEPTH if len(tried) > 1 else 0):",
+           "if d > MAX_DEPTH:",
+           "the oracle lets the root take every depth, so it keeps labelings that put "
+           "the root below depth 0"),
+    Mutant("src/sqldiagram/recovery.py",
+           "and all(arrow_points(depths[s], d) for s in g._pred.get(node, ()) if s in depths)",
+           "and True",
+           "the oracle checks the arrow rule only on edges out of the group it labels, "
+           "so an edge into it from a group labeled earlier is never checked"),
     Mutant("src/sqldiagram/recovery.py",
            "up = sorted(set.intersection(*joined)) if joined else []",
            "up = sorted(set.union(*joined)) if joined else []",

@@ -371,6 +371,9 @@ _FAILING_GRAPHS = {
                        "edge directions contradict the depth labeling"),
     "self_loop": (["r", "a"], [("r", "a"), ("a", "a")], "r",
                   "edge directions contradict the depth labeling"),
+    # the root is the oracle's only variable, so labeling it must reject the loop
+    "lone_root_self_loop": (["r"], [("r", "r")], "r",
+                            "edge directions contradict the depth labeling"),
 }
 
 
