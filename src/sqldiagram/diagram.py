@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .errors import DegenerateQueryError, InvalidDiagramError
 from .logic import (
     LogicTree,
+    LtNode,
     Predicate,
     Quantifier,
     _Relabeling,  # goes once diagram_isomorphic adapts lt_equal (ROADMAP item 2)
@@ -72,6 +73,13 @@ class Edge(NamedTuple):
     label: str | None  # None exactly for equijoins
 
 
+# The builder and the loader make these values in bulk (a 901-group diagram
+# holds some 2 900 groups, boxes, selection rows and edges), so both skip the
+# Python-level __new__ of each, as the tokenizer does for tokens: every call
+# passes all fields, in order.
+_new = tuple.__new__
+
+
 @dataclass(frozen=True, slots=True)
 class Diagram:
     groups: tuple[TableGroup, ...]  # canonical pre-order
@@ -104,13 +112,20 @@ def orient_inequality(pred: Predicate, depths: dict[str, int]) -> Edge:
         swap = (lhs.alias, lhs.attribute) > (rhs.alias, rhs.attribute)
     if swap:
         lhs, rhs, op = rhs, lhs, FLIPPED_OP[op]
-    return Edge(src=(lhs.alias, lhs.attribute), dst=(rhs.alias, rhs.attribute),
-                directed=directed, label=None if op == "=" else op)
+    return _new(Edge, ((lhs.alias, lhs.attribute), (rhs.alias, rhs.attribute),
+                       directed, None if op == "=" else op))
 
 
 def build_diagram(lt: LogicTree, simplified: bool = True, *,
                   allow_invalid: bool = False) -> Diagram:
     """Construct the diagram for a validated Logic Tree.
+
+    One pre-order walk of the (simplified) tree numbers each group per
+    depth and notes its parent, each alias's depth (a later block that
+    declares an alias again wins, as in LogicTree.depth_by_alias), the
+    join predicates and the selection rows.  The boxes, which need every
+    attribute an alias is joined on, and the edges, which need every
+    alias's depth, are built after it.
 
     Raises DegenerateQueryError when validation fails, unless allow_invalid.
     """
@@ -121,50 +136,54 @@ def build_diagram(lt: LogicTree, simplified: bool = True, *,
     if simplified:
         lt = simplify_forall(lt)
 
-    depths = lt.depth_by_alias()
     select_attrs: dict[str, set[str]] = {}
-    join_attrs: dict[str, set[str]] = {}
-    selections: dict[str, set[SelectionRow]] = {}
     for col in lt.select_list:
         select_attrs.setdefault(col.alias, set()).add(col.attribute)
-
+    depths: dict[str, int] = {}
+    join_attrs: dict[str, set[str]] = {}
+    selections: dict[str, set[SelectionRow]] = {}
     join_predicates: list[Predicate] = []
-    for _, node, _ in lt.walk():
+    walked: list[tuple[str, LtNode, int, str | None]] = []  # (id, node, depth, parent)
+    per_depth_count: dict[int, int] = {}
+    stack: list[tuple[LtNode, int, str | None]] = [(lt.root, 0, None)]
+    while stack:
+        node, depth, parent = stack.pop()
+        count = per_depth_count[depth] = per_depth_count.get(depth, 0) + 1
+        gid = f"g{depth}_{count}"
+        walked.append((gid, node, depth, parent))
+        for alias, _ in node.tables:
+            depths[alias] = depth
         for pred in node.predicates:
-            if isinstance(pred.rhs, ColumnRef):
+            lhs, rhs = pred.lhs, pred.rhs
+            if isinstance(rhs, ColumnRef):
                 join_predicates.append(pred)
-                join_attrs.setdefault(pred.lhs.alias, set()).add(pred.lhs.attribute)
-                join_attrs.setdefault(pred.rhs.alias, set()).add(pred.rhs.attribute)
+                join_attrs.setdefault(lhs.alias, set()).add(lhs.attribute)
+                join_attrs.setdefault(rhs.alias, set()).add(rhs.attribute)
             else:
-                selections.setdefault(pred.lhs.alias, set()).add(
-                    SelectionRow(attribute=pred.lhs.attribute, op=pred.op, constant=pred.rhs))
+                selections.setdefault(lhs.alias, set()).add(
+                    _new(SelectionRow, (lhs.attribute, pred.op, rhs)))
+        stack += [(child, depth + 1, gid) for child in reversed(node.children)]
 
     def rows_for(alias: str) -> tuple[Row, ...]:
-        selected = sorted(select_attrs.get(alias, ()))
-        joined = sorted(join_attrs.get(alias, set()) - set(selected))
-        extra = sorted(selections.get(alias, ()),
-                       key=lambda r: (r.attribute, r.op, r.constant.kind, r.constant.literal))
-        return tuple([AttributeRow(a) for a in selected + joined] + extra)
+        selected, joined = select_attrs.get(alias), join_attrs.get(alias)
+        attributes = sorted(selected) if selected else []
+        if joined:
+            attributes += sorted(joined - selected if selected else joined)
+        rows: list[Row] = [_new(AttributeRow, (a,)) for a in attributes]
+        if alias in selections:
+            rows += sorted(selections[alias], key=lambda r: (r.attribute, r.op, r.constant.kind,
+                                                             r.constant.literal))
+        return tuple(rows)
 
-    groups: list[TableGroup] = []
-    per_depth_count: dict[int, int] = {}
-    group_ids: dict[tuple[int, ...], str] = {}
-    for path, node, _ in lt.walk():
-        depth = len(path)
-        per_depth_count[depth] = per_depth_count.get(depth, 0) + 1
-        gid = f"g{depth}_{per_depth_count[depth]}"
-        group_ids[path] = gid
-        parent = group_ids[path[:-1]] if path else None
-        boxes = tuple(TableBox(alias=alias, table_name=table, rows=rows_for(alias))
-                      for alias, table in node.tables)
-        groups.append(TableGroup(id=gid, quantifier=node.quantifier, depth=depth,
-                                 parent=parent, tables=boxes))
-
+    groups = tuple(
+        _new(TableGroup, (gid, node.quantifier, depth, parent,
+                          tuple([_new(TableBox, (alias, table, rows_for(alias)))
+                                 for alias, table in node.tables])))
+        for gid, node, depth, parent in walked)
     edges = [orient_inequality(pred, depths) for pred in join_predicates]
     edges.sort(key=lambda e: (e.src, e.dst, e.label or ""))
-
     select_box = tuple((col.alias, col.attribute) for col in lt.select_list)
-    return Diagram(groups=tuple(groups), edges=tuple(edges), select_box=select_box)
+    return Diagram(groups=groups, edges=tuple(edges), select_box=select_box)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +333,6 @@ def _edge_json(src: tuple[str, str], dst: tuple[str, str], directed: bool,
             f'      "to": {_json_array([_json_str(x) for x in dst], ends)},\n'
             f'      "directed": {"true" if directed else "false"},\n'
             f'      "label": {_json_str_or_null(label)}\n    }}')
-
-
-# The loader is the one place that builds diagram values in bulk (a
-# 901-group diagram holds some 2 900 groups, boxes, selection rows and
-# edges), so it skips the Python-level __new__ of each, as the tokenizer
-# does for tokens.
-_new = tuple.__new__
 
 
 def diagram_from_json(text: str) -> Diagram:

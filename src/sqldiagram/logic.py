@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import is_
 
@@ -212,7 +212,8 @@ def simplify_forall(lt: LogicTree) -> LogicTree:
     Applied top-down to a fixpoint, so in a chain the outermost pair rewrites
     first.  Tables, predicates and tree shape are untouched, and every
     subtree the rewrite leaves unchanged is the input's own node: the root
-    itself when no rewrite applies.
+    itself when no rewrite applies.  A rewritten node is built with the
+    LtNode constructor from the old node's tables and predicates.
     """
     return LogicTree(root=_simplify(lt.root), select_list=lt.select_list)
 
@@ -221,12 +222,13 @@ def _simplify(node: LtNode) -> LtNode:
     if (node.quantifier is Quantifier.NOT_EXISTS
             and len(node.children) == 1
             and node.children[0].quantifier is Quantifier.NOT_EXISTS):
-        child = replace(node.children[0], quantifier=Quantifier.EXISTS)
-        return replace(node, quantifier=Quantifier.FOR_ALL, children=(_simplify(child),))
+        (child,) = node.children
+        child = LtNode(child.tables, child.predicates, Quantifier.EXISTS, child.children)
+        return LtNode(node.tables, node.predicates, Quantifier.FOR_ALL, (_simplify(child),))
     children = tuple(_simplify(c) for c in node.children)
     if all(map(is_, children, node.children)):
         return node
-    return replace(node, children=children)
+    return LtNode(node.tables, node.predicates, node.quantifier, children)
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,9 @@ from .logic import MAX_DEPTH
 @dataclass(frozen=True, slots=True)
 class DiagramGraph:
     """Group-level graph: group ids, directed cross-group edges and the root
-    group.  Successor and predecessor lists, and each group's neighbours,
-    are built once, on construction."""
+    group.  Successor and predecessor lists, each sorted, and each group's
+    neighbours are built once, on construction, which raises
+    InvalidDiagramError for an edge whose endpoint is not in `nodes`."""
 
     nodes: tuple[str, ...]  # sorted
     edges: frozenset[tuple[str, str]]
@@ -63,11 +64,17 @@ class DiagramGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
+        nodes = set(self.nodes)
         succ: dict[str, list[str]] = {}
         pred: dict[str, list[str]] = {}
-        for src, dst in sorted(self.edges):
+        for src, dst in self.edges:
+            if src not in nodes or dst not in nodes:
+                endpoint = src if src not in nodes else dst
+                raise InvalidDiagramError(f"edge endpoint {endpoint!r} is not a group")
             succ.setdefault(src, []).append(dst)
             pred.setdefault(dst, []).append(src)
+        for ends in (*succ.values(), *pred.values()):
+            ends.sort()
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
         object.__setattr__(self, "_adjacent", {node: (*succ.get(node, ()), *pred.get(node, ()))
@@ -108,14 +115,15 @@ def diagram_to_graph(d: Diagram) -> DiagramGraph:
         repeated = next(alias for alias, count in Counter(aliases).items() if count > 1)
         raise InvalidDiagramError(f"table alias {repeated!r} is repeated")
     edges = set()
-    for edge in d.edges:
-        for alias, _ in (edge.src, edge.dst):
-            if alias not in group_of:
-                raise InvalidDiagramError(f"edge endpoint {alias!r} is not a table box")
-        src, dst = group_of[edge.src[0]], group_of[edge.dst[0]]
+    for (src_alias, _), (dst_alias, _), directed, _ in d.edges:
+        try:
+            src, dst = group_of[src_alias], group_of[dst_alias]
+        except KeyError:
+            alias = src_alias if src_alias not in group_of else dst_alias
+            raise InvalidDiagramError(f"edge endpoint {alias!r} is not a table box") from None
         if src == dst:
             continue
-        if not edge.directed:
+        if not directed:
             raise InvalidDiagramError(
                 f"undirected edge between distinct groups {src} and {dst}")
         edges.add((src, dst))

@@ -122,6 +122,25 @@ MUTANTS = [
            "boxes.append(_new(TableBox, (table_name, alias, tuple(rows))))",
            "the loader puts a box's table name in its alias field and the alias in its "
            "table name field"),
+    # the builder's positional values and the group graph's sorted lists
+    Mutant("src/sqldiagram/diagram.py",
+           "tuple([_new(TableBox, (alias, table, rows_for(alias)))",
+           "tuple([_new(TableBox, (table, alias, rows_for(alias)))",
+           "build_diagram puts a box's table name in its alias field and the alias in its "
+           "table name field"),
+    Mutant("src/sqldiagram/diagram.py",
+           "return _new(Edge, ((lhs.alias, lhs.attribute), (rhs.alias, rhs.attribute),",
+           "return _new(Edge, ((rhs.alias, rhs.attribute), (lhs.alias, lhs.attribute),",
+           "orient_inequality puts each edge's target in its src field and its source in dst"),
+    Mutant("src/sqldiagram/diagram.py",
+           "_new(TableGroup, (gid, node.quantifier, depth, parent,",
+           "_new(TableGroup, (gid, node.quantifier, parent, depth,",
+           "build_diagram puts a group's parent in its depth field and its depth in parent"),
+    Mutant("src/sqldiagram/recovery.py",
+           "ends.sort()",
+           "pass",
+           "a group's successors and predecessors keep the edge set's iteration order, so "
+           "the oracle's depth-first order depends on the hash seed"),
     Mutant("src/sqldiagram/diagram.py",
            "edges_b = sorted(canon(*e) for e in b.edges)",
            "edges_b = [canon(*e) for e in b.edges]",

@@ -387,6 +387,33 @@ def test_error_names_the_failing_stage():
         assert brute_force_depths(g) == [], name
 
 
+@pytest.mark.parametrize("ids, edges", [
+    (["r"], [("r", "x")]),
+    (["r", "a"], [("r", "a"), ("x", "a")]),
+], ids=["edge_to_unknown", "edge_from_unknown"])
+def test_a_graph_edge_to_an_unknown_group_is_rejected(ids, edges):
+    # DiagramGraph is public, so a hand-built graph may name a group it lacks
+    with pytest.raises(InvalidDiagramError) as exc:
+        make_graph(ids, edges, "r")
+    assert exc.value.stage is None
+    assert str(exc.value) == "edge endpoint 'x' is not a group"
+
+
+def test_neighbors_are_sorted_successors_then_sorted_predecessors():
+    # The oracle labels groups depth first in this order.  With 26 groups
+    # each side, the edge set's own iteration order is not sorted.
+    letters = [chr(c) for c in range(ord("z"), ord("a") - 1, -1)]
+    succ, pred = [f"s{x}" for x in letters], [f"p{x}" for x in letters]
+    g = make_graph(["r", *succ, *pred], [("r", s) for s in succ] + [(p, "r") for p in pred],
+                   "r")
+    assert list(g.edges) != sorted(g.edges)
+    assert g.neighbors("r") == (*sorted(succ), *sorted(pred))
+    small = make_graph(["r", "a", "b", "c"], [("r", "c"), ("r", "a"), ("r", "b"), ("b", "r")],
+                       "r")
+    assert small.neighbors("r") == ("a", "b", "c", "b")
+    assert small.neighbors("b") == ("r", "r")
+
+
 # -- differential test against the oracle ---------------------------------------------
 
 
