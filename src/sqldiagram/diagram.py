@@ -342,8 +342,11 @@ def diagram_from_json(text: str) -> Diagram:
     exit code 2; so does a select_box whose rows are not the attributes its
     SELECT edges link, a SELECT edge that is directed, labelled or not from
     the row it links, and, naming its JSON path, a field of the wrong shape:
-    a group's quantifier that is not one of the four names, id that is not
-    a string, depth that is not an integer or parent that is neither a
+    a document that is not an object, or lacks groups, edges or select_box;
+    groups or edges that is not a list, and a select_box that is not an
+    object or lacks rows, each checked once before any group is read; a
+    group's quantifier that is not one of the four names, id that is not a
+    string, depth that is not an integer or parent that is neither a
     string nor null; a box's alias or table name, or a row's attribute,
     that is not a string; a selection row whose op is not a comparison
     operator or whose constant is not of kind "string" or "number" with a
@@ -355,6 +358,15 @@ def diagram_from_json(text: str) -> Diagram:
     which skips their classes' own __new__ and its count of the fields, so
     each call here passes every field in order."""
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ValueError("the document: expected an object")
+    for key, kind, expected in _TOP_LEVEL:
+        if key not in doc:
+            raise ValueError(f"{key}: missing")
+        if type(doc[key]) is not kind:
+            raise ValueError(f"{key}: expected {expected}")
+    if "rows" not in (select_box := doc["select_box"]):
+        raise ValueError("select_box.rows: missing")
     attribute_rows, groups = {}, []  # one row per attribute name
     for i, g in enumerate(doc["groups"]):  # a group's own fields are read before its tables
         gid, quantifier = g["id"], g["quantifier"]
@@ -407,13 +419,15 @@ def diagram_from_json(text: str) -> Diagram:
             if label is not None and label not in _COMPARISON_OPS:
                 raise ValueError(f"edges[{i}].label: expected null or a comparison operator")
             join_edges.append(_new(Edge, (src, dst, directed, label)))
-    rows, linked = doc["select_box"]["rows"], [attribute for _, attribute in links]
-    if rows != linked:
+    rows, linked = select_box["rows"], [attribute for _, attribute in links]
+    if rows != linked:  # rows that are not a list too
         raise ValueError(f"select_box rows {rows!r} are not the linked attributes {linked!r}")
     return Diagram(tuple(groups), tuple(join_edges), tuple(links))
 
 
 _QUANTIFIERS = {q.value: q for q in Quantifier}
+_TOP_LEVEL = (("groups", list, "a list"), ("edges", list, "a list"),
+              ("select_box", dict, "an object"))
 
 # A tuple, not a set: membership then compares, so an unhashable op is
 # reported as a wrong op rather than raising TypeError.
@@ -442,18 +456,20 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
     constant labels maps one diagram onto the other, preserving the group
     tree, quantifiers, box rows, edges and the SELECT box.
 
-    The search is exhaustive: it pairs the roots as it pairs any siblings and
-    groups down each tree, within a group its boxes and their rows, and
-    compares the edges and the SELECT box only once every group is paired,
-    backtracking into every other pairing when they differ.  Its time is
-    factorial in the number of alike siblings.  Raises InvalidDiagramError
-    when a group's parent links lead to no root.
+    Two diagrams of different shape (see _shape) answer false in linear
+    time.  Else the search is exhaustive: it pairs the roots as it pairs any
+    siblings and groups down each tree, within a group its boxes and their
+    rows, and compares the edges and the SELECT box only once every group is
+    paired, backtracking into every other pairing when they differ.  Its
+    time is factorial in the number of alike siblings, and in the number of
+    alike rows of one box.  Raises InvalidDiagramError when a group's parent
+    links lead to no root.
     """
     kids_a = _children_index(a)
     kids_b = _children_index(b)
     if len(a.groups) != len(b.groups) or len(a.edges) != len(b.edges):
         return False
-    if len(a.select_box) != len(b.select_box):
+    if len(a.select_box) != len(b.select_box) or _shape(a) != _shape(b):
         return False
     mapping = _Relabeling()
 
@@ -504,6 +520,26 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
 
     roots_a, roots_b = kids_a.get(None, []), kids_b.get(None, [])
     return any(edges_match() for _ in mapping.pair_all(roots_a, roots_b, pair_groups))
+
+
+def _shape(d: Diagram) -> list[tuple]:
+    """A key of the diagram that no relabelling changes: for each group, its
+    depth and quantifier, the sorted row counts of its boxes and the sorted
+    (op, constant kind) pairs of its selection rows, in sorted order.  The
+    search pairs only groups, boxes and rows that agree on all of these.
+    Edges are left out: an undirected edge's stored label is oriented by
+    label order."""
+    key = []
+    for g in d.groups:
+        counts, selections = [], []
+        for box in g.tables:
+            counts.append(len(box.rows))
+            selections += [(r.op, r.constant.kind) for r in box.rows if type(r) is SelectionRow]
+        counts.sort()
+        selections.sort()
+        key.append((g.depth, g.quantifier.value, counts, selections))
+    key.sort()
+    return key
 
 
 def _children_index(d: Diagram) -> dict[str | None, list[TableGroup]]:

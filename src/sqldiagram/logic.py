@@ -275,39 +275,40 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
     Children are compared as unordered multisets and predicates as sets of
     normalized comparisons.  With modulo_renaming, equality holds if some
     per-kind bijection of alias, table, attribute and constant labels maps
-    one tree onto the other.  That search pairs tables, then predicates
-    (each in both orientations), then children, node by node, and backtracks
-    through every alternative before answering false.  It prunes by subtree
-    codes that no relabelling changes (see _codes), made in one pass over
-    each tree at the first two nodes with two or more children each: from
-    then on, any two nodes pair only when their codes are equal.  A node
-    shared by two parents keeps the pruning unless its two codes differ;
-    then the call prunes nothing.  Where codes tie, the backtracking stays
-    exhaustive, so alike siblings that no relabelling matches can still cost
-    time factorial in their number.
+    one tree onto the other.  Both trees' subtree codes, which no relabelling
+    changes (see _codes), are made first, in one linear pass over each, and
+    roots of different code answer false before any search.  Else the search
+    pairs tables, then predicates (each in both orientations), then children,
+    node by node, pairing only children of equal code, and backtracks through
+    every alternative before answering false.  A node shared by two parents
+    keeps the pruning unless its two codes differ; then the call prunes
+    nothing.  Where codes tie, the backtracking stays exhaustive, so alike
+    siblings that no relabelling matches can still cost time factorial in
+    their number.
     """
     if not modulo_renaming:
         return a == b
     if len(a.select_list) != len(b.select_list):
         return False
+    interned: dict[tuple, int] = {}
+    codes = (_codes(a.root, interned), _codes(b.root, interned))
+    if None in codes:
+        codes = ()  # a shared node's codes clash
+    elif codes[0][id(a.root)] != codes[1][id(b.root)]:
+        return False
     mapping = _Relabeling()
     select = [pair for ca, cb in zip(a.select_list, b.select_list)
               for pair in (("alias", ca.alias, cb.alias), ("attr", ca.attribute, cb.attribute))]
-    codes = None  # both trees' codes, made at first need; () when a shared node's codes clash
 
     def pair_nodes(x: LtNode, y: LtNode):
-        nonlocal codes
         if x.quantifier is not y.quantifier or len(x.children) != len(y.children):
-            return
-        if codes is None and len(x.children) >= 2:
-            interned: dict[tuple, int] = {}
-            codes = (_codes(a.root, interned), _codes(b.root, interned))
-            codes = () if None in codes else codes
-        if codes and codes[0][id(x)] != codes[1][id(y)]:
             return
         for _ in mapping.pair_all(x.tables, y.tables, pair_tables):
             for _ in mapping.pair_all(x.predicates, y.predicates, pair_predicates):
-                yield from mapping.pair_all(x.children, y.children, pair_nodes)
+                yield from mapping.pair_all(x.children, y.children, pair_children)
+
+    def pair_children(x: LtNode, y: LtNode):
+        return pair_nodes(x, y) if not codes or codes[0][id(x)] == codes[1][id(y)] else ()
 
     def pair_tables(x: tuple[str, str], y: tuple[str, str]):
         return mapping.pair(("alias", x[0], y[0]), ("table", x[1], y[1]))
@@ -340,7 +341,8 @@ def _codes(root: LtNode, interned: dict[tuple, int]) -> dict[int, int] | None:
     relabelling keeps, in the manner of Aho, Hopcroft and Ullman's tree
     isomorphism (1974).  It is the quantifier, the table count, the sorted
     predicate shapes and the sorted codes of the children, interned to an
-    int by `interned`, which both trees of one comparison share.  A shape
+    int by `interned`, which both trees of one comparison share; lt_equal
+    makes both trees' codes once per call, before it searches.  A shape
     writes each operand as a depth offset, 0 for the node's own block, 1 for
     its parent and so on, resolved to the nearest declaration of its alias,
     and -1 for an alias no enclosing block declares; a join takes the lesser

@@ -90,10 +90,26 @@ MUTANTS = [
            "a node shared by two parents keeps the first of two different codes, so the "
            "pruning stays on where it no longer holds"),
     Mutant("src/sqldiagram/logic.py",
-           "if codes and codes[0][id(x)] != codes[1][id(y)]:",
-           "if False:",
-           "two nodes of different code are searched, so alike siblings cost factorial "
+           "return pair_nodes(x, y) if not codes or codes[0][id(x)] == codes[1][id(y)] else ()",
+           "return pair_nodes(x, y)",
+           "two children of different code are searched, so a pairing that no relabelling "
+           "completes costs factorial time in the alike joins below it"),
+    Mutant("src/sqldiagram/logic.py",
+           "elif codes[0][id(a.root)] != codes[1][id(b.root)]:",
+           "elif False:",
+           "roots of different code are searched, so alike siblings, and alike joins at "
+           "the root, cost factorial time again"),
+    # diagram_isomorphic's shape check
+    Mutant("src/sqldiagram/diagram.py",
+           "if len(a.select_box) != len(b.select_box) or _shape(a) != _shape(b):",
+           "if len(a.select_box) != len(b.select_box) or _shape(a) != _shape(a):",
+           "diagrams of different shape are searched, so alike siblings cost factorial "
            "time again"),
+    Mutant("src/sqldiagram/diagram.py",
+           "key.append((g.depth, g.quantifier.value, counts, selections))",
+           "key.append((g.depth, g.quantifier.value, counts))",
+           "the shape leaves out the selection rows, so a changed selection operator "
+           "costs factorial time in alike siblings again"),
     # the one-rule walks
     Mutant("src/sqldiagram/diagram.py",
            "for target in sorted(out_edges[gid], key=order.__getitem__, reverse=True)]",

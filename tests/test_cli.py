@@ -210,7 +210,10 @@ def test_recover_malformed_json_exits_2(sql_file, capsys):
 
 
 @pytest.mark.parametrize("mutate, reason", [
-    (lambda doc: doc.update(groups=5), "'int' object is not iterable"),
+    (lambda doc: doc.update(groups=5), "groups: expected a list"),
+    ([], "the document: expected an object"),
+    (lambda doc: doc.update(edges=None), "edges: expected a list"),
+    (lambda doc: doc.pop("select_box"), "select_box: missing"),
     (lambda doc: doc["groups"][1].update(quantifier="exists"),
      'groups[1].quantifier: expected "ROOT", "EXISTS", "NOT_EXISTS" or "FOR_ALL"'),
     (lambda doc: doc["groups"][1].update(quantifier=["x"]),
@@ -239,7 +242,8 @@ def test_recover_malformed_json_exits_2(sql_file, capsys):
     (lambda doc: doc["groups"][2].update(depth=2.0), "groups[2].depth: expected an integer"),
     (lambda doc: doc["groups"][0]["tables"][0].update(alias=7),
      "groups[0].tables[0].alias: expected a string"),
-], ids=["groups_int", "quantifier_unknown", "quantifier_list", "id_and_alias_missing",
+], ids=["groups_int", "top_level_list", "edges_null", "select_box_missing",
+        "quantifier_unknown", "quantifier_list", "id_and_alias_missing",
         "edge_from_short", "quantifier_missing_tables_int", "edge_from_empty",
         "select_link_short", "directed_string", "directed_null", "depth_x", "depth_as_string",
         "depth_true", "depth_float", "alias_number"])
@@ -247,7 +251,10 @@ def test_recover_malformed_diagram_prints_one_line(sql_file, tmp_path, capsys, m
     diagram_path = tmp_path / "diagram.json"
     run(["viz", "--format", "json", sql_file(UNIQUE_BEER_SET), "-o", str(diagram_path)])
     doc = json.loads(diagram_path.read_text())
-    mutate(doc)
+    if callable(mutate):
+        mutate(doc)
+    else:  # a document in place of the diagram's
+        doc = mutate
     diagram_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["recover", str(diagram_path)]) == 2

@@ -16,6 +16,7 @@ from sqldiagram import (
     resolve_scopes,
 )
 from sqldiagram.corpus import SCHEMA, random_logic_tree
+from sqldiagram.fixtures import VALID_QUERIES
 from sqldiagram.logic import LogicTree, LtNode, Predicate, Quantifier, make_node
 from sqldiagram.sqlast import ColumnRef, Constant
 
@@ -36,9 +37,10 @@ def _nodes(lt):
 
 
 def _rebuild(lt, label=lambda kind, old: old, pred=lambda p: p,
-             quantifier=lambda n: n.quantifier):
+             quantifier=lambda n: n.quantifier, extra=lambda n: ()):
     """A copy of lt with every label passed through label(kind, old), every
-    predicate through pred and every node's quantifier from quantifier."""
+    predicate through pred, every node's quantifier from quantifier and the
+    predicates extra(n) added to every node n."""
     def column(c):
         return ColumnRef(label("alias", c.alias), label("attr", c.attribute))
 
@@ -50,7 +52,7 @@ def _rebuild(lt, label=lambda kind, old: old, pred=lambda p: p,
 
     def node(n):
         return make_node([(label("alias", a), label("table", t)) for a, t in n.tables],
-                         [predicate(p) for p in n.predicates], quantifier(n),
+                         [predicate(p) for p in (*n.predicates, *extra(n))], quantifier(n),
                          [node(c) for c in n.children])
 
     return LogicTree(root=node(lt.root), select_list=tuple(column(c) for c in lt.select_list))
@@ -125,11 +127,14 @@ def wide_tree(rng, k):
     return LogicTree(root=root, select_list=(col("W", root_table),))
 
 
-def symmetric_tree(k):
+def symmetric_tree(k, selections=()):
     """A root with k NOT EXISTS children that are alike up to their aliases,
-    each joining the root with `=`."""
+    each joining the root with `=`; child i also selects `K{i}.color op
+    'red'` for the i-th op of selections."""
     children = [make_node([(f"K{i}", "Boat")],
-                          [Predicate(ColumnRef(f"K{i}", "bid"), "=", ColumnRef("P", "sid"))],
+                          [Predicate(ColumnRef(f"K{i}", "bid"), "=", ColumnRef("P", "sid")),
+                           *[Predicate(ColumnRef(f"K{i}", "color"), op, Constant("string", "red"))
+                             for op in selections[i:i + 1]]],
                           Quantifier.NOT_EXISTS)
                 for i in range(k)]
     root = make_node([("P", "Sailor")], [], Quantifier.ROOT, children)
@@ -140,6 +145,20 @@ def with_one_lt(rng, lt):
     """The same tree with one seeded `=` predicate changed to `<`."""
     target = rng.choice([p for n in _nodes(lt) for p in n.predicates if p.op == "="])
     return _rebuild(lt, pred=lambda p: Predicate(p.lhs, "<", p.rhs) if p is target else p)
+
+
+def joined_tree(n, ops=("=",), nested=True):
+    """Sailor P joined by Boat K through `K.a{i} = P.b{i}` for i < n, the
+    first len(ops) joins with ops in place of `=`.  K is the root's one NOT
+    EXISTS child when nested, else the root's second table."""
+    joins = [Predicate(ColumnRef("K", f"a{i}"), (*ops, *["="] * n)[i], ColumnRef("P", f"b{i}"))
+             for i in range(n)]
+    if nested:
+        root = make_node([("P", "Sailor")], [], Quantifier.ROOT,
+                         [make_node([("K", "Boat")], joins, Quantifier.NOT_EXISTS)])
+    else:
+        root = make_node([("K", "Boat"), ("P", "Sailor")], joins, Quantifier.ROOT)
+    return LogicTree(root=root, select_list=(ColumnRef("P", "sname"),))
 
 
 def grandchild_tree(joins):
@@ -197,6 +216,39 @@ def test_checks_agree_with_the_reference_on_random_pairs():
     assert verdicts[True] >= 500 and verdicts[False] >= 500, verdicts
 
 
+def test_early_exits_agree_with_the_reference():
+    # Each tree against three relabelled copies: itself, itself with one
+    # more selection row, and itself with one EXISTS block made NOT EXISTS.
+    # The last two change the diagram's shape and the root's code, which
+    # both engines compare before they search.
+    rng = random.Random(2030)
+    trees = [lower(sql) for sql in VALID_QUERIES.values()]
+    trees += [random_logic_tree(rng) for _ in range(150)]
+    verdicts = {True: 0, False: 0}
+    for lt in trees:
+        nodes = list(_nodes(lt))
+        target = rng.choice(nodes)
+        selection = Predicate(ColumnRef(target.tables[0][0], "extra"), "=", Constant("number", "9"))
+        copies = [lt, _rebuild(lt, extra=lambda n: (selection,) if n is target else ())]
+        exists = [n for n in nodes if n.quantifier is Quantifier.EXISTS]
+        if exists:
+            flipped = rng.choice(exists)
+            copies.append(_rebuild(lt, quantifier=lambda n: Quantifier.NOT_EXISTS
+                                   if n is flipped else n.quantifier))
+        for copy in copies:
+            other = relabelled(rng, copy)
+            for simplified in (False, True):
+                da = build_diagram(lt, simplified=simplified)
+                db = build_diagram(other, simplified=simplified)
+                expected = reference_isomorphic(da, db)
+                assert diagram_isomorphic(da, db) == expected, (lt, other, simplified)
+                assert diagram_isomorphic(db, da) == expected, (lt, other, simplified)
+            assert lt_equal(lt, other, modulo_renaming=True) == expected, (lt, other)
+            assert lt_equal(other, lt, modulo_renaming=True) == expected, (lt, other)
+            verdicts[expected] += 1
+    assert verdicts[True] >= len(trees) and verdicts[False] >= len(trees) + 50, verdicts
+
+
 def test_wide_diagram_is_isomorphic_to_itself():
     rng = random.Random(9)
     lt = wide_tree(rng, 300)
@@ -230,6 +282,60 @@ def test_alike_siblings_cost_no_factorial_search(k):
         assert lt_equal(lt, other, modulo_renaming=True) is expected
         assert lt_equal(other, lt, modulo_renaming=True) is expected
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_a_changed_box_costs_the_diagram_search_nothing(k):
+    # One child's box gains a selection row, or one child's selection row
+    # changes its operator; either shows in the diagrams' shapes, so no
+    # pairing of the k alike children is tried.  The search alone took 164 ms
+    # at k = 8 and grows factorially.
+    rng = random.Random(k)
+    for lt, changed in ((symmetric_tree(k), symmetric_tree(k, ("=",))),
+                        (symmetric_tree(k, ("=",) * k),
+                         symmetric_tree(k, ("<",) + ("=",) * (k - 1)))):
+        da, db = build_diagram(lt), build_diagram(relabelled(rng, changed))
+        start = time.perf_counter()
+        assert not diagram_isomorphic(da, db)
+        assert not diagram_isomorphic(db, da)
+        assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize("nested", [True, False], ids=["in_a_child", "at_the_root"])
+def test_alike_joins_cost_no_factorial_search(nested):
+    # Ten alike joins, one of them changed to `<`, which shows in the roots'
+    # codes: the answer comes before the search pairs any join.  With the
+    # joins in a lone child, the search alone took 70.6 ms at nine joins.
+    rng = random.Random(10)
+    lt = joined_tree(10, nested=nested)
+    assert lt_equal(lt, relabelled(rng, lt), modulo_renaming=True)
+    other = relabelled(rng, joined_tree(10, ("<",), nested))
+    start = time.perf_counter()
+    assert not lt_equal(lt, other, modulo_renaming=True)
+    assert not lt_equal(other, lt, modulo_renaming=True)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_children_of_different_code_are_never_paired():
+    # Two children each join the root by ten alike joins, the second one's
+    # first join being `<`; the copy swaps the two children's aliases, so
+    # each tree's first child is the other's second.  The roots' codes tie,
+    # and pairing the first children would try the alike joins' orders
+    # before failing; their codes differ, so they are never paired.
+    def tree(ops):
+        children = [make_node([(alias, "Boat")],
+                              [Predicate(ColumnRef(alias, f"a{i}"), (*first, *["="] * 10)[i],
+                                         ColumnRef("P", f"b{i}")) for i in range(10)],
+                              Quantifier.NOT_EXISTS)
+                    for alias, first in zip(("K0", "K1"), ops)]
+        return LogicTree(root=make_node([("P", "Sailor")], [], Quantifier.ROOT, children),
+                         select_list=(ColumnRef("P", "sname"),))
+
+    lt, swapped = tree(((), ("<",))), tree((("<",), ()))
+    start = time.perf_counter()
+    assert lt_equal(lt, swapped, modulo_renaming=True)
+    assert lt_equal(swapped, lt, modulo_renaming=True)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_equal_codes_fall_back_to_the_exhaustive_search():
