@@ -129,11 +129,10 @@ def _cmd_check(args, text: str) -> int:
 def _cmd_recover(args, text: str) -> int:
     try:
         diagram = diagram_from_json(text)
-        graph = diagram_to_graph(diagram)
     except (ValueError, LookupError, TypeError, RecursionError) as exc:  # see diagram_from_json
         print(f"error: malformed input ({exc})", file=sys.stderr)
         return 2
-    assignment = recover_depths(graph)
+    assignment = recover_depths(diagram_to_graph(diagram))
     mismatch = _structure_mismatch(diagram, assignment)
     if mismatch:
         print(f"error: {mismatch}", file=sys.stderr)

@@ -122,10 +122,9 @@ def build_diagram(lt: LogicTree, simplified: bool = True, *,
 
     One pre-order walk of the (simplified) tree numbers each group per
     depth and notes its parent, each alias's depth (a later block that
-    declares an alias again wins, as in LogicTree.depth_by_alias), the
-    join predicates and the selection rows.  The boxes, which need every
-    attribute an alias is joined on, and the edges, which need every
-    alias's depth, are built after it.
+    declares an alias again wins), the join predicates and the selection
+    rows.  The boxes, which need every attribute an alias is joined on, and
+    the edges, which need every alias's depth, are built after it.
 
     Raises DegenerateQueryError when validation fails, unless allow_invalid.
     """

@@ -72,9 +72,6 @@ class LogicTree:
             for i in reversed(range(len(node.children))):
                 stack.append((path + (i,), node.children[i], node))
 
-    def depth_by_alias(self) -> dict[str, int]:
-        return {alias: len(path) for path, node, _ in self.walk() for alias in node.aliases}
-
 
 def make_node(tables, predicates, quantifier, children=()) -> LtNode:
     """Build an LtNode in canonical form (sorted tables/predicates/children)."""
@@ -275,40 +272,37 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
     Children are compared as unordered multisets and predicates as sets of
     normalized comparisons.  With modulo_renaming, equality holds if some
     per-kind bijection of alias, table, attribute and constant labels maps
-    one tree onto the other.  Both trees' subtree codes, which no relabelling
-    changes (see _codes), are made first, in one linear pass over each, and
+    one tree onto the other.  Every node occurrence of both trees first gets
+    a subtree code that no relabelling changes (see _coded), in one linear
+    pass over each tree, a node shared by two parents once under each, and
     roots of different code answer false before any search.  Else the search
     pairs tables, then predicates (each in both orientations), then children,
     node by node, pairing only children of equal code, and backtracks through
-    every alternative before answering false.  A node shared by two parents
-    keeps the pruning unless its two codes differ; then the call prunes
-    nothing.  Where codes tie, the backtracking stays exhaustive, so alike
-    siblings that no relabelling matches can still cost time factorial in
-    their number.
+    every alternative before answering false.  Where codes tie, the
+    backtracking stays exhaustive, so alike siblings that no relabelling
+    matches can still cost time factorial in their number.
     """
     if not modulo_renaming:
         return a == b
     if len(a.select_list) != len(b.select_list):
         return False
     interned: dict[tuple, int] = {}
-    codes = (_codes(a.root, interned), _codes(b.root, interned))
-    if None in codes:
-        codes = ()  # a shared node's codes clash
-    elif codes[0][id(a.root)] != codes[1][id(b.root)]:
+    coded_a, coded_b = _coded(a.root, interned), _coded(b.root, interned)
+    if coded_a[0] != coded_b[0]:
         return False
     mapping = _Relabeling()
     select = [pair for ca, cb in zip(a.select_list, b.select_list)
               for pair in (("alias", ca.alias, cb.alias), ("attr", ca.attribute, cb.attribute))]
 
-    def pair_nodes(x: LtNode, y: LtNode):
-        if x.quantifier is not y.quantifier or len(x.children) != len(y.children):
-            return
+    def pair_nodes(x: tuple, y: tuple):
+        """Pair two coded occurrences of equal code."""
+        (_, x, x_children), (_, y, y_children) = x, y
         for _ in mapping.pair_all(x.tables, y.tables, pair_tables):
             for _ in mapping.pair_all(x.predicates, y.predicates, pair_predicates):
-                yield from mapping.pair_all(x.children, y.children, pair_children)
+                yield from mapping.pair_all(x_children, y_children, pair_children)
 
-    def pair_children(x: LtNode, y: LtNode):
-        return pair_nodes(x, y) if not codes or codes[0][id(x)] == codes[1][id(y)] else ()
+    def pair_children(x: tuple, y: tuple):
+        return pair_nodes(x, y) if x[0] == y[0] else ()
 
     def pair_tables(x: tuple[str, str], y: tuple[str, str]):
         return mapping.pair(("alias", x[0], y[0]), ("table", x[1], y[1]))
@@ -331,35 +325,37 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
                                         ("attr", x.rhs.attribute, rhs.attribute))
 
     for _ in mapping.pair(*select):
-        for _ in pair_nodes(a.root, b.root):
+        for _ in pair_nodes(coded_a, coded_b):
             return True
     return False
 
 
-def _codes(root: LtNode, interned: dict[tuple, int]) -> dict[int, int] | None:
-    """Each node's code by the node's id: a code of its subtree that every
+def _coded(root: LtNode, interned: dict[tuple, int]) -> tuple:
+    """The tree as nested (code, node, coded children) entries, one for each
+    occurrence of a node, so a node shared by two parents is coded once under
+    each.  An occurrence's code stands for its subtree in a form that every
     relabelling keeps, in the manner of Aho, Hopcroft and Ullman's tree
     isomorphism (1974).  It is the quantifier, the table count, the sorted
     predicate shapes and the sorted codes of the children, interned to an
     int by `interned`, which both trees of one comparison share; lt_equal
-    makes both trees' codes once per call, before it searches.  A shape
-    writes each operand as a depth offset, 0 for the node's own block, 1 for
-    its parent and so on, resolved to the nearest declaration of its alias,
-    and -1 for an alias no enclosing block declares; a join takes the lesser
-    of its two orientations, so its operand order does not count.  The walk
-    goes down once, carrying each alias's depth of nearest declaration, and
-    codes each node after its children.  None when some node object, shared
-    by two parents, gets two different codes."""
+    codes both trees once per call, before it searches.  A shape writes each operand as a depth offset,
+    0 for the node's own block, 1 for its parent and so on, resolved to the
+    nearest declaration of its alias, and -1 for an alias no enclosing block
+    declares; a join takes the lesser of its two orientations, so its operand
+    order does not count.  The walk goes down once, carrying each alias's
+    depth of nearest declaration, and codes each occurrence after its
+    children."""
+    top: list[tuple] = []
     order = []
-    stack: list[tuple[LtNode, int, dict[str, int]]] = [(root, 0, {})]
+    stack: list[tuple[LtNode, int, dict[str, int], list[tuple]]] = [(root, 0, {}, top)]
     while stack:
-        node, depth, scope = stack.pop()
+        node, depth, scope, siblings = stack.pop()
         scope = scope | {alias: depth for alias, _ in node.tables}
-        order.append((node, depth, scope))
+        children: list[tuple] = []
+        order.append((node, depth, scope, children, siblings))
         for child in node.children:
-            stack.append((child, depth + 1, scope))
-    codes: dict[int, int] = {}
-    for node, depth, scope in reversed(order):  # every node after its descendants
+            stack.append((child, depth + 1, scope, children))
+    for node, depth, scope, children, siblings in reversed(order):  # each after its children
         shapes = []
         for p in node.predicates:
             lhs = depth - scope.get(p.lhs.alias, depth + 1)
@@ -368,12 +364,10 @@ def _codes(root: LtNode, interned: dict[tuple, int]) -> dict[int, int] | None:
             else:
                 rhs = depth - scope.get(p.rhs.alias, depth + 1)
                 shapes.append(min((True, lhs, p.op, rhs), (True, rhs, FLIPPED_OP[p.op], lhs)))
-        kids = sorted([codes[id(child)] for child in node.children])
+        kids = sorted([child[0] for child in children])
         key = (node.quantifier.value, len(node.tables), tuple(sorted(shapes)), tuple(kids))
-        code = interned.setdefault(key, len(interned))
-        if codes.setdefault(id(node), code) != code:
-            return None
-    return codes
+        siblings.append((interned.setdefault(key, len(interned)), node, children))
+    return top[0]
 
 
 _EXHAUSTED = object()

@@ -16,6 +16,12 @@ def make_graph(ids, edges, root_id: str) -> DiagramGraph:
                         root_id=root_id)
 
 
+def depths_of(lt) -> dict[str, int]:
+    """Each alias's depth in a logic tree, read off its pre-order walk; a
+    later block that declares an alias again wins."""
+    return {alias: len(path) for path, node, _ in lt.walk() for alias in node.aliases}
+
+
 def path_family(g: DiagramGraph, assignment: DepthAssignment) -> str:
     """The family of a recovered path, one group at each depth, read off its
     edges: is edge A (depth 0 to 1) present, and is edge B (1 to 2)?  "A,B"

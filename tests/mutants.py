@@ -10,7 +10,7 @@ that is killed (its mark is stale), or an entry whose line is not found
 exactly once, makes the script exit 1; tier-1 checks the last on its own
 (tests/test_mutants.py).
 
-    python tests/mutants.py    # about 9 minutes on a 2-vCPU machine
+    python tests/mutants.py    # about 11 minutes on a 2-vCPU machine
 
 It is not part of tier-1: it runs tier-1 once for each mutant.  A change
 that tries a new mutant adds it here.
@@ -77,28 +77,30 @@ MUTANTS = [
            "key = (node.quantifier.value, len(node.tables), tuple(shapes), tuple(kids))",
            "a code lists its predicate shapes in stored order, which a relabelling can change"),
     Mutant("src/sqldiagram/logic.py",
-           "kids = sorted([codes[id(child)] for child in node.children])",
-           "kids = [codes[id(child)] for child in node.children]",
+           "kids = sorted([child[0] for child in children])",
+           "kids = [child[0] for child in children]",
            "a code lists its children's codes in stored order"),
     Mutant("src/sqldiagram/logic.py",
            "lhs = depth - scope.get(p.lhs.alias, depth + 1)",
            "lhs = depth - scope[p.lhs.alias]",
            "an alias that no enclosing block declares raises KeyError"),
     Mutant("src/sqldiagram/logic.py",
-           "if codes.setdefault(id(node), code) != code:",
-           "if codes.setdefault(id(node), code) is None:",
-           "a node shared by two parents keeps the first of two different codes, so the "
-           "pruning stays on where it no longer holds"),
-    Mutant("src/sqldiagram/logic.py",
-           "return pair_nodes(x, y) if not codes or codes[0][id(x)] == codes[1][id(y)] else ()",
+           "return pair_nodes(x, y) if x[0] == y[0] else ()",
            "return pair_nodes(x, y)",
            "two children of different code are searched, so a pairing that no relabelling "
-           "completes costs factorial time in the alike joins below it"),
+           "completes tries the alike joins' orders below it (counted in label pairings)"),
     Mutant("src/sqldiagram/logic.py",
-           "elif codes[0][id(a.root)] != codes[1][id(b.root)]:",
-           "elif False:",
-           "roots of different code are searched, so alike siblings, and alike joins at "
-           "the root, cost factorial time again"),
+           "return pair_nodes(x, y) if x[0] == y[0] else ()",
+           "return pair_nodes(x, y) if x[1].quantifier is y[1].quantifier "
+           "and len(x[2]) == len(y[2]) else ()",
+           "children pair on their quantifier and child count alone, the test that codes "
+           "replaced, so children of different code are searched (counted in label "
+           "pairings)"),
+    Mutant("src/sqldiagram/logic.py",
+           "if coded_a[0] != coded_b[0]:",
+           "if False:",
+           "roots of different code are searched, so the search pairs labels where the "
+           "codes already answer, and alike siblings cost factorial time again"),
     # diagram_isomorphic's shape check
     Mutant("src/sqldiagram/diagram.py",
            "if len(a.select_box) != len(b.select_box) or _shape(a) != _shape(b):",
@@ -264,11 +266,9 @@ MUTANTS = [
     Mutant("src/sqldiagram/recovery.py",
            "return up[0] if len(up) == 1 else None",
            "return up[0] if up else None",
-           "equivalent: a group with two candidate parents takes the first, and the final "
-           "scope check rejects the labeling, since the other candidate, joined by the "
-           "group or by its children, is not their ancestor; only the pruning weakens, "
-           "and the cost grows only linearly",
-           equivalent=True),
+           "a group with two candidate parents takes the first, so the oracle prunes "
+           "nothing there and checks every later group's parent before the final scope "
+           "check rejects the labeling (counted in `_parent` calls)"),
 ]
 
 

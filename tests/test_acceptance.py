@@ -42,7 +42,7 @@ from sqldiagram.fixtures import (
 )
 
 from evaluate_reference import evaluate, random_database
-from graphs import make_graph, path_family
+from graphs import depths_of, make_graph, path_family
 
 
 def lower(sql):
@@ -78,7 +78,7 @@ def test_criterion_02_unique_set_pipeline():
     aliases = sorted(a for _, node, _ in lt.walk() for a in node.aliases)
     assert aliases == ["L1", "L2", "L3", "L4", "L5", "L6"]
     assert all(table == "Likes" for _, node, _ in lt.walk() for _, table in node.tables)
-    assert lt.depth_by_alias() == {"L1": 0, "L2": 1, "L3": 2, "L4": 3, "L5": 2, "L6": 3}
+    assert depths_of(lt) == {"L1": 0, "L2": 1, "L3": 2, "L4": 3, "L5": 2, "L6": 3}
     l2 = lt.root.children[0]
     assert l2.aliases == ("L2",)
     assert len(l2.children) == 2
@@ -128,7 +128,7 @@ def test_criterion_04_unambiguity_on_generated_corpus():
         graph = diagram_to_graph(d)
         assignment = recover_depths(graph)
 
-        truth_depth = lt.depth_by_alias()
+        truth_depth = depths_of(lt)
         parent_of_alias = {}
         for _, node, parent in lt.walk():
             for alias in node.aliases:

@@ -20,8 +20,7 @@ def test_generated_trees_are_valid():
         lt = random_logic_tree(rng)
         report = check_nondegenerate(lt)
         assert report.ok, [str(v) for v in report.violations]
-        depths = lt.depth_by_alias().values()
-        assert max(depths) <= 3
+        assert max(len(path) for path, _, _ in lt.walk()) <= 3
         aliases = [a for _, node, _ in lt.walk() for a in node.aliases]
         assert len(aliases) == len(set(aliases))
         for _, node, _ in lt.walk():

@@ -15,6 +15,7 @@ from sqldiagram import (
     next_group,
     parse,
     recover_depths,
+    recovery,
     resolve_scopes,
 )
 from sqldiagram.corpus import random_logic_tree
@@ -22,8 +23,8 @@ from sqldiagram.errors import InvalidDiagramError
 from sqldiagram.fixtures import ONLY_LIKED_DRINKS, UNIQUE_BEER_SET, VALID_QUERIES
 from sqldiagram.logic import ViolationKind, build_logic_tree
 
-from graphs import (ancestors, enumerate_depths, make_graph, misplaced_joins, ordered_trees,
-                    path_family, sampled_queries, small_queries)
+from graphs import (ancestors, depths_of, enumerate_depths, make_graph, misplaced_joins,
+                    ordered_trees, path_family, sampled_queries, small_queries)
 
 
 def graph_of(sql):
@@ -258,7 +259,7 @@ def test_identify_depth2_from_built_diagram():
            " AND NOT EXISTS (SELECT * FROM TE E WHERE E.x = C.x AND E.y = A.y)))")
     lt, diagram, g = graph_of(sql)
     assignment = recover_depths(g)
-    truth = lt.depth_by_alias()
+    truth = depths_of(lt)
     alias_of = {group.id: group.tables[0].alias for group in diagram.groups}
     assert {alias_of[gid]: depth for gid, depth in assignment.depths.items()} == truth
     assert truth == {"A": 0, "B": 1, "C": 2, "D": 3, "E": 3}
@@ -307,7 +308,7 @@ def test_fixture_round_trips_with_oracle():
     for name, sql in VALID_QUERIES.items():
         lt, diagram, g = graph_of(sql)
         assignment = recover_depths(g)
-        truth = lt.depth_by_alias()
+        truth = depths_of(lt)
         for group in diagram.groups:
             assert assignment.depths[group.id] == truth[group.tables[0].alias], name
         survivors = brute_force_depths(g)
@@ -321,7 +322,7 @@ def test_random_corpus_round_trip_smoke():
         diagram = build_diagram(lt)
         g = diagram_to_graph(diagram)
         assignment = recover_depths(g)
-        truth = lt.depth_by_alias()
+        truth = depths_of(lt)
         group_alias = {grp.id: grp.tables[0].alias for grp in diagram.groups}
         for gid, alias in group_alias.items():
             assert assignment.depths[gid] == truth[alias]
@@ -661,16 +662,26 @@ def test_oracle_labels_one_branch_at_a_time():
         assert survivors == [recover_depths(g)]
 
 
-def test_oracle_cost_stays_flat_when_every_group_has_two_parents():
-    # a and b both sit under r, and 16 groups are joined from both: no group
-    # gets one parent, so nothing survives, and a search that tried both
-    # candidate parents of each group would take 2^16 steps
-    ids = ["r", "a", "b", *(f"x{i}" for i in range(16))]
-    edges = [("r", "a"), ("r", "b")] + [(p, x) for x in ids[3:] for p in ("a", "b")]
-    g = make_graph(ids, edges, "r")
-    start = time.perf_counter()
-    assert brute_force_depths(g) == []
-    assert time.perf_counter() - start < 0.05
+def test_oracle_cost_stays_flat_when_every_group_has_two_parents(monkeypatch):
+    # a and b both sit under r, and n groups are joined from both: no group
+    # gets one parent, so nothing survives.  One parent check ends the
+    # search, whatever n; a search that tried both candidate parents of each
+    # group would take 2^n steps, and one that took the first candidate
+    # would check every group's parent
+    calls = []
+    parent = recovery._parent
+
+    def counted(*args):
+        calls.append(args[1])
+        return parent(*args)
+
+    monkeypatch.setattr(recovery, "_parent", counted)
+    for n in (8, 16, 32):
+        ids = ["r", "a", "b", *(f"x{i}" for i in range(n))]
+        edges = [("r", "a"), ("r", "b")] + [(p, x) for x in ids[3:] for p in ("a", "b")]
+        assert brute_force_depths(make_graph(ids, edges, "r")) == []
+        assert len(calls) == 1, n
+        calls.clear()
 
 
 # -- the depth bound is tight ------------------------------------------------
