@@ -350,12 +350,13 @@ def diagram_from_json(text: str) -> Diagram:
     that is not a string; a selection row whose op is not a comparison
     operator or whose constant is not of kind "string" or "number" with a
     string literal; an edge whose from or to is not a list of two strings;
-    and a join edge whose `directed` is not a boolean or whose label is
-    neither null nor a comparison operator.  Equal rows may be one shared
-    object.
-    Groups, boxes, selection rows and edges are built with tuple.__new__,
-    which skips their classes' own __new__ and its count of the fields, so
-    each call here passes every field in order."""
+    a join edge whose `directed` is not a boolean or whose label is neither
+    null nor a comparison operator; and a key missing from a group, box,
+    row, constant or edge, an element of groups, tables, rows or edges that
+    is not an object, and tables or rows that is a number, boolean or null.
+    The last three are located by _name_the_gap only after loading has
+    failed, so a well-formed document pays nothing for them.  Equal rows may
+    be one shared object."""
     doc = json.loads(text)
     if type(doc) is not dict:
         raise ValueError("the document: expected an object")
@@ -366,6 +367,19 @@ def diagram_from_json(text: str) -> Diagram:
             raise ValueError(f"{key}: expected {expected}")
     if "rows" not in (select_box := doc["select_box"]):
         raise ValueError("select_box.rows: missing")
+    try:
+        return _diagram(doc, select_box)
+    except (KeyError, TypeError):  # the path is found only once loading has failed
+        _name_the_gap(doc)
+        raise
+
+
+def _diagram(doc: dict, select_box: dict) -> Diagram:
+    """diagram_from_json's groups, edges and SELECT box, read from a document
+    whose top-level fields it has checked.  Groups, boxes, selection rows and
+    edges are built with tuple.__new__, which skips their classes' own
+    __new__ and its count of the fields, so each call here passes every
+    field in order."""
     attribute_rows, groups = {}, []  # one row per attribute name
     for i, g in enumerate(doc["groups"]):  # a group's own fields are read before its tables
         gid, quantifier = g["id"], g["quantifier"]
@@ -433,6 +447,37 @@ _TOP_LEVEL = (("groups", list, "a list"), ("edges", list, "a list"),
 _COMPARISON_OPS = tuple(FLIPPED_OP)
 
 
+def _name_the_gap(doc: dict) -> None:
+    """Raise ValueError naming the JSON path of the first missing key, or
+    element that is not an object, that diagram_from_json reads, in its order
+    of reading; return if there is none."""
+    def fields(value, path: str, *keys: str) -> None:
+        if type(value) is not dict:
+            raise ValueError(f"{path}: expected an object")
+        for key in keys:
+            if key not in value:
+                raise ValueError(f"{path}.{key}: missing")
+
+    def elements(value, path: str):
+        try:
+            return enumerate(value)
+        except TypeError:
+            raise ValueError(f"{path}: expected a list") from None
+
+    for i, g in enumerate(doc["groups"]):
+        fields(g, f"groups[{i}]", "id", "quantifier", "depth", "parent", "tables")
+        for j, t in elements(g["tables"], f"groups[{i}].tables"):
+            fields(t, f"groups[{i}].tables[{j}]", "alias", "table_name", "rows")
+            for k, r in elements(t["rows"], f"groups[{i}].tables[{j}].rows"):
+                fields(r, f"groups[{i}].tables[{j}].rows[{k}]", "attribute")
+                if "op" in r:
+                    fields(r, f"groups[{i}].tables[{j}].rows[{k}]", "op", "constant")
+                    fields(r["constant"], f"groups[{i}].tables[{j}].rows[{k}].constant",
+                           "kind", "literal")
+    for i, e in enumerate(doc["edges"]):
+        fields(e, f"edges[{i}]", "from", "to", "directed", "label")
+
+
 def _selection_row(doc: dict, attribute: str, i: int, j: int, k: int) -> SelectionRow:
     """groups[i].tables[j].rows[k], a row with an op, whose attribute is read."""
     if (op := doc["op"]) not in _COMPARISON_OPS:
@@ -455,20 +500,19 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
     constant labels maps one diagram onto the other, preserving the group
     tree, quantifiers, box rows, edges and the SELECT box.
 
-    Two diagrams of different shape (see _shape) answer false in linear
-    time.  Else the search is exhaustive: it pairs the roots as it pairs any
-    siblings and groups down each tree, within a group its boxes and their
-    rows, and compares the edges and the SELECT box only once every group is
-    paired, backtracking into every other pairing when they differ.  Its
-    time is factorial in the number of alike siblings, and in the number of
-    alike rows of one box.  Raises InvalidDiagramError when a group's parent
-    links lead to no root.
+    One pass over each diagram's groups indexes them and takes its shape
+    (see _indexed_shape), a before b, and diagrams of different shape, edge
+    count or SELECT row count answer false there.  Else the search is
+    exhaustive: it pairs the roots as it pairs any siblings and groups down
+    each tree, within a group its boxes and their rows, and compares the
+    edges and the SELECT box only once every group is paired, backtracking
+    into every other pairing when they differ.  Its time is factorial in the
+    number of alike siblings, and in the number of alike rows of one box.
+    Raises InvalidDiagramError when a group's parent links lead to no root.
     """
-    kids_a = _children_index(a)
-    kids_b = _children_index(b)
-    if len(a.groups) != len(b.groups) or len(a.edges) != len(b.edges):
-        return False
-    if len(a.select_box) != len(b.select_box) or _shape(a) != _shape(b):
+    kids_a, shape_a = _indexed_shape(a)
+    kids_b, shape_b = _indexed_shape(b)
+    if (shape_a, len(a.edges), len(a.select_box)) != (shape_b, len(b.edges), len(b.select_box)):
         return False
     mapping = _Relabeling()
 
@@ -521,31 +565,27 @@ def diagram_isomorphic(a: Diagram, b: Diagram) -> bool:
     return any(edges_match() for _ in mapping.pair_all(roots_a, roots_b, pair_groups))
 
 
-def _shape(d: Diagram) -> list[tuple]:
-    """A key of the diagram that no relabelling changes: for each group, its
-    depth and quantifier, the sorted row counts of its boxes and the sorted
-    (op, constant kind) pairs of its selection rows, in sorted order.  The
-    search pairs only groups, boxes and rows that agree on all of these.
-    Edges are left out: an undirected edge's stored label is oriented by
-    label order."""
+def _indexed_shape(d: Diagram) -> tuple[dict[str | None, list[TableGroup]], list[tuple]]:
+    """Each group's children by its id, the roots under None, and the shape, a
+    key no relabelling changes: per group its depth, quantifier `_value_`,
+    sorted box row counts and sorted (op, constant kind) pairs of selection
+    rows, in sorted order.  The search pairs only what agrees on all of
+    these; edges are left out, as an undirected edge's stored label is
+    oriented by label order.  Raises InvalidDiagramError for the first group,
+    in order, that no root reaches."""
+    index: dict[str | None, list[TableGroup]] = {}
     key = []
     for g in d.groups:
+        index.setdefault(g.parent, []).append(g)
         counts, selections = [], []
         for box in g.tables:
             counts.append(len(box.rows))
-            selections += [(r.op, r.constant.kind) for r in box.rows if type(r) is SelectionRow]
+            for r in box.rows:
+                if type(r) is SelectionRow:
+                    selections.append((r.op, r.constant.kind))
         counts.sort()
         selections.sort()
-        key.append((g.depth, g.quantifier.value, counts, selections))
-    key.sort()
-    return key
-
-
-def _children_index(d: Diagram) -> dict[str | None, list[TableGroup]]:
-    """Each group's children by its id, the roots under None."""
-    index: dict[str | None, list[TableGroup]] = {}
-    for g in d.groups:
-        index.setdefault(g.parent, []).append(g)
+        key.append((g.depth, g.quantifier._value_, counts, selections))
     reached, stack = set(), [None]
     while stack:
         for g in index.get(stack.pop(), ()):
@@ -555,4 +595,5 @@ def _children_index(d: Diagram) -> dict[str | None, list[TableGroup]]:
     for g in d.groups:
         if g.id not in reached:  # in a parent cycle, or under an unknown id
             raise InvalidDiagramError(f"group {g.id} has no root above it")
-    return index
+    key.sort()
+    return index, key

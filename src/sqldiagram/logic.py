@@ -272,15 +272,14 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
     Children are compared as unordered multisets and predicates as sets of
     normalized comparisons.  With modulo_renaming, equality holds if some
     per-kind bijection of alias, table, attribute and constant labels maps
-    one tree onto the other.  Every node occurrence of both trees first gets
-    a subtree code that no relabelling changes (see _coded), in one linear
-    pass over each tree, a node shared by two parents once under each, and
-    roots of different code answer false before any search.  Else the search
-    pairs tables, then predicates (each in both orientations), then children,
-    node by node, pairing only children of equal code, and backtracks through
-    every alternative before answering false.  Where codes tie, the
-    backtracking stays exhaustive, so alike siblings that no relabelling
-    matches can still cost time factorial in their number.
+    one tree onto the other.  One pass over each tree first codes every node
+    occurrence (see _coded), and roots of different code answer false there,
+    before any search state is built.  Else the search pairs tables, then
+    predicates (each in both orientations), then children, node by node,
+    pairing only children of equal code, and backtracks through every
+    alternative before answering false.  Where codes tie, the backtracking
+    stays exhaustive, so alike siblings that no relabelling matches can
+    still cost time factorial in their number.
     """
     if not modulo_renaming:
         return a == b
@@ -331,41 +330,41 @@ def lt_equal(a: LogicTree, b: LogicTree, modulo_renaming: bool = False) -> bool:
 
 
 def _coded(root: LtNode, interned: dict[tuple, int]) -> tuple:
-    """The tree as nested (code, node, coded children) entries, one for each
-    occurrence of a node, so a node shared by two parents is coded once under
-    each.  An occurrence's code stands for its subtree in a form that every
-    relabelling keeps, in the manner of Aho, Hopcroft and Ullman's tree
-    isomorphism (1974).  It is the quantifier, the table count, the sorted
-    predicate shapes and the sorted codes of the children, interned to an
-    int by `interned`, which both trees of one comparison share; lt_equal
-    codes both trees once per call, before it searches.  A shape writes each operand as a depth offset,
-    0 for the node's own block, 1 for its parent and so on, resolved to the
-    nearest declaration of its alias, and -1 for an alias no enclosing block
-    declares; a join takes the lesser of its two orientations, so its operand
-    order does not count.  The walk goes down once, carrying each alias's
-    depth of nearest declaration, and codes each occurrence after its
-    children."""
+    """The tree as nested (code, node, coded children) entries, one per node
+    occurrence, so a node shared by two parents is coded under each.  A code
+    stands for its subtree in a form no relabelling changes (Aho, Hopcroft
+    and Ullman 1974): the quantifier's `_value_` (its value, read past the
+    enum's property), the table count, the sorted predicate shapes and the
+    sorted child codes, interned to an int by `interned`, which both trees of
+    one comparison share.  A shape is the operator, a constant's kind and each
+    column's depth offset to its alias's nearest declaration (-1 if none); a
+    join takes the lesser of its two orientations.  One walk down gives each
+    occurrence a copy of its parent's alias depths; codes go children first."""
     top: list[tuple] = []
     order = []
     stack: list[tuple[LtNode, int, dict[str, int], list[tuple]]] = [(root, 0, {}, top)]
     while stack:
         node, depth, scope, siblings = stack.pop()
-        scope = scope | {alias: depth for alias, _ in node.tables}
+        scope = scope.copy()
+        for alias, _ in node.tables:
+            scope[alias] = depth
         children: list[tuple] = []
         order.append((node, depth, scope, children, siblings))
         for child in node.children:
             stack.append((child, depth + 1, scope, children))
     for node, depth, scope, children, siblings in reversed(order):  # each after its children
-        shapes = []
+        shapes, declared, undeclared = [], scope.get, depth + 1
         for p in node.predicates:
-            lhs = depth - scope.get(p.lhs.alias, depth + 1)
-            if isinstance(p.rhs, Constant):
-                shapes.append((False, lhs, p.op, p.rhs.kind))
+            lhs, rhs = depth - declared(p.lhs.alias, undeclared), p.rhs
+            if type(rhs) is Constant:
+                shapes.append((False, lhs, p.op, rhs.kind))
             else:
-                rhs = depth - scope.get(p.rhs.alias, depth + 1)
-                shapes.append(min((True, lhs, p.op, rhs), (True, rhs, FLIPPED_OP[p.op], lhs)))
+                rhs = depth - declared(rhs.alias, undeclared)
+                forward, mirror = (True, lhs, p.op, rhs), (True, rhs, FLIPPED_OP[p.op], lhs)
+                shapes.append(forward if forward <= mirror else mirror)
+        shapes.sort()
         kids = sorted([child[0] for child in children])
-        key = (node.quantifier.value, len(node.tables), tuple(sorted(shapes)), tuple(kids))
+        key = (node.quantifier._value_, len(node.tables), tuple(shapes), tuple(kids))
         siblings.append((interned.setdefault(key, len(interned)), node, children))
     return top[0]
 

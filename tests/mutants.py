@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml", "README.md")  # all that tier-1 reads
+COPIED = ("src", "tests", "tools", "bench", "pyproject.toml", "README.md")  # all tier-1 reads
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors",
          # in a mutated copy one anchored line is already replaced, so this fails
@@ -69,20 +69,20 @@ MUTANTS = [
            "subqueries keep their written order, so a respelling changes the tree"),
     # lt_equal's subtree codes
     Mutant("src/sqldiagram/logic.py",
-           "shapes.append(min((True, lhs, p.op, rhs), (True, rhs, FLIPPED_OP[p.op], lhs)))",
-           "shapes.append((True, lhs, p.op, rhs))",
+           "shapes.append(forward if forward <= mirror else mirror)",
+           "shapes.append(forward)",
            "a join's shape keeps its stored operand order, which a relabelling can flip"),
     Mutant("src/sqldiagram/logic.py",
-           "key = (node.quantifier.value, len(node.tables), tuple(sorted(shapes)), tuple(kids))",
-           "key = (node.quantifier.value, len(node.tables), tuple(shapes), tuple(kids))",
+           "shapes.sort()",
+           "pass",
            "a code lists its predicate shapes in stored order, which a relabelling can change"),
     Mutant("src/sqldiagram/logic.py",
            "kids = sorted([child[0] for child in children])",
            "kids = [child[0] for child in children]",
            "a code lists its children's codes in stored order"),
     Mutant("src/sqldiagram/logic.py",
-           "lhs = depth - scope.get(p.lhs.alias, depth + 1)",
-           "lhs = depth - scope[p.lhs.alias]",
+           "lhs, rhs = depth - declared(p.lhs.alias, undeclared), p.rhs",
+           "lhs, rhs = depth - scope[p.lhs.alias], p.rhs",
            "an alias that no enclosing block declares raises KeyError"),
     Mutant("src/sqldiagram/logic.py",
            "return pair_nodes(x, y) if x[0] == y[0] else ()",
@@ -103,13 +103,15 @@ MUTANTS = [
            "codes already answer, and alike siblings cost factorial time again"),
     # diagram_isomorphic's shape check
     Mutant("src/sqldiagram/diagram.py",
-           "if len(a.select_box) != len(b.select_box) or _shape(a) != _shape(b):",
-           "if len(a.select_box) != len(b.select_box) or _shape(a) != _shape(a):",
+           "if (shape_a, len(a.edges), len(a.select_box)) != (shape_b, len(b.edges), "
+           "len(b.select_box)):",
+           "if (shape_a, len(a.edges), len(a.select_box)) != (shape_a, len(b.edges), "
+           "len(b.select_box)):",
            "diagrams of different shape are searched, so alike siblings cost factorial "
            "time again"),
     Mutant("src/sqldiagram/diagram.py",
-           "key.append((g.depth, g.quantifier.value, counts, selections))",
-           "key.append((g.depth, g.quantifier.value, counts))",
+           "key.append((g.depth, g.quantifier._value_, counts, selections))",
+           "key.append((g.depth, g.quantifier._value_, counts))",
            "the shape leaves out the selection rows, so a changed selection operator "
            "costs factorial time in alike siblings again"),
     # the one-rule walks
@@ -140,6 +142,10 @@ MUTANTS = [
            "boxes.append(_new(TableBox, (table_name, alias, tuple(rows))))",
            "the loader puts a box's table name in its alias field and the alias in its "
            "table name field"),
+    Mutant("src/sqldiagram/diagram.py",
+           'fields(e, f"edges[{i}]", "from", "to", "directed", "label")',
+           'fields(e, f"edges[{i}]", "from", "to", "directed")',
+           "an edge without a label prints Python's text, 'label', not its JSON path"),
     # the builder's positional values and the group graph's sorted lists
     Mutant("src/sqldiagram/diagram.py",
            "tuple([_new(TableBox, (alias, table, rows_for(alias)))",
@@ -259,10 +265,9 @@ MUTANTS = [
     Mutant("src/sqldiagram/recovery.py",
            "up = sorted(set.intersection(*joined)) if joined else []",
            "up = sorted(set.union(*joined)) if joined else []",
-           "equivalent: the oracle then also takes a parent that some child does not "
-           "join, and the final connected-subquery and scope checks reject each such "
-           "labeling; nothing searches parents, so the cost grows only linearly",
-           equivalent=True),
+           "the oracle also takes a parent that some child does not join, so a labeling "
+           "its parent check should drop is completed and reaches the connected-subquery "
+           "check (counted in that check's calls)"),
     Mutant("src/sqldiagram/recovery.py",
            "return up[0] if len(up) == 1 else None",
            "return up[0] if up else None",

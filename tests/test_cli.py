@@ -220,12 +220,12 @@ def test_recover_malformed_json_exits_2(sql_file, capsys):
      'groups[1].quantifier: expected "ROOT", "EXISTS", "NOT_EXISTS" or "FOR_ALL"'),
     # the group's id is read before its tables
     (lambda doc: (doc["groups"][1].pop("id"), doc["groups"][1]["tables"][0].pop("alias")),
-     "'id'"),
+     "groups[1].id: missing"),
     (lambda doc: doc["edges"][0].update({"from": ["X"]}),
      "edges[0].from: expected a list of two strings"),
     # the group's quantifier is read before its tables
     (lambda doc: (doc["groups"][1].pop("quantifier"), doc["groups"][1].update(tables=3)),
-     "'quantifier'"),
+     "groups[1].quantifier: missing"),
     (lambda doc: doc["edges"][0].update({"from": []}),
      "edges[0].from: expected a list of two strings"),
     (lambda doc: doc["edges"][7].update(to=["x"]), "edges[7].to: expected a list of two strings"),
@@ -287,9 +287,24 @@ def test_recover_malformed_diagram_prints_one_line(sql_file, tmp_path, capsys, m
      "edges[1].from: expected a list of two strings"),
     (lambda doc: doc["edges"][2].update(to=("S", None)),
      "edges[2].to: expected a list of two strings"),
+    # a missing key or an element that is not an object is named by its path too
+    (lambda doc: doc["groups"][1]["tables"][0].pop("table_name"),
+     "groups[1].tables[0].table_name: missing"),
+    (lambda doc: doc["groups"][2]["tables"][0]["rows"][0].pop("attribute"),
+     "groups[2].tables[0].rows[0].attribute: missing"),
+    (lambda doc: doc["groups"][2]["tables"][0]["rows"][1]["constant"].pop("literal"),
+     "groups[2].tables[0].rows[1].constant.literal: missing"),
+    (lambda doc: doc["edges"][1].pop("label"), "edges[1].label: missing"),
+    (lambda doc: doc["groups"].__setitem__(2, 5), "groups[2]: expected an object"),
+    (lambda doc: doc["groups"][0]["tables"][0]["rows"].__setitem__(1, ["sid"]),
+     "groups[0].tables[0].rows[1]: expected an object"),
+    (lambda doc: doc["edges"].__setitem__(0, None), "edges[0]: expected an object"),
+    (lambda doc: doc["groups"][1].update(tables=3), "groups[1].tables: expected a list"),
 ], ids=["group_id_int", "group_parent_int", "table_name_int", "attribute_int", "op_tilde",
         "constant_kind_date", "constant_literal_int", "label_int", "label_tilde", "to_string",
-        "from_three", "from_attribute_int", "select_to_attribute_null"])
+        "from_three", "from_attribute_int", "select_to_attribute_null", "box_key_missing",
+        "row_key_missing", "constant_key_missing", "edge_key_missing", "group_int",
+        "row_list", "edge_null", "tables_int"])
 def test_recover_names_the_path_of_a_field_of_the_wrong_shape(
         sql_file, tmp_path, capsys, mutate, reason):
     diagram_path = tmp_path / "diagram.json"

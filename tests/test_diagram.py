@@ -385,6 +385,34 @@ def test_json_select_edge_must_be_an_undirected_unlabelled_row_link(field, value
         diagram_from_json(json.dumps(doc))
 
 
+def _objects(value, path: str):
+    """(path, object) for every JSON object in value, outermost first."""
+    if type(value) is dict:
+        yield path, value
+        for key, item in value.items():
+            yield from _objects(item, f"{path}.{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            yield from _objects(item, f"{path}[{i}]")
+
+
+def test_json_names_the_path_of_every_missing_key():
+    # every key the writer puts in a group, box, row, constant or edge is one
+    # the loader reads, except "op", which alone marks a selection row
+    doc = json.loads(diagram_to_json(diagram_of(SAILORS_NO_RED)))
+    named = []
+    for top in ("groups", "edges"):
+        for path, obj in _objects(doc[top], top):
+            for key in [key for key in obj if key != "op"]:
+                value = obj.pop(key)
+                with pytest.raises(ValueError) as error:
+                    diagram_from_json(json.dumps(doc))
+                obj[key] = value
+                assert str(error.value) == f"{path}.{key}: missing"
+                named.append(f"{path}.{key}")
+    assert "groups[2].tables[0].rows[1].constant.literal" in named and len(named) == 45
+
+
 def test_json_counts_unique_set():
     doc = json.loads(diagram_to_json(diagram_of(UNIQUE_BEER_SET)))
     assert len(doc["groups"]) == 6
@@ -580,6 +608,15 @@ def test_isomorphism_pairs_every_root():
     assert not diagram_isomorphic(_forest("pq", "rs"), _forest("pq", "r"))
     # the same roots in the other order, relabelled
     assert diagram_isomorphic(_forest("pq", "r"), _forest("x", "yz"))
+
+
+def test_isomorphism_reaches_a_group_listed_before_its_parent():
+    boxes = (TableBox("B", "U", (AttributeRow("k"),)),)
+    child = TableGroup("g1", Quantifier.EXISTS, 1, "g0", boxes)
+    in_order = Diagram((*_forest("pq").groups, child), (), ())
+    child_first = Diagram((child, *_forest("xy").groups), (), ())
+    assert diagram_isomorphic(in_order, child_first)
+    assert diagram_isomorphic(child_first, in_order)
 
 
 def test_isomorphism_rejects_a_group_no_root_reaches():

@@ -7,6 +7,7 @@ import pytest
 
 from sqldiagram import (
     DepthAssignment,
+    DiagramGraph,
     brute_force_depths,
     build_diagram,
     check_nondegenerate,
@@ -186,18 +187,36 @@ def _depth1_fan(k, depth1):
     return make_graph(ids, edges, "r")
 
 
-def test_identify_depth1_is_linear_in_the_candidates():
-    # "z1" sorts after every grandchild, all of which are candidates too
-    def best_of_three(g):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            assignment = recover_depths(g)
-            times.append(time.perf_counter() - start)
-        return min(times), assignment
+class _CountedEdges(frozenset):
+    """An edge set that counts its membership tests."""
 
-    late_time, late = best_of_three(_depth1_fan(300, "z1"))
-    early_time, early = best_of_three(_depth1_fan(300, "d1"))
+    lookups = 0
+
+    def __contains__(self, edge):
+        self.lookups += 1
+        return frozenset.__contains__(self, edge)
+
+
+def test_identify_depth1_is_linear_in_the_candidates(monkeypatch):
+    # "z1" sorts after every grandchild, all of which are candidates too;
+    # recovery scans each group's component once and tests each candidate's
+    # edges a fixed number of times, wherever the depth-1 group sorts
+    scanned = []
+
+    def counted(g, chain, below):
+        scanned.append(len(below))
+        return next_group(g, chain, below)
+
+    monkeypatch.setattr(recovery, "next_group", counted)
+
+    def recovered(depth1):
+        fan = _depth1_fan(300, depth1)
+        g = DiagramGraph(fan.nodes, _CountedEdges(fan.edges), fan.root_id)
+        scanned.clear()
+        return recover_depths(g), sum(scanned), g.edges.lookups
+
+    late, late_scanned, late_lookups = recovered("z1")
+    early, early_scanned, early_lookups = recovered("d1")
     assert len(early.depths) == 602
 
     def rename(node):
@@ -205,7 +224,12 @@ def test_identify_depth1_is_linear_in_the_candidates():
 
     assert {rename(n): d for n, d in late.depths.items()} == early.depths
     assert {rename(n): rename(p) for n, p in late.parents.items()} == early.parents
-    assert late_time <= 3 * early_time
+    # 601 candidates below the root, then 2 and 1 in each of the 300 branches
+    assert late_scanned == early_scanned == 601 + 300 * 3
+    # one test per candidate in the direct scans (1 501), 601 + 1 + 300 in
+    # the one scan for a mediated depth-1 group, and 601 + 600 in the
+    # connected-subquery check
+    assert late_lookups == early_lookups == 1501 + 902 + 1201
 
 
 def test_identify_depth1_single_child_then_branching_depth2():
@@ -682,6 +706,25 @@ def test_oracle_cost_stays_flat_when_every_group_has_two_parents(monkeypatch):
         assert brute_force_depths(make_graph(ids, edges, "r")) == []
         assert len(calls) == 1, n
         calls.clear()
+
+
+def test_oracle_takes_no_parent_that_a_child_does_not_join(monkeypatch):
+    # Labeled r 0, c 1, j and k 2, the only labeling the arrow rule leaves:
+    # no in-neighbour of c sits at depth 0, and of its children j joins the
+    # root there while k joins nothing, so c has no parent and the labeling
+    # is dropped before it is complete.  A parent taken from what any child
+    # joins would complete it for the connected-subquery check to reject.
+    checked = []
+    connected = recovery._connected_subqueries_ok
+
+    def counted(g, assignment):
+        checked.append(assignment)
+        return connected(g, assignment)
+
+    monkeypatch.setattr(recovery, "_connected_subqueries_ok", counted)
+    g = make_graph(["r", "c", "j", "k"], [("j", "r"), ("c", "j"), ("c", "k")], "r")
+    assert brute_force_depths(g) == []
+    assert checked == []
 
 
 # -- the depth bound is tight ------------------------------------------------
