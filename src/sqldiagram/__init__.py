@@ -9,14 +9,12 @@ diagram's group graph.
 from .diagram import (
     Diagram,
     ReadingOrder,
-    arrow_points,
     build_diagram,
     count_elements,
     count_words,
     diagram_from_json,
     diagram_isomorphic,
     diagram_to_json,
-    orient_inequality,
     reading_order,
 )
 from .dot import emit_dot
@@ -24,6 +22,7 @@ from .errors import (
     AmbiguousColumnError,
     DegenerateQueryError,
     InvalidDiagramError,
+    MalformedDiagramError,
     MalformedSubqueryError,
     SqlDiagramError,
     SqlSyntaxError,
@@ -36,8 +35,6 @@ from .logic import (
     LtNode,
     Predicate,
     Quantifier,
-    ValidationReport,
-    Violation,
     ViolationKind,
     build_logic_tree,
     check_nondegenerate,
@@ -60,16 +57,15 @@ from .scopes import resolve_scopes
 from .sqlast import print_sql
 
 __all__ = [
-    "Diagram", "ReadingOrder", "arrow_points", "build_diagram", "count_elements",
-    "count_words", "diagram_from_json", "diagram_isomorphic", "diagram_to_json",
-    "orient_inequality", "reading_order",
+    "Diagram", "ReadingOrder", "build_diagram", "count_elements", "count_words",
+    "diagram_from_json", "diagram_isomorphic", "diagram_to_json", "reading_order",
     "emit_dot",
     "AmbiguousColumnError", "DegenerateQueryError", "InvalidDiagramError",
-    "MalformedSubqueryError", "SqlDiagramError", "SqlSyntaxError",
+    "MalformedDiagramError", "MalformedSubqueryError", "SqlDiagramError", "SqlSyntaxError",
     "UnknownAliasError", "UnsupportedFeatureError",
-    "MAX_DEPTH", "LogicTree", "LtNode", "Predicate", "Quantifier", "ValidationReport",
-    "Violation", "ViolationKind", "build_logic_tree", "check_nondegenerate", "lt_equal",
-    "lt_to_json", "lt_to_sql", "render_trc", "simplify_forall",
+    "MAX_DEPTH", "LogicTree", "LtNode", "Predicate", "Quantifier", "ViolationKind",
+    "build_logic_tree", "check_nondegenerate", "lt_equal", "lt_to_json", "lt_to_sql",
+    "render_trc", "simplify_forall",
     "parse", "print_sql",
     "DepthAssignment", "DiagramGraph", "brute_force_depths", "diagram_to_graph",
     "next_group", "recover_depths",

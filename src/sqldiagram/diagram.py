@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateQueryError, InvalidDiagramError
+from .errors import DegenerateQueryError, InvalidDiagramError, MalformedDiagramError
 from .logic import (
     LogicTree,
     LtNode,
@@ -336,105 +336,108 @@ def _edge_json(src: tuple[str, str], dst: tuple[str, str], directed: bool,
 
 def diagram_from_json(text: str) -> Diagram:
     """The diagram whose canonical JSON, as diagram_to_json writes it, is
-    `text`.  A malformed document raises ValueError, LookupError, TypeError
-    or RecursionError, which the CLI prints as `malformed input (...)` with
-    exit code 2; so does a select_box whose rows are not the attributes its
-    SELECT edges link, a SELECT edge that is directed, labelled or not from
-    the row it links, and, naming its JSON path, a field of the wrong shape:
-    a document that is not an object, or lacks groups, edges or select_box;
-    groups or edges that is not a list, and a select_box that is not an
-    object or lacks rows, each checked once before any group is read; a
-    group's quantifier that is not one of the four names, id that is not a
-    string, depth that is not an integer or parent that is neither a
-    string nor null; a box's alias or table name, or a row's attribute,
-    that is not a string; a selection row whose op is not a comparison
-    operator or whose constant is not of kind "string" or "number" with a
-    string literal; an edge whose from or to is not a list of two strings;
-    a join edge whose `directed` is not a boolean or whose label is neither
-    null nor a comparison operator; and a key missing from a group, box,
-    row, constant or edge, an element of groups, tables, rows or edges that
-    is not an object, and tables or rows that is a number, boolean or null.
-    The last three are located by _name_the_gap only after loading has
-    failed, so a well-formed document pays nothing for them.  Equal rows may
-    be one shared object."""
-    doc = json.loads(text)
-    if type(doc) is not dict:
-        raise ValueError("the document: expected an object")
-    for key, kind, expected in _TOP_LEVEL:
-        if key not in doc:
-            raise ValueError(f"{key}: missing")
-        if type(doc[key]) is not kind:
-            raise ValueError(f"{key}: expected {expected}")
-    if "rows" not in (select_box := doc["select_box"]):
-        raise ValueError("select_box.rows: missing")
+    `text`.  Any other text raises MalformedDiagramError, which names the
+    JSON path of the first fault in read order, where an object's keys are
+    read before its values are checked; select_box.rows, read last, must be
+    the attributes the SELECT edges link, and each SELECT edge an undirected,
+    unlabelled link from that attribute's row.  Equal rows may be one shared
+    object."""
     try:
-        return _diagram(doc, select_box)
-    except (KeyError, TypeError):  # the path is found only once loading has failed
-        _name_the_gap(doc)
-        raise
-
-
-def _diagram(doc: dict, select_box: dict) -> Diagram:
-    """diagram_from_json's groups, edges and SELECT box, read from a document
-    whose top-level fields it has checked.  Groups, boxes, selection rows and
-    edges are built with tuple.__new__, which skips their classes' own
-    __new__ and its count of the fields, so each call here passes every
-    field in order."""
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedDiagramError(str(exc)) from None
+    if type(doc) is not dict:
+        raise MalformedDiagramError("the document: expected an object")
+    for key, _, _ in _TOP_LEVEL:
+        if key not in doc:
+            raise MalformedDiagramError(f"{key}: missing")
+    for key, kind, expected in _TOP_LEVEL:
+        if type(doc[key]) is not kind:
+            raise MalformedDiagramError(f"{key}: expected {expected}")
+    if "rows" not in (select_box := doc["select_box"]):
+        raise MalformedDiagramError("select_box.rows: missing")
+    # Groups, boxes, selection rows and edges are built with tuple.__new__,
+    # which skips their classes' own __new__ and its count of the fields, so
+    # each call here passes every field in order.
     attribute_rows, groups = {}, []  # one row per attribute name
-    for i, g in enumerate(doc["groups"]):  # a group's own fields are read before its tables
-        gid, quantifier = g["id"], g["quantifier"]
-        if type(quantifier) is not str or (quantifier := _QUANTIFIERS.get(quantifier)) is None:
-            raise ValueError(f'groups[{i}].quantifier: expected "ROOT", "EXISTS", '
-                             f'"NOT_EXISTS" or "FOR_ALL"')
+    for i, g in enumerate(doc["groups"]):
+        try:
+            gid, quantifier, depth, parent, tables = (
+                g["id"], g["quantifier"], g["depth"], g["parent"], g["tables"])
+        except (KeyError, TypeError) as exc:
+            raise _gap(exc, g, f"groups[{i}]") from None
         if type(gid) is not str:
-            raise ValueError(f"groups[{i}].id: expected a string")
-        if type(depth := g["depth"]) is not int:  # nor a bool
-            raise ValueError(f"groups[{i}].depth: expected an integer")
-        if (parent := g["parent"]) is not None and type(parent) is not str:
-            raise ValueError(f"groups[{i}].parent: expected a string or null")
+            raise MalformedDiagramError(f"groups[{i}].id: expected a string")
+        if type(quantifier) is not str or (quantifier := _QUANTIFIERS.get(quantifier)) is None:
+            raise MalformedDiagramError(f'groups[{i}].quantifier: expected "ROOT", "EXISTS", '
+                                        f'"NOT_EXISTS" or "FOR_ALL"')
+        if type(depth) is not int:  # nor a bool
+            raise MalformedDiagramError(f"groups[{i}].depth: expected an integer")
+        if parent is not None and type(parent) is not str:
+            raise MalformedDiagramError(f"groups[{i}].parent: expected a string or null")
+        if type(tables) is not list:
+            raise MalformedDiagramError(f"groups[{i}].tables: expected a list")
         boxes = []
-        for j, t in enumerate(g["tables"]):
-            if type(alias := t["alias"]) is not str:
-                raise ValueError(f"groups[{i}].tables[{j}].alias: expected a string")
-            if type(table_name := t["table_name"]) is not str:
-                raise ValueError(f"groups[{i}].tables[{j}].table_name: expected a string")
-            rows = []
-            for k, r in enumerate(t["rows"]):
-                if type(attribute := r["attribute"]) is not str:
-                    raise ValueError(
+        for j, t in enumerate(tables):
+            try:
+                alias, table_name, rows = t["alias"], t["table_name"], t["rows"]
+            except (KeyError, TypeError) as exc:
+                raise _gap(exc, t, f"groups[{i}].tables[{j}]") from None
+            if type(alias) is not str:
+                raise MalformedDiagramError(f"groups[{i}].tables[{j}].alias: expected a string")
+            if type(table_name) is not str:
+                raise MalformedDiagramError(
+                    f"groups[{i}].tables[{j}].table_name: expected a string")
+            if type(rows) is not list:
+                raise MalformedDiagramError(f"groups[{i}].tables[{j}].rows: expected a list")
+            box_rows = []
+            for k, r in enumerate(rows):
+                try:
+                    attribute = r["attribute"]
+                    if "op" in r:
+                        op, constant = r["op"], r["constant"]
+                except (KeyError, TypeError) as exc:
+                    raise _gap(exc, r, f"groups[{i}].tables[{j}].rows[{k}]") from None
+                if type(attribute) is not str:
+                    raise MalformedDiagramError(
                         f"groups[{i}].tables[{j}].rows[{k}].attribute: expected a string")
                 if "op" in r:
-                    row = _selection_row(r, attribute, i, j, k)
+                    row = _selection_row(attribute, op, constant,
+                                         f"groups[{i}].tables[{j}].rows[{k}]")
                 elif (row := attribute_rows.get(attribute)) is None:
                     row = attribute_rows[attribute] = _new(AttributeRow, (attribute,))
-                rows.append(row)
-            boxes.append(_new(TableBox, (alias, table_name, tuple(rows))))
+                box_rows.append(row)
+            boxes.append(_new(TableBox, (alias, table_name, tuple(box_rows))))
         groups.append(_new(TableGroup, (gid, quantifier, depth, parent, tuple(boxes))))
     join_edges, links = [], []
     for i, e in enumerate(doc["edges"]):
-        src, dst = e["from"], e["to"]
+        try:
+            src, dst, directed, label = e["from"], e["to"], e["directed"], e["label"]
+        except (KeyError, TypeError) as exc:
+            raise _gap(exc, e, f"edges[{i}]") from None
         if not (type(src) is list and len(src) == 2
                 and type(src[0]) is str and type(src[1]) is str):
-            raise ValueError(f"edges[{i}].from: expected a list of two strings")
+            raise MalformedDiagramError(f"edges[{i}].from: expected a list of two strings")
         if not (type(dst) is list and len(dst) == 2
                 and type(dst[0]) is str and type(dst[1]) is str):
-            raise ValueError(f"edges[{i}].to: expected a list of two strings")
+            raise MalformedDiagramError(f"edges[{i}].to: expected a list of two strings")
         src, dst = (src[0], src[1]), (dst[0], dst[1])
         if src[0] == SELECT_BOX_ID:
             links.append(dst)
-            if src[1] != dst[1] or e["directed"] is not False or e["label"] is not None:
-                raise ValueError(f"SELECT edge to {e['to']!r} must run undirected and "
-                                 f"unlabelled from {[SELECT_BOX_ID, dst[1]]!r}")
+            if src[1] != dst[1] or directed is not False or label is not None:
+                raise MalformedDiagramError(f"SELECT edge to {e['to']!r} must run undirected "
+                                            f"and unlabelled from {[SELECT_BOX_ID, dst[1]]!r}")
         else:
-            directed, label = e["directed"], e["label"]
             if directed is not True and directed is not False:
-                raise ValueError(f"edges[{i}].directed: expected true or false")
+                raise MalformedDiagramError(f"edges[{i}].directed: expected true or false")
             if label is not None and label not in _COMPARISON_OPS:
-                raise ValueError(f"edges[{i}].label: expected null or a comparison operator")
+                raise MalformedDiagramError(
+                    f"edges[{i}].label: expected null or a comparison operator")
             join_edges.append(_new(Edge, (src, dst, directed, label)))
     rows, linked = select_box["rows"], [attribute for _, attribute in links]
     if rows != linked:  # rows that are not a list too
-        raise ValueError(f"select_box rows {rows!r} are not the linked attributes {linked!r}")
+        raise MalformedDiagramError(
+            f"select_box rows {rows!r} are not the linked attributes {linked!r}")
     return Diagram(tuple(groups), tuple(join_edges), tuple(links))
 
 
@@ -447,47 +450,29 @@ _TOP_LEVEL = (("groups", list, "a list"), ("edges", list, "a list"),
 _COMPARISON_OPS = tuple(FLIPPED_OP)
 
 
-def _name_the_gap(doc: dict) -> None:
-    """Raise ValueError naming the JSON path of the first missing key, or
-    element that is not an object, that diagram_from_json reads, in its order
-    of reading; return if there is none."""
-    def fields(value, path: str, *keys: str) -> None:
-        if type(value) is not dict:
-            raise ValueError(f"{path}: expected an object")
-        for key in keys:
-            if key not in value:
-                raise ValueError(f"{path}.{key}: missing")
-
-    def elements(value, path: str):
-        try:
-            return enumerate(value)
-        except TypeError:
-            raise ValueError(f"{path}: expected a list") from None
-
-    for i, g in enumerate(doc["groups"]):
-        fields(g, f"groups[{i}]", "id", "quantifier", "depth", "parent", "tables")
-        for j, t in elements(g["tables"], f"groups[{i}].tables"):
-            fields(t, f"groups[{i}].tables[{j}]", "alias", "table_name", "rows")
-            for k, r in elements(t["rows"], f"groups[{i}].tables[{j}].rows"):
-                fields(r, f"groups[{i}].tables[{j}].rows[{k}]", "attribute")
-                if "op" in r:
-                    fields(r, f"groups[{i}].tables[{j}].rows[{k}]", "op", "constant")
-                    fields(r["constant"], f"groups[{i}].tables[{j}].rows[{k}].constant",
-                           "kind", "literal")
-    for i, e in enumerate(doc["edges"]):
-        fields(e, f"edges[{i}]", "from", "to", "directed", "label")
+def _gap(exc: KeyError | TypeError, element, path: str) -> MalformedDiagramError:
+    """The fault that `exc`, raised while the keys of the JSON element at
+    `path` were read, reports: an element that is not an object, or a
+    missing key.  Any other `exc` is a fault of the loader, raised again."""
+    if type(element) is not dict:
+        return MalformedDiagramError(f"{path}: expected an object")
+    if type(exc) is KeyError:
+        return MalformedDiagramError(f"{path}.{exc.args[0]}: missing")
+    raise exc
 
 
-def _selection_row(doc: dict, attribute: str, i: int, j: int, k: int) -> SelectionRow:
-    """groups[i].tables[j].rows[k], a row with an op, whose attribute is read."""
-    if (op := doc["op"]) not in _COMPARISON_OPS:
-        raise ValueError(f"groups[{i}].tables[{j}].rows[{k}].op: expected a comparison operator")
-    constant = doc["constant"]
-    if (kind := constant["kind"]) != "string" and kind != "number":
-        raise ValueError(f"groups[{i}].tables[{j}].rows[{k}].constant.kind: "
-                         f'expected "string" or "number"')
-    if type(literal := constant["literal"]) is not str:
-        raise ValueError(f"groups[{i}].tables[{j}].rows[{k}].constant.literal: expected a string")
+def _selection_row(attribute: str, op, constant, path: str) -> SelectionRow:
+    """The selection row at `path`, whose attribute is read."""
+    if op not in _COMPARISON_OPS:
+        raise MalformedDiagramError(f"{path}.op: expected a comparison operator")
+    try:
+        kind, literal = constant["kind"], constant["literal"]
+    except (KeyError, TypeError) as exc:
+        raise _gap(exc, constant, f"{path}.constant") from None
+    if kind != "string" and kind != "number":
+        raise MalformedDiagramError(f'{path}.constant.kind: expected "string" or "number"')
+    if type(literal) is not str:
+        raise MalformedDiagramError(f"{path}.constant.literal: expected a string")
     return _new(SelectionRow, (attribute, op, Constant(kind, literal)))
 
 

@@ -53,6 +53,14 @@ class MalformedSubqueryError(PositionedError):
     placed at the column to the left of IN, ANY or ALL."""
 
 
+class MalformedDiagramError(SqlDiagramError):
+    """Diagram JSON that cannot be read: not JSON, or, named by its JSON path
+    where it has one, not of the shape diagram_to_json writes."""
+
+    def __init__(self, detail: str):
+        super().__init__(f"malformed input ({detail})")
+
+
 class DegenerateQueryError(SqlDiagramError):
     """The query failed non-degeneracy validation; carries the full report."""
 

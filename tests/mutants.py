@@ -138,14 +138,18 @@ MUTANTS = [
            "diagram_isomorphic accepts a group no root reaches"),
     # the JSON loader's named tuples and the isomorphism's edge comparison
     Mutant("src/sqldiagram/diagram.py",
-           "boxes.append(_new(TableBox, (alias, table_name, tuple(rows))))",
-           "boxes.append(_new(TableBox, (table_name, alias, tuple(rows))))",
+           "boxes.append(_new(TableBox, (alias, table_name, tuple(box_rows))))",
+           "boxes.append(_new(TableBox, (table_name, alias, tuple(box_rows))))",
            "the loader puts a box's table name in its alias field and the alias in its "
            "table name field"),
     Mutant("src/sqldiagram/diagram.py",
-           'fields(e, f"edges[{i}]", "from", "to", "directed", "label")',
-           'fields(e, f"edges[{i}]", "from", "to", "directed")',
-           "an edge without a label prints Python's text, 'label', not its JSON path"),
+           'src, dst, directed, label = e["from"], e["to"], e["directed"], e["label"]',
+           'src, dst, directed, label = e["from"], e["to"], e["directed"], e.get("label")',
+           "an edge without a label loads as an equijoin instead of naming its JSON path"),
+    Mutant("src/sqldiagram/diagram.py",
+           "if type(rows) is not list:",
+           "if False:",
+           "a box's rows that are an object load as no rows"),
     # the builder's positional values and the group graph's sorted lists
     Mutant("src/sqldiagram/diagram.py",
            "tuple([_new(TableBox, (alias, table, rows_for(alias)))",

@@ -300,11 +300,16 @@ def test_recover_malformed_diagram_prints_one_line(sql_file, tmp_path, capsys, m
      "groups[0].tables[0].rows[1]: expected an object"),
     (lambda doc: doc["edges"].__setitem__(0, None), "edges[0]: expected an object"),
     (lambda doc: doc["groups"][1].update(tables=3), "groups[1].tables: expected a list"),
+    # an object once loaded as no boxes or rows, and a string as boxes of one letter
+    (lambda doc: doc["groups"][1].update(tables={}), "groups[1].tables: expected a list"),
+    (lambda doc: doc["groups"][0].update(tables="S"), "groups[0].tables: expected a list"),
+    (lambda doc: doc["groups"][1]["tables"][0].update(rows={}),
+     "groups[1].tables[0].rows: expected a list"),
 ], ids=["group_id_int", "group_parent_int", "table_name_int", "attribute_int", "op_tilde",
         "constant_kind_date", "constant_literal_int", "label_int", "label_tilde", "to_string",
         "from_three", "from_attribute_int", "select_to_attribute_null", "box_key_missing",
         "row_key_missing", "constant_key_missing", "edge_key_missing", "group_int",
-        "row_list", "edge_null", "tables_int"])
+        "row_list", "edge_null", "tables_int", "tables_object", "tables_string", "rows_object"])
 def test_recover_names_the_path_of_a_field_of_the_wrong_shape(
         sql_file, tmp_path, capsys, mutate, reason):
     diagram_path = tmp_path / "diagram.json"
@@ -336,6 +341,14 @@ def test_recover_does_not_print_a_fault_in_recovery_as_malformed_input(
 
     monkeypatch.setattr("sqldiagram.cli.recover_depths", faulty_recover_depths)
     with pytest.raises(KeyError, match="fault"):
+        run(["recover", str(diagram_path)])
+
+    def faulty_new(*args):  # a fault in the loader, not in its input
+        raise TypeError("fault")
+
+    monkeypatch.undo()
+    monkeypatch.setattr("sqldiagram.diagram._new", faulty_new)
+    with pytest.raises(TypeError, match="fault"):
         run(["recover", str(diagram_path)])
 
 

@@ -5,7 +5,6 @@ import time
 
 from sqldiagram import (
     Quantifier,
-    arrow_points,
     build_diagram,
     build_logic_tree,
     count_elements,
@@ -14,14 +13,22 @@ from sqldiagram import (
     diagram_isomorphic,
     diagram_to_json,
     emit_dot,
-    orient_inequality,
     parse,
     reading_order,
     resolve_scopes,
 )
 from sqldiagram.corpus import random_logic_tree
-from sqldiagram.diagram import AttributeRow, Diagram, Edge, SelectionRow, TableBox, TableGroup
-from sqldiagram.errors import DegenerateQueryError, InvalidDiagramError
+from sqldiagram.diagram import (
+    AttributeRow,
+    Diagram,
+    Edge,
+    SelectionRow,
+    TableBox,
+    TableGroup,
+    arrow_points,
+    orient_inequality,
+)
+from sqldiagram.errors import DegenerateQueryError, InvalidDiagramError, MalformedDiagramError
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
     OWL_SELECTION_BURIED,
@@ -371,7 +378,7 @@ def test_loaded_values_are_whole_immutable_named_tuples():
 def test_json_select_rows_must_be_the_linked_attributes(rows):
     doc = json.loads(diagram_to_json(diagram_of(SAILORS_NO_RED)))
     doc["select_box"]["rows"] = rows
-    with pytest.raises(ValueError, match="are not the linked attributes"):
+    with pytest.raises(MalformedDiagramError, match="are not the linked attributes"):
         diagram_from_json(json.dumps(doc))
 
 
@@ -381,7 +388,7 @@ def test_json_select_edge_must_be_an_undirected_unlabelled_row_link(field, value
     doc = json.loads(diagram_to_json(diagram_of(SAILORS_NO_RED)))
     (edge,) = [e for e in doc["edges"] if e["from"][0] == "SELECT"]
     edge[field] = value
-    with pytest.raises(ValueError, match="SELECT edge to"):
+    with pytest.raises(MalformedDiagramError, match="SELECT edge to"):
         diagram_from_json(json.dumps(doc))
 
 
@@ -405,10 +412,10 @@ def test_json_names_the_path_of_every_missing_key():
         for path, obj in _objects(doc[top], top):
             for key in [key for key in obj if key != "op"]:
                 value = obj.pop(key)
-                with pytest.raises(ValueError) as error:
+                with pytest.raises(MalformedDiagramError) as error:
                     diagram_from_json(json.dumps(doc))
                 obj[key] = value
-                assert str(error.value) == f"{path}.{key}: missing"
+                assert str(error.value) == f"malformed input ({path}.{key}: missing)"
                 named.append(f"{path}.{key}")
     assert "groups[2].tables[0].rows[1].constant.literal" in named and len(named) == 45
 
