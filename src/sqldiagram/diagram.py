@@ -209,12 +209,16 @@ def reading_order(d: Diagram) -> ReadingOrder:
     """Depth-first traversal of the groups from the SELECT box, following
     arrows (directed cross-group edges) only, with restarts at unvisited
     groups that have no unvisited incoming arrow, else at the first one.
-    A diagram without groups reads as the SELECT box alone.
+    The walk starts at the group of the box that the first SELECT link
+    names, or at the first group when there is no link, so the order of
+    the groups does not move the start.  A diagram without groups reads as
+    the SELECT box alone.
 
     A finished depth-first walk leaves no arrow from a visited group to an
     unvisited one, so an unvisited group has an unvisited incoming arrow
     exactly when any arrow enters it.  So the starts are fixed in advance:
-    the root, the groups no arrow enters, then all groups, in group order."""
+    that first start, the groups no arrow enters, then all groups, in group
+    order."""
     order = {group.id: i for i, group in enumerate(d.groups)}
     group_of = {box.alias: group.id for group in d.groups for box in group.tables}
     out_edges: dict[str, set[str]] = {gid: set() for gid in order}
@@ -224,7 +228,8 @@ def reading_order(d: Diagram) -> ReadingOrder:
             out_edges[src].add(dst)
     entered = set().union(*out_edges.values())
 
-    starts = (*(group.id for group in d.groups[:1]),
+    first = [group_of[alias] for alias, _ in d.select_box[:1]] or [g.id for g in d.groups[:1]]
+    starts = (*first,
               *(gid for gid in order if gid not in entered), *order)
     # (source, group) pairs, the starts' source None, the first start on top;
     # a popped group already visited is skipped.  An explicit stack, so a
@@ -335,13 +340,23 @@ def _edge_json(src: tuple[str, str], dst: tuple[str, str], directed: bool,
 
 
 def diagram_from_json(text: str) -> Diagram:
-    """The diagram whose canonical JSON, as diagram_to_json writes it, is
-    `text`.  Any other text raises MalformedDiagramError, which names the
-    JSON path of the first fault in read order, where an object's keys are
-    read before its values are checked; select_box.rows, read last, must be
-    the attributes the SELECT edges link, and each SELECT edge an undirected,
-    unlabelled link from that attribute's row.  Equal rows may be one shared
-    object."""
+    """The diagram that the JSON document `text` describes.  The loader
+    reads the shape that diagram_to_json writes, not its bytes: any key
+    order, layout, and order of groups, boxes, rows and edges loads, and
+    keys it does not read are ignored.  The document is an object with
+    `groups` and `edges` lists and a `select_box` object.  Each group has a
+    string `id`, a `quantifier` name, an integer `depth`, a string or null
+    `parent` and a `tables` list; each box a string `alias` and
+    `table_name` and a `rows` list of objects, each with a string
+    `attribute`, plus an `op` and a `constant` for a selection row; each
+    edge a `from` and a `to` of two strings each, a boolean `directed` and
+    a null or comparison-operator `label`.  An edge from the SELECT box is a
+    select link: it runs undirected and unlabelled from the row of the
+    attribute it links, and `select_box.rows`, read last, must be those
+    attributes in order.  A document of any other shape raises
+    MalformedDiagramError, which names the JSON path of the first fault in
+    read order, where an object's keys are read before its values are
+    checked.  Equal rows may be one shared object."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -2,7 +2,7 @@
 
 The inputs are rebuilt from fixed seeds: the twelve fixtures and
 OWL_SELECTION_BURIED, GENERATED seeded generated queries, the IN, ANY and
-ALL forms of test_fuzz.SUBQUERY_SEEDS, the HAND_WRITTEN queries and MUTANTS
+ALL forms of graphs.SUBQUERY_SEEDS, the HAND_WRITTEN queries and MUTANTS
 word-level mutants (one word dropped, duplicated or swapped) of the
 fixtures and generated queries.  Each input goes through the nine command
 forms of acceptance criterion 10 on standard input.  Each successful `viz
@@ -35,7 +35,8 @@ from sqldiagram.cli import run
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.fixtures import OWL_SELECTION_BURIED, SAILORS_NO_RED, VALID_QUERIES
 from sqldiagram.logic import lt_to_sql
-from test_fuzz import SUBQUERY_SEEDS
+
+from graphs import SUBQUERY_SEEDS
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.jsonl"
 SEED = 16

@@ -1,13 +1,102 @@
-"""Group graphs built from bare ids, the path family of a recovered path,
-every small query (or a seeded sample of them) and the reference oracle,
-for recovery tests."""
+"""Builders the test modules share: SQL lowered to a logic tree or a
+diagram, copies of a tree rebuilt or relabelled, wide trees, the IN, ANY
+and ALL seed queries, group graphs built from bare ids, the path family of
+a recovered path, every small query (or a seeded sample of them) and the
+reference oracle."""
 
 import itertools
 
 from sqldiagram import (MAX_DEPTH, DepthAssignment, DiagramGraph, LogicTree, Predicate,
-                        Quantifier)
+                        Quantifier, build_diagram, build_logic_tree, parse, resolve_scopes)
+from sqldiagram.corpus import SCHEMA
+from sqldiagram.fixtures import ONLY_RED_NOT_ANY, ONLY_RED_NOT_IN
 from sqldiagram.logic import make_node
-from sqldiagram.sqlast import ColumnRef
+from sqldiagram.sqlast import ColumnRef, Constant
+
+from evaluate_reference import COMPARE_OPS
+
+# lt_to_sql prints no IN, ANY or ALL, so these forms are seeded by hand:
+# x [NOT] IN (S) and [NOT] x op ANY|ALL (S) for each operator.
+SUBQUERY_SEEDS = (
+    ONLY_RED_NOT_IN, ONLY_RED_NOT_ANY,
+    *(f"SELECT T.a FROM T WHERE T.a {not_}IN (SELECT S.b FROM S WHERE S.c <> T.c)"
+      for not_ in ("", "NOT ")),
+    *(f"SELECT T.a FROM T WHERE {not_}T.a {op} {mode} (SELECT S.b FROM S WHERE S.c <> T.c)"
+      for not_ in ("", "NOT ") for op in COMPARE_OPS for mode in ("ANY", "ALL")),
+)
+
+
+def lower(sql: str) -> LogicTree:
+    """The logic tree of the SQL text."""
+    return build_logic_tree(resolve_scopes(parse(sql)))
+
+
+def diagram_of(sql: str, **kwargs):
+    """The diagram of the SQL text; keyword arguments go to build_diagram."""
+    return build_diagram(lower(sql), **kwargs)
+
+
+def rebuild(lt, label=lambda kind, old: old, pred=lambda p: p,
+            quantifier=lambda n: n.quantifier, extra=lambda n: ()):
+    """A copy of lt with every label passed through label(kind, old), every
+    predicate through pred, every node's quantifier from quantifier and the
+    predicates extra(n) added to every node n."""
+    def column(c):
+        return ColumnRef(label("alias", c.alias), label("attr", c.attribute))
+
+    def predicate(p):
+        p = pred(p)
+        rhs = column(p.rhs) if isinstance(p.rhs, ColumnRef) else Constant(
+            p.rhs.kind, label("const", p.rhs.literal))
+        return Predicate(column(p.lhs), p.op, rhs)
+
+    def node(n):
+        return make_node([(label("alias", a), label("table", t)) for a, t in n.tables],
+                         [predicate(p) for p in (*n.predicates, *extra(n))], quantifier(n),
+                         [node(c) for c in n.children])
+
+    return LogicTree(root=node(lt.root), select_list=tuple(column(c) for c in lt.select_list))
+
+
+def relabelled(rng, lt):
+    """The same tree under a seeded bijection of alias, table, attribute and
+    constant labels onto fresh names, so the canonical orders change too."""
+    names = {}
+
+    def fresh(kind, old):
+        if (kind, old) not in names:
+            names[(kind, old)] = f"{kind[0].upper()}{rng.randrange(10 ** 6)}n{len(names)}"
+        return names[(kind, old)]
+
+    return rebuild(lt, label=fresh)
+
+
+def wide_tree(rng, k):
+    """A root with k NOT EXISTS children, each with two children of its own
+    (3k + 1 groups); every block joins its parent."""
+    tables = sorted(SCHEMA)
+
+    def col(alias, table):
+        return ColumnRef(alias, rng.choice(SCHEMA[table]))
+
+    root_table = rng.choice(tables)
+    children = []
+    for i in range(k):
+        table = rng.choice(tables)
+        grandchildren = []
+        for j in range(2):
+            g_table = rng.choice(tables)
+            preds = [Predicate(col(f"G{i}x{j}", g_table), rng.choice(("=", "<", ">=")),
+                               col(f"C{i}", table))]
+            if rng.random() < 0.3:
+                preds.append(Predicate(col(f"G{i}x{j}", g_table), "=",
+                                       Constant("number", str(rng.randint(0, 9)))))
+            grandchildren.append(make_node([(f"G{i}x{j}", g_table)], preds,
+                                           rng.choice((Quantifier.EXISTS, Quantifier.NOT_EXISTS))))
+        preds = [Predicate(col(f"C{i}", table), rng.choice(("=", "<>")), col("W", root_table))]
+        children.append(make_node([(f"C{i}", table)], preds, Quantifier.NOT_EXISTS, grandchildren))
+    root = make_node([("W", root_table)], [], Quantifier.ROOT, children)
+    return LogicTree(root=root, select_list=(col("W", root_table),))
 
 
 def make_graph(ids, edges, root_id: str) -> DiagramGraph:

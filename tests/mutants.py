@@ -10,7 +10,7 @@ that is killed (its mark is stale), or an entry whose line is not found
 exactly once, makes the script exit 1; tier-1 checks the last on its own
 (tests/test_mutants.py).
 
-    python tests/mutants.py    # about 11 minutes on a 2-vCPU machine
+    python tests/mutants.py    # about 8 minutes on a 2-vCPU machine
 
 It is not part of tier-1: it runs tier-1 once for each mutant.  A change
 that tries a new mutant adds it here.

@@ -1,11 +1,12 @@
 """Reference reading order for differential tests.
 
 `reference_reading_order` is the earlier `reading_order`, kept as an
-independent check on the package's walk: after every walk it lists the
-unvisited groups again and restarts at the first one whose incoming arrows
-all come from visited groups, else at the first unvisited group.  Each
-restart rescans every group, so it is quadratic in the number of restarts.
-Keep diagrams small.
+independent check on the package's walk.  It starts at the group of the box
+that the first SELECT link names (the first group when there is no link).
+After every walk it lists the unvisited groups again and restarts at the
+first one whose incoming arrows all come from visited groups, else at the
+first unvisited group.  Each restart rescans every group, so it is
+quadratic in the number of restarts.  Keep diagrams small.
 """
 
 from sqldiagram.diagram import SELECT_BOX_ID, Diagram, ReadingOrder
@@ -22,7 +23,7 @@ def reference_reading_order(d: Diagram) -> ReadingOrder:
             out_edges[src].add(dst)
             in_edges[dst].add(src)
 
-    root = d.groups[0].id
+    root = group_of[d.select_box[0][0]] if d.select_box else d.groups[0].id
     steps: list[tuple] = [("select", SELECT_BOX_ID), ("enter", root)]
     visited = {root}
 

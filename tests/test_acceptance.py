@@ -5,7 +5,6 @@ lines; every tolerance is exact unless a runtime bound is stated.
 """
 
 import itertools
-import json
 import random
 import time
 
@@ -14,7 +13,6 @@ from sqldiagram import (
     ViolationKind,
     brute_force_depths,
     build_diagram,
-    build_logic_tree,
     check_nondegenerate,
     count_elements,
     count_words,
@@ -22,10 +20,8 @@ from sqldiagram import (
     diagram_to_graph,
     emit_dot,
     lt_equal,
-    parse,
     reading_order,
     recover_depths,
-    resolve_scopes,
     simplify_forall,
 )
 from sqldiagram.cli import run
@@ -42,15 +38,7 @@ from sqldiagram.fixtures import (
 )
 
 from evaluate_reference import evaluate, random_database
-from graphs import depths_of, make_graph, path_family
-
-
-def lower(sql):
-    return build_logic_tree(resolve_scopes(parse(sql)))
-
-
-def diagram_of(sql, **kwargs):
-    return build_diagram(lower(sql), **kwargs)
+from graphs import depths_of, diagram_of, lower, make_graph, path_family
 
 
 def _passed(number, message):
@@ -63,6 +51,7 @@ def test_criterion_01_syntactic_variant_canonicalization():
     assert lt_equal(trees[0], trees[1], modulo_renaming=False)
     assert lt_equal(trees[0], trees[2], modulo_renaming=False)
     assert lt_equal(trees[1], trees[2], modulo_renaming=False)
+    assert trees[0] == trees[1] == trees[2]
     docs = [emit_dot(build_diagram(t)).encode() for t in trees]
     assert docs[0] == docs[1] == docs[2]
     elapsed = time.perf_counter() - start
@@ -93,6 +82,7 @@ def test_criterion_02_unique_set_pipeline():
         "L5": Quantifier.FOR_ALL, "L6": Quantifier.EXISTS}
 
     d = build_diagram(lt)
+    assert len(d.boxes()) == 6
     edges = {(e.src[0], e.dst[0], e.label, e.directed) for e in d.edges}
     assert edges == {
         ("L1", "L2", "<>", True),
@@ -112,6 +102,7 @@ def test_criterion_02_unique_set_pipeline():
 def test_criterion_03_reading_order():
     d = diagram_of(UNIQUE_BEER_SET)
     order = reading_order(d)
+    assert order.steps[0] == ("select", "SELECT")
     alias_of = {g.id: g.tables[0].alias for g in d.groups}
     assert [alias_of[g] for g in order.visit_order] == ["L1", "L2", "L3", "L4", "L5", "L6"]
     assert [alias_of[g] for g in order.restarts] == ["L5"]
@@ -159,21 +150,31 @@ def test_criterion_05_path_pattern_census():
     true_depths = {"r": 0, "n1": 1, "n2": 2, "n3": 3}
     census = {"A,B": 0, "A,not-B": 0, "not-A": 0}
     for bits in itertools.product((False, True), repeat=6):
-        present = [c for c, keep in zip("ABCDEF", bits) if keep]
+        present = {c for c, keep in zip("ABCDEF", bits) if keep}
+        # the connected-subquery property on the true labeling
+        valid = ("D" in present
+                 and ("A" in present or {"B", "C"} <= present)
+                 and ("B" in present or "E" in present))
         g = make_graph(["r", "n1", "n2", "n3"],
                        [class_edges[c] for c in present], "r")
         try:
             assignment = recover_depths(g)
         except InvalidDiagramError:
-            continue
-        if assignment.depths == true_depths:
+            assignment = None
+        recognized = assignment is not None and assignment.depths == true_depths
+        assert recognized == valid, present
+        if recognized:
             census[path_family(g, assignment)] += 1
+            # each valid pattern is unambiguous: the oracle finds exactly it
+            survivors = brute_force_depths(g)
+            assert len(survivors) == 1
+            assert survivors[0].depths == true_depths
     assert sum(census.values()) == 16
     assert census["A,B"] == 8
     assert census["A,not-B"] == 4
     assert census["not-A"] == 4
     _passed(5, "exhaustive edge-subset census: 16 valid depth-3 path patterns, "
-               "split 8/4/4 across the families")
+               "split 8/4/4 across the families, each the oracle's one structure")
 
 
 def test_criterion_06_degeneracy_detection():

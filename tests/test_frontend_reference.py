@@ -7,16 +7,8 @@ import random
 
 import pytest
 
-from sqldiagram import (
-    build_diagram,
-    build_logic_tree,
-    diagram_from_json,
-    diagram_to_json,
-    lt_to_json,
-    parse,
-    resolve_scopes,
-    simplify_forall,
-)
+from sqldiagram import (build_diagram, diagram_from_json, diagram_to_json, lt_to_json,
+                        simplify_forall)
 from sqldiagram.cli import run
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.errors import SqlSyntaxError
@@ -24,9 +16,9 @@ from sqldiagram.fixtures import OWL_SELECTION_BURIED, VALID_QUERIES
 from sqldiagram.logic import lt_to_sql
 from sqldiagram.parser import tokenize
 
+from graphs import lower, wide_tree
 from json_reference import reference_diagram_json, reference_lt_json
 from lexer_reference import reference_tokenize, scanner_tokenize
-from test_isomorphism import wide_tree
 
 # A name, an operator, a number and a string, with one slot after the name,
 # two around the number and one inside the string, so that every code point
@@ -124,9 +116,9 @@ def _assert_json_matches(lt, both_forms=True):
 
 def test_json_matches_the_reference(generated_queries):
     for sql in VALID_QUERIES.values():
-        _assert_json_matches(build_logic_tree(resolve_scopes(parse(sql))))
+        _assert_json_matches(lower(sql))
     for sql in generated_queries:
-        _assert_json_matches(build_logic_tree(resolve_scopes(parse(sql))), both_forms=False)
+        _assert_json_matches(lower(sql), both_forms=False)
 
 
 def test_json_matches_the_reference_on_a_wide_diagram():
@@ -138,7 +130,7 @@ def test_json_matches_the_reference_on_a_wide_diagram():
 def test_json_escapes_match_the_reference():
     sql = ("SELECT Bär.näme FROM Tábla Bär, R WHERE Bär.näme = 'say \"hi\" \\ \x01\t€ 字' "
            "AND Bär.x < 'O''Brien' AND R.a = Bär.x AND R.b <> '' AND R.c = -1e5")
-    lt = build_logic_tree(resolve_scopes(parse(sql)))
+    lt = lower(sql)
     text = diagram_to_json(build_diagram(lt))
     for piece in ('\\"hi\\"', "\\\\", "\\u0001", "\\t", "€ 字", "O'Brien", "Bär", "-1e5"):
         assert piece in text, piece
@@ -147,7 +139,7 @@ def test_json_escapes_match_the_reference():
 
 def test_cli_json_outputs_match_the_reference(monkeypatch, capsys):
     for sql in list(VALID_QUERIES.values()) + [OWL_SELECTION_BURIED]:
-        lt = build_logic_tree(resolve_scopes(parse(sql)))
+        lt = lower(sql)
         monkeypatch.setattr("sys.stdin", io.StringIO(sql))
         assert run(["lt"]) == 0
         assert capsys.readouterr().out == reference_lt_json(simplify_forall(lt))

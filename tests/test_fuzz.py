@@ -21,10 +21,10 @@ from sqldiagram import (build_diagram, build_logic_tree, diagram_to_json, lt_to_
                         print_sql, resolve_scopes)
 from sqldiagram.cli import run
 from sqldiagram.corpus import random_logic_tree
-from sqldiagram.fixtures import ONLY_RED_NOT_ANY, ONLY_RED_NOT_IN, VALID_QUERIES
+from sqldiagram.fixtures import VALID_QUERIES
 from sqldiagram.parser import tokenize
 
-from evaluate_reference import COMPARE_OPS
+from graphs import SUBQUERY_SEEDS, lower
 
 SEED = 4242
 TREES = 250
@@ -39,20 +39,6 @@ COMMANDS = (["viz"], ["viz", "--format", "json"], ["lt"], ["trc"], ["check"],
 DIAGRAM_TREES = 20
 DIAGRAM_MUTANTS = 1500
 REPLACEMENTS = (None, 0, -1, 1.5, True, "", "x", [], ["x"], {})
-
-# lt_to_sql prints no IN, ANY or ALL, so these forms are seeded by hand:
-# x [NOT] IN (S) and [NOT] x op ANY|ALL (S) for each operator.
-SUBQUERY_SEEDS = (
-    ONLY_RED_NOT_IN, ONLY_RED_NOT_ANY,
-    *(f"SELECT T.a FROM T WHERE T.a {not_}IN (SELECT S.b FROM S WHERE S.c <> T.c)"
-      for not_ in ("", "NOT ")),
-    *(f"SELECT T.a FROM T WHERE {not_}T.a {op} {mode} (SELECT S.b FROM S WHERE S.c <> T.c)"
-      for not_ in ("", "NOT ") for op in COMPARE_OPS for mode in ("ANY", "ALL")),
-)
-
-
-def _lower(sql):
-    return build_logic_tree(resolve_scopes(parse(sql)))
 
 
 def _generated_sql(rng):
@@ -94,7 +80,7 @@ def test_printed_sql_parses_back_to_the_same_ast():
         assert parse(print_sql(resolved)) == resolved, sql
         assert parse(_with_comments(rng, sql)) == ast, sql
         lt = build_logic_tree(resolved)
-        assert _lower(lt_to_sql(lt)) == lt, sql
+        assert lower(lt_to_sql(lt)) == lt, sql
 
 
 def test_one_token_mutations_end_in_a_diagnostic(monkeypatch, capsys):
@@ -141,7 +127,7 @@ def _diagram_mutant(rng, doc):
 
 def test_one_field_diagram_mutations_end_in_a_diagnostic(monkeypatch, capsys):
     rng = random.Random(SEED + 2)
-    trees = [_lower(sql) for sql in VALID_QUERIES.values()]
+    trees = [lower(sql) for sql in VALID_QUERIES.values()]
     trees += [random_logic_tree(rng) for _ in range(DIAGRAM_TREES)]
     docs = [json.loads(diagram_to_json(build_diagram(lt))) for lt in trees]
     codes = set()

@@ -30,6 +30,7 @@ from sqldiagram import (
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.fixtures import VALID_QUERIES
 
+from graphs import lower
 from variants import quantified, renamed, reordered
 
 SEED = 2113
@@ -42,10 +43,6 @@ def queries():
     rng = random.Random(SEED)
     return [*VALID_QUERIES.values(),
             *(lt_to_sql(random_logic_tree(rng)) for _ in range(GENERATED))]
-
-
-def lower(sql):
-    return build_logic_tree(resolve_scopes(parse(sql)))
 
 
 def drawn(lt):

@@ -7,26 +7,16 @@ import time
 
 import pytest
 
-from sqldiagram import (
-    build_diagram,
-    build_logic_tree,
-    diagram_isomorphic,
-    lt_equal,
-    parse,
-    resolve_scopes,
-)
-from sqldiagram.corpus import SCHEMA, random_logic_tree
+from sqldiagram import build_diagram, diagram_isomorphic, lt_equal
+from sqldiagram.corpus import random_logic_tree
 from sqldiagram.fixtures import VALID_QUERIES
 from sqldiagram.logic import (LogicTree, LtNode, Predicate, Quantifier, _coded, _Relabeling,
                               make_node)
 from sqldiagram.sqlast import ColumnRef, Constant
 
 from evaluate_reference import COMPARE_OPS
+from graphs import lower, rebuild, relabelled, wide_tree
 from iso_reference import reference_isomorphic
-
-
-def lower(sql):
-    return build_logic_tree(resolve_scopes(parse(sql)))
 
 
 @pytest.fixture
@@ -52,41 +42,6 @@ def _nodes(lt):
         stack.extend(node.children)
 
 
-def _rebuild(lt, label=lambda kind, old: old, pred=lambda p: p,
-             quantifier=lambda n: n.quantifier, extra=lambda n: ()):
-    """A copy of lt with every label passed through label(kind, old), every
-    predicate through pred, every node's quantifier from quantifier and the
-    predicates extra(n) added to every node n."""
-    def column(c):
-        return ColumnRef(label("alias", c.alias), label("attr", c.attribute))
-
-    def predicate(p):
-        p = pred(p)
-        rhs = column(p.rhs) if isinstance(p.rhs, ColumnRef) else Constant(
-            p.rhs.kind, label("const", p.rhs.literal))
-        return Predicate(column(p.lhs), p.op, rhs)
-
-    def node(n):
-        return make_node([(label("alias", a), label("table", t)) for a, t in n.tables],
-                         [predicate(p) for p in (*n.predicates, *extra(n))], quantifier(n),
-                         [node(c) for c in n.children])
-
-    return LogicTree(root=node(lt.root), select_list=tuple(column(c) for c in lt.select_list))
-
-
-def relabelled(rng, lt):
-    """The same tree under a seeded bijection of alias, table, attribute and
-    constant labels onto fresh names, so the canonical orders change too."""
-    names = {}
-
-    def fresh(kind, old):
-        if (kind, old) not in names:
-            names[(kind, old)] = f"{kind[0].upper()}{rng.randrange(10 ** 6)}n{len(names)}"
-        return names[(kind, old)]
-
-    return _rebuild(lt, label=fresh)
-
-
 def mutated(rng, lt):
     """The same tree with one seeded change: an operator, the quantifier of a
     non-root node, or a constant; a lone root without predicates has none to
@@ -102,45 +57,17 @@ def mutated(rng, lt):
     if kind == "op":
         target = rng.choice(preds)
         op = rng.choice([o for o in sorted(COMPARE_OPS) if o != target.op])
-        return _rebuild(lt, pred=lambda p: Predicate(p.lhs, op, p.rhs) if p is target else p)
+        return rebuild(lt, pred=lambda p: Predicate(p.lhs, op, p.rhs) if p is target else p)
     if kind == "quantifier":
         target = rng.choice(inner)
         flipped = {Quantifier.EXISTS: Quantifier.NOT_EXISTS,
                    Quantifier.NOT_EXISTS: Quantifier.EXISTS}
-        return _rebuild(lt, quantifier=lambda n: flipped.get(n.quantifier, n.quantifier)
-                        if n is target else n.quantifier)
+        return rebuild(lt, quantifier=lambda n: flipped.get(n.quantifier, n.quantifier)
+                       if n is target else n.quantifier)
     target = rng.choice(selections)
     literal = rng.choice([v for v in ("0", "1", "2", "3") if v != target.rhs.literal])
-    return _rebuild(lt, pred=lambda p: Predicate(p.lhs, p.op, Constant(p.rhs.kind, literal))
-                    if p is target else p)
-
-
-def wide_tree(rng, k):
-    """A root with k NOT EXISTS children, each with two children of its own
-    (3k + 1 groups); every block joins its parent."""
-    tables = sorted(SCHEMA)
-
-    def col(alias, table):
-        return ColumnRef(alias, rng.choice(SCHEMA[table]))
-
-    root_table = rng.choice(tables)
-    children = []
-    for i in range(k):
-        table = rng.choice(tables)
-        grandchildren = []
-        for j in range(2):
-            g_table = rng.choice(tables)
-            preds = [Predicate(col(f"G{i}x{j}", g_table), rng.choice(("=", "<", ">=")),
-                               col(f"C{i}", table))]
-            if rng.random() < 0.3:
-                preds.append(Predicate(col(f"G{i}x{j}", g_table), "=",
-                                       Constant("number", str(rng.randint(0, 9)))))
-            grandchildren.append(make_node([(f"G{i}x{j}", g_table)], preds,
-                                           rng.choice((Quantifier.EXISTS, Quantifier.NOT_EXISTS))))
-        preds = [Predicate(col(f"C{i}", table), rng.choice(("=", "<>")), col("W", root_table))]
-        children.append(make_node([(f"C{i}", table)], preds, Quantifier.NOT_EXISTS, grandchildren))
-    root = make_node([("W", root_table)], [], Quantifier.ROOT, children)
-    return LogicTree(root=root, select_list=(col("W", root_table),))
+    return rebuild(lt, pred=lambda p: Predicate(p.lhs, p.op, Constant(p.rhs.kind, literal))
+                   if p is target else p)
 
 
 def symmetric_tree(k, selections=()):
@@ -160,7 +87,7 @@ def symmetric_tree(k, selections=()):
 def with_one_lt(rng, lt):
     """The same tree with one seeded `=` predicate changed to `<`."""
     target = rng.choice([p for n in _nodes(lt) for p in n.predicates if p.op == "="])
-    return _rebuild(lt, pred=lambda p: Predicate(p.lhs, "<", p.rhs) if p is target else p)
+    return rebuild(lt, pred=lambda p: Predicate(p.lhs, "<", p.rhs) if p is target else p)
 
 
 def joined_tree(n, ops=("=",), nested=True):
@@ -245,12 +172,12 @@ def test_early_exits_agree_with_the_reference():
         nodes = list(_nodes(lt))
         target = rng.choice(nodes)
         selection = Predicate(ColumnRef(target.tables[0][0], "extra"), "=", Constant("number", "9"))
-        copies = [lt, _rebuild(lt, extra=lambda n: (selection,) if n is target else ())]
+        copies = [lt, rebuild(lt, extra=lambda n: (selection,) if n is target else ())]
         exists = [n for n in nodes if n.quantifier is Quantifier.EXISTS]
         if exists:
             flipped = rng.choice(exists)
-            copies.append(_rebuild(lt, quantifier=lambda n: Quantifier.NOT_EXISTS
-                                   if n is flipped else n.quantifier))
+            copies.append(rebuild(lt, quantifier=lambda n: Quantifier.NOT_EXISTS
+                                  if n is flipped else n.quantifier))
         for copy in copies:
             other = relabelled(rng, copy)
             for simplified in (False, True):
@@ -394,8 +321,8 @@ def test_a_grandchild_shared_by_alike_siblings_keeps_the_pruning(pair_calls):
     lt = LogicTree(root=make_node([("P", "Sailor")], [], Quantifier.ROOT, children),
                    select_list=(ColumnRef("P", "sname"),))
     target = lt.root.children[0].predicates[0]
-    one_lt = relabelled(rng, _rebuild(lt, pred=lambda p: Predicate(p.lhs, "<", p.rhs)
-                                      if p is target else p))
+    one_lt = relabelled(rng, rebuild(lt, pred=lambda p: Predicate(p.lhs, "<", p.rhs)
+                                     if p is target else p))
     assert not lt_equal(lt, one_lt, modulo_renaming=True)
     assert not lt_equal(one_lt, lt, modulo_renaming=True)
     assert pair_calls == []
@@ -427,8 +354,8 @@ def test_a_grandchild_shared_under_two_codes_keeps_the_pruning(pair_calls):
     lt = LogicTree(root=make_node([("P", "Sailor")], [], Quantifier.ROOT, children),
                    select_list=(ColumnRef("P", "sname"),))
     target = children[0].predicates[0]
-    one_lt = relabelled(rng, _rebuild(lt, pred=lambda p: Predicate(p.lhs, "<", p.rhs)
-                                      if p is target else p))
+    one_lt = relabelled(rng, rebuild(lt, pred=lambda p: Predicate(p.lhs, "<", p.rhs)
+                                     if p is target else p))
     assert not lt_equal(lt, one_lt, modulo_renaming=True)
     assert not lt_equal(one_lt, lt, modulo_renaming=True)
     assert pair_calls == []
@@ -472,7 +399,7 @@ def test_hand_built_trees_keep_their_verdicts(alias_of, shared):
     lt = _hand_built(alias_of, shared)
     same = relabelled(rng, lt)
     target = next(p for p in lt.root.children[2].predicates if p.lhs.attribute == "day")
-    flipped = _rebuild(lt, pred=lambda p: Predicate(p.lhs, "<>", p.rhs) if p is target else p)
+    flipped = rebuild(lt, pred=lambda p: Predicate(p.lhs, "<>", p.rhs) if p is target else p)
     assert lt_equal(lt, same, modulo_renaming=True)
     assert lt_equal(same, lt, modulo_renaming=True)
     assert lt_equal(lt, lt, modulo_renaming=True)

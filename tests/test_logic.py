@@ -17,7 +17,6 @@ from sqldiagram import (
 from sqldiagram.errors import MalformedSubqueryError
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
-    ONLY_RED_VARIANTS,
     SAILORS_ALL_RED,
     SAILORS_NO_RED,
     SAILORS_ONLY_RED,
@@ -28,10 +27,7 @@ from sqldiagram.logic import make_node
 from sqldiagram.sqlast import ColumnRef
 
 from evaluate_reference import evaluate
-
-
-def lower(sql):
-    return build_logic_tree(resolve_scopes(parse(sql)))
+from graphs import lower
 
 
 def test_nested_not_exists_lowering():
@@ -60,13 +56,6 @@ def test_minimal_query_lowering():
     assert lt.root.children == ()
     assert lt.root.predicates == ()
     assert lt.root.tables == (("T", "Tab"),)
-
-
-def test_syntactic_variants_same_tree():
-    trees = [lower(sql) for sql in ONLY_RED_VARIANTS]
-    assert lt_equal(trees[0], trees[1])
-    assert lt_equal(trees[0], trees[2])
-    assert trees[0] == trees[1] == trees[2]
 
 
 def test_in_lowering_adds_link_predicate():

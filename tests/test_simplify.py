@@ -1,36 +1,15 @@
 import random
 
-from sqldiagram import (
-    Quantifier,
-    build_logic_tree,
-    parse,
-    render_trc,
-    resolve_scopes,
-    simplify_forall,
-)
+from sqldiagram import Quantifier, render_trc, simplify_forall
 from sqldiagram.corpus import random_logic_tree
 from sqldiagram.fixtures import ONLY_LIKED_DRINKS, UNIQUE_BEER_SET
 
 from evaluate_reference import evaluate, random_database
-
-
-def lower(sql):
-    return build_logic_tree(resolve_scopes(parse(sql)))
+from graphs import lower
 
 
 def quantifiers_by_alias(lt):
     return {alias: node.quantifier for _, node, _ in lt.walk() for alias in node.aliases}
-
-
-def test_unique_set_simplification():
-    simplified = simplify_forall(lower(UNIQUE_BEER_SET))
-    q = quantifiers_by_alias(simplified)
-    assert q["L1"] is Quantifier.ROOT
-    assert q["L2"] is Quantifier.NOT_EXISTS  # two not-exists children: rule does not fire
-    assert q["L3"] is Quantifier.FOR_ALL
-    assert q["L4"] is Quantifier.EXISTS
-    assert q["L5"] is Quantifier.FOR_ALL
-    assert q["L6"] is Quantifier.EXISTS
 
 
 def test_nested_pair_becomes_forall_exists():

@@ -31,6 +31,7 @@ from sqldiagram.parser import tokenize
 from sqldiagram.sqlast import ColumnRef, Comparison, Constant, Exists, QuantifiedComparison
 
 from evaluate_reference import COMPARE_OPS, constant_value, evaluate, random_database
+from graphs import lower
 from variants import quantified, renamed, reordered
 
 QUANTIFIED = {
@@ -174,7 +175,7 @@ def test_sqlite_agrees_with_evaluate_on_generated_trees():
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_sqlite_agrees_on_fixtures_and_quantified_comparisons(name):
     sql = QUERIES[name]
-    lt = build_logic_tree(resolve_scopes(parse(sql)))
+    lt = lower(sql)
     simplified = simplify_forall(lt)
     source, lowered = sqlite_text(sql), lt_to_sql(lt)
     rng = random.Random(name)

@@ -1,15 +1,7 @@
-from sqldiagram import (
-    ViolationKind,
-    build_logic_tree,
-    check_nondegenerate,
-    parse,
-    resolve_scopes,
-)
+from sqldiagram import ViolationKind, check_nondegenerate
 from sqldiagram.fixtures import OWL_SELECTION_BURIED, UNIQUE_BEER_SET, VALID_QUERIES
 
-
-def lower(sql):
-    return build_logic_tree(resolve_scopes(parse(sql)))
+from graphs import lower
 
 
 def test_buried_selection_violates_local_attributes():
