@@ -138,6 +138,23 @@ def test_nested_diagram_groups_and_styles():
         (0, None), (1, "g0_1"), (2, "g1_1")]
 
 
+def test_unique_set_diagram_edges():
+    d = diagram_of(UNIQUE_BEER_SET)
+    assert len(d.boxes()) == 6
+    edge_view = {(e.src[0], e.dst[0]): e.label for e in d.edges}
+    assert edge_view == {
+        ("L1", "L2"): "<>",
+        ("L2", "L3"): None,
+        ("L3", "L4"): None,
+        ("L4", "L1"): None,
+        ("L5", "L6"): None,
+        ("L5", "L1"): None,
+        ("L6", "L2"): None,
+    }
+    assert all(e.directed for e in d.edges)
+    assert d.select_box == (("L1", "drinker"),)
+
+
 def test_row_ordering_and_selection_rows():
     d = diagram_of("SELECT T.a FROM Tab T, Sab S "
                    "WHERE T.z = S.z AND T.a = S.b AND T.m = 'x'")
@@ -178,6 +195,15 @@ def test_determinism():
 
 
 # -- reading order ------------------------------------------------------------
+
+
+def test_reading_order_unique_set():
+    d = diagram_of(UNIQUE_BEER_SET)
+    order = reading_order(d)
+    aliases = {g.id: g.tables[0].alias for g in d.groups}
+    assert [aliases[g] for g in order.visit_order] == ["L1", "L2", "L3", "L4", "L5", "L6"]
+    assert [aliases[g] for g in order.restarts] == ["L5"]
+    assert order.steps[0] == ("select", "SELECT")
 
 
 def test_reading_order_single_group():

@@ -17,6 +17,7 @@ from sqldiagram import (
 from sqldiagram.errors import MalformedSubqueryError
 from sqldiagram.fixtures import (
     ONLY_LIKED_DRINKS,
+    ONLY_RED_VARIANTS,
     SAILORS_ALL_RED,
     SAILORS_NO_RED,
     SAILORS_ONLY_RED,
@@ -56,6 +57,13 @@ def test_minimal_query_lowering():
     assert lt.root.children == ()
     assert lt.root.predicates == ()
     assert lt.root.tables == (("T", "Tab"),)
+
+
+def test_syntactic_variants_same_tree():
+    trees = [lower(sql) for sql in ONLY_RED_VARIANTS]
+    assert lt_equal(trees[0], trees[1])
+    assert lt_equal(trees[0], trees[2])
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_in_lowering_adds_link_predicate():

@@ -92,6 +92,38 @@ def test_classify_rejects_missing_mandatory_edge():
         recover_depths(path_graph({"B", "D"}))  # A absent and C absent
 
 
+def test_path_pattern_census_16_patterns_8_4_4():
+    """Exhaustive enumeration over the 64 edge subsets: exactly 16 label as
+    the canonical depth-3 path, split 8 / 4 / 4 across the families."""
+    true_depths = {"r": 0, "n1": 1, "n2": 2, "n3": 3}
+    per_family = {"A,B": 0, "A,not-B": 0, "not-A": 0}
+    recognized = 0
+    for bits in itertools.product((False, True), repeat=6):
+        present = {c for c, keep in zip("ABCDEF", bits) if keep}
+        # validity per the connected-subquery property on the true labeling
+        valid = ("D" in present
+                 and ("A" in present or {"B", "C"} <= present)
+                 and ("B" in present or "E" in present))
+        g = path_graph(present)
+        try:
+            assignment = recover_depths(g)
+            classified = assignment.depths == true_depths
+        except InvalidDiagramError:
+            classified = False
+        assert classified == valid, present
+        if classified:
+            recognized += 1
+            per_family[path_family(g, assignment)] += 1
+            # each valid pattern is unambiguous: the oracle finds exactly it
+            survivors = brute_force_depths(path_graph(present))
+            assert len(survivors) == 1
+            assert survivors[0].depths == true_depths
+    assert recognized == 16
+    assert per_family["A,B"] == 8
+    assert per_family["A,not-B"] == 4
+    assert per_family["not-A"] == 4
+
+
 # -- decompositions --------------------------------------------------------------
 
 
@@ -303,6 +335,21 @@ def test_fixture_round_trips_with_oracle():
             assert assignment.depths[group.id] == truth[group.tables[0].alias], name
         survivors = brute_force_depths(g)
         assert len(survivors) == 1 and survivors[0] == assignment, name
+
+
+def test_random_corpus_round_trip_smoke():
+    rng = random.Random(4242)
+    for _ in range(40):
+        lt = random_logic_tree(rng)
+        diagram = build_diagram(lt)
+        g = diagram_to_graph(diagram)
+        assignment = recover_depths(g)
+        truth = depths_of(lt)
+        group_alias = {grp.id: grp.tables[0].alias for grp in diagram.groups}
+        for gid, alias in group_alias.items():
+            assert assignment.depths[gid] == truth[alias]
+        survivors = brute_force_depths(g)
+        assert len(survivors) == 1 and survivors[0] == assignment
 
 
 # -- invalid inputs -----------------------------------------------------------------
